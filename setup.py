@@ -28,17 +28,16 @@ class OptionalBuildExt(build_ext):
 def extensions():
     try:
         import numpy as np
-        from Cython.Build import cythonize
     except ImportError:
         return []
-    ext = Extension(
+    # the C source is generated from _simplex_cy.pyx and committed (see README)
+    return [Extension(
         "privguess._simplex_cy",
-        ["src/privguess/_simplex_cy.pyx"],
+        ["src/privguess/_simplex_cy.c"],
         include_dirs=[np.get_include()],
         # keep float semantics identical to the NumPy fallback (no FMA contraction)
         extra_compile_args=["-O3", "-ffp-contract=off"],
-    )
-    return cythonize([ext], compiler_directives={"language_level": "3"})
+    )]
 
 
 setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})

@@ -77,14 +77,6 @@ class LinearProgram:
     def n_vars(self) -> int:
         return self.objective.shape[0]
 
-    @property
-    def eq_constraints(self) -> list[tuple[np.ndarray, float]]:
-        return [(self.a_eq[i], float(self.b_eq[i])) for i in range(self.a_eq.shape[0])]
-
-    @property
-    def ineq_constraints(self) -> list[tuple[np.ndarray, float]]:
-        return [(self.a_ub[i], float(self.b_ub[i])) for i in range(self.a_ub.shape[0])]
-
 
 @dataclass(frozen=True)
 class LpSolution:

@@ -66,7 +66,7 @@ MAX_ALPHABET = 6
 #: consistency tolerance between LP value and recomputed utility
 CONSISTENCY_TOL = 1e-8
 
-#: default chord-slope tolerance for breakpoint detection
+#: chord-slope tolerance for breakpoint detection
 SLOPE_TOL = 1e-6
 
 #: breakpoints are located to this resolution
@@ -116,11 +116,6 @@ class OrderBounds(NamedTuple):
 def nondecreasing_maps(n_outputs: int, n_y: int) -> Iterable[tuple[int, ...]]:
     """Canonical guessing maps (one per output-relabeling class), in lex order."""
     return itertools.combinations_with_replacement(range(n_y), n_outputs)
-
-
-def all_maps(n_outputs: int, n_y: int) -> Iterable[tuple[int, ...]]:
-    """Every guessing map, in lex order. Exhaustive variant for certification."""
-    return itertools.product(range(n_y), repeat=n_outputs)
 
 
 def _guess_lp(p: np.ndarray, q: np.ndarray, gmap: tuple[int, ...], cap: float,
@@ -218,7 +213,10 @@ def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
 
     cap = max(eps, pcx)  # accept eps within tolerance below the left endpoint
     value, f, gmap = lp_guess_max(p, cap, n + 1, nondecreasing_maps(n + 1, n))
-    filt = Channel(f)
+    # the LP certifies rows only to lp.FEAS_TOL, looser than Channel's mass
+    # check: project them onto the simplex, the certificate below still holds
+    f = np.maximum(f, 0.0)
+    filt = Channel(f / f.sum(axis=1, keepdims=True))
     utility, privacy = _evaluate(joint, filt)
     if privacy > cap + CONSISTENCY_TOL or abs(utility - value) > CONSISTENCY_TOL:
         raise NumericalError(
@@ -276,11 +274,11 @@ def finite_order_gain_bounds(joint: JointDistribution, nu: float, mu: float,
     return OrderBounds(lower, upper)
 
 
-def trace_curve(joint: JointDistribution, slope_tol: float = SLOPE_TOL) -> GuessCurve:
+def trace_curve(joint: JointDistribution) -> GuessCurve:
     """Sample the frontier and extract its piecewise-linear structure.
 
     Adaptive bisection: an interval splits while its two half-chord slopes
-    differ by more than ``slope_tol``; intervals narrower than the breakpoint
+    differ by more than ``SLOPE_TOL``; intervals narrower than the breakpoint
     resolution stop splitting and mark a kink. Piece slopes are chords over
     whole pieces, so they are insensitive to per-point solver noise.
     Concavity makes the midpoint test sound: a kink inside an interval
@@ -310,7 +308,7 @@ def trace_curve(joint: JointDistribution, slope_tol: float = SLOPE_TOL) -> Guess
         hm = h(mid)
         s1 = (hm - ha) / (mid - a)
         s2 = (hb - hm) / (b - mid)
-        if abs(s1 - s2) <= slope_tol:
+        if abs(s1 - s2) <= SLOPE_TOL:
             leaves.append((a, b, False))
         else:
             subdivide(a, ha, mid, hm, depth + 1)
@@ -326,7 +324,7 @@ def trace_curve(joint: JointDistribution, slope_tol: float = SLOPE_TOL) -> Guess
             na, nb, _ = leaves[i + 1]
             s_here = (h(b) - h(a)) / (b - a)
             s_next = (h(nb) - h(na)) / (nb - na)
-            if abs(s_next - s_here) > slope_tol:
+            if abs(s_next - s_here) > SLOPE_TOL:
                 cuts.append(b)
 
     bps = [pcx]
@@ -340,7 +338,7 @@ def trace_curve(joint: JointDistribution, slope_tol: float = SLOPE_TOL) -> Guess
     merged_bps = [bps[0]]
     merged_slopes: list[float] = []
     for i, s in enumerate(slopes):
-        if merged_slopes and abs(s - merged_slopes[-1]) <= slope_tol:
+        if merged_slopes and abs(s - merged_slopes[-1]) <= SLOPE_TOL:
             merged_bps[-1] = bps[i + 1]
             a0 = merged_bps[-2]
             merged_slopes[-1] = (h(bps[i + 1]) - h(a0)) / (bps[i + 1] - a0)

@@ -30,10 +30,13 @@ it down three ways, in increasing strength:
    channel with the product joint provably reproduces privacy eps**n and
    utility block**n (closed form, derived from which input string wins each
    output column);
-3. for n <= 2, a brute-force *certified* threshold: bisection against
-   exhaustive LP optimization over all square filters.
+3. for n <= 3, a *certified* threshold: bisection against the exact
+   optimum over all filters, one LP per step. Replacing each filter output
+   by the MAP guess of Y^n from it keeps P_c(Y^n|Z^n) and, by data
+   processing, cannot raise P_c(X^n|Z^n); so the optimum is attained by a
+   2^n-output filter whose outputs are guessed by the identity map.
 
-Values requested below the heuristic threshold are still returned (the
+Values requested below the certificate threshold are still returned (the
 formula is well defined wherever 1 - zeta_n q^n > 0) but flagged UNKNOWN.
 
 Powers like p**n underflow for very large n, so all formula paths go through
@@ -51,7 +54,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .prob import Axis, Channel, JointDistribution, compose, cond_guess_prob
-from .solver import all_maps, lp_guess_max
+from .solver import lp_guess_max
 
 __all__ = [
     "VectorModel",
@@ -72,8 +75,13 @@ __all__ = [
 #: largest n for which the 2^n x 2^n joint is materialized
 MAX_MATERIALIZED_N = 10
 
-#: largest n for which brute-force certification is attempted
-MAX_CERTIFIED_N = 2
+#: largest n for which LP certification is attempted; at n = 4 the dense
+#: simplex exhausts its pivot budget on the 272-variable LP
+MAX_CERTIFIED_N = 3
+
+#: LP-vs-formula agreement that validity_threshold counts as optimal, and the
+#: resolution of its bisection
+AGREEMENT_TOL = 1e-6
 
 RANGE_TOL = 1e-9
 
@@ -214,11 +222,14 @@ def block_utility(model: VectorModel, eps: float) -> float:
 def block_utility_detail(model: VectorModel, eps: float) -> BlockUtility:
     """Block formula value plus a validity flag.
 
-    VALID means eps is at or above the heuristic threshold; below it the
-    value is still the formula's but optimality is not established.
+    VALID means eps is at or above the certificate threshold, where the flip
+    channel attains the formula. For n <= 3 the LP optimum equals the
+    formula from there up (checked in the tests), so VALID means optimal;
+    for n >= 4 it only means that the flip channel attains the formula.
+    Below the threshold the value is still the formula's, flagged UNKNOWN.
     """
     value = block_utility(model, eps)
-    thr = heuristic_threshold(model)
+    thr = certificate_threshold(model)
     validity = Validity.VALID if eps >= thr - RANGE_TOL else Validity.UNKNOWN
     return BlockUtility(value, validity)
 
@@ -343,27 +354,28 @@ def certificate_threshold(model: VectorModel) -> float:
 
 
 def brute_force_block_utility(model: VectorModel, eps: float) -> float:
-    """Exhaustive LP optimum over all square 2^n x 2^n filters, per-symbol scale.
+    """Exact LP optimum over all filters of the block, per-symbol scale.
 
-    Enumerates every guessing map on the output block alphabet; tractable
-    only for n <= MAX_CERTIFIED_N.
+    One LP on the 2^n x 2^n block joint with 2^n outputs and the identity
+    guessing map: some optimal filter has that form (see the module
+    docstring). Limited to n <= MAX_CERTIFIED_N.
     """
     if model.n > MAX_CERTIFIED_N:
-        raise CapacityError(f"brute force limited to n <= {MAX_CERTIFIED_N}")
+        raise CapacityError(f"LP certification limited to n <= {MAX_CERTIFIED_N}")
     eps = _check_eps(model, eps)
     joint = model.block_joint()
     size = 2 ** model.n
-    value, _, _ = lp_guess_max(joint.matrix, eps ** model.n, size, all_maps(size, size))
+    value, _, _ = lp_guess_max(joint.matrix, eps ** model.n, size, [tuple(range(size))])
     return value ** (1.0 / model.n)
 
 
-def validity_threshold(model: VectorModel, tol: float = 1e-6) -> ThresholdEstimate:
+def validity_threshold(model: VectorModel) -> ThresholdEstimate:
     """Estimate the smallest eps from which the block formula is optimal.
 
-    n <= 2: certified by bisection of the agreement boundary between
+    n <= 3: certified by bisection of the agreement boundary between
     :func:`brute_force_block_utility` and the formula (agreement within
-    ``tol``; assumes the agreement region is an interval ending at abar).
-    n >= 3: the cheap heuristic threshold, flagged uncertified.
+    ``AGREEMENT_TOL``; assumes the agreement region is an interval ending
+    at abar). n >= 4: the cheap heuristic threshold, flagged uncertified.
     """
     if model.n > MAX_CERTIFIED_N:
         return ThresholdEstimate(heuristic_threshold(model), False)
@@ -371,12 +383,12 @@ def validity_threshold(model: VectorModel, tol: float = 1e-6) -> ThresholdEstima
     start = heuristic_threshold(model)
 
     def agrees(e: float) -> bool:
-        return abs(brute_force_block_utility(model, e) - block_utility(model, e)) <= tol
+        return abs(brute_force_block_utility(model, e) - block_utility(model, e)) <= AGREEMENT_TOL
 
     if agrees(start):
         return ThresholdEstimate(start, True)
     lo, hi = start, model.abar
-    while hi - lo > tol:
+    while hi - lo > AGREEMENT_TOL:
         mid = 0.5 * (lo + hi)
         if agrees(mid):
             hi = mid

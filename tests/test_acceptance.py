@@ -175,7 +175,7 @@ def test_criterion_08_brute_force_certification():
     dt = time.perf_counter() - start
     ok = worst <= 1e-6 and est.certified and 0.6 <= est.eps_l < 0.8 and dt < 300.0
     report(8, ok,
-           f"exhaustive 4x4 optimum vs formula: max diff {worst:.2e}; "
+           f"4x4 block LP optimum vs formula: max diff {worst:.2e}; "
            f"certified threshold {est.eps_l:.6f}, {dt:.1f}s")
 
 

@@ -24,6 +24,8 @@ from privguess import (
     to_joint,
     trace_curve,
 )
+from privguess import solver
+from privguess.lp import LpSolution
 
 
 class TestBestFilter:
@@ -78,6 +80,22 @@ class TestBestFilter:
             assert sol.privacy <= eps + 1e-8
             recomputed = cond_guess_prob(compose(j, sol.filter, Axis.COLS), Axis.ROWS)
             assert recomputed == pytest.approx(sol.privacy, abs=1e-12)
+
+    def test_rows_within_lp_tolerance_are_accepted(self, monkeypatch):
+        # an LP point certified to lp.FEAS_TOL may miss the channel's tighter
+        # mass tolerance; the filter is still valid and must be returned
+        real = solver.solve_lp
+
+        def skewed(prog):
+            sol = real(prog)
+            point = sol.point.copy()
+            point[:3] *= 1.0 + 5e-9  # first row of the 2x3 filter
+            return LpSolution(sol.status, sol.value, point, sol.iterations)
+
+        monkeypatch.setattr(solver, "solve_lp", skewed)
+        sol = best_filter(fig3_joint(), 0.7)
+        assert sol.utility == pytest.approx(0.86, abs=1e-7)
+        assert np.abs(sol.filter.matrix.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_monotone_in_eps(self):
         rng = np.random.default_rng(59)

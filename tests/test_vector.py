@@ -1,5 +1,6 @@
 """Block-vector frontiers: formulas, filters, gap bounds, certification."""
 
+import itertools
 import math
 
 import numpy as np
@@ -27,9 +28,18 @@ from privguess import (
     validity_threshold,
     zn_filter,
 )
+from privguess.solver import lp_guess_max
 from privguess.vector import compose_zn
 
 FIG3 = dict(p=0.6, alpha=0.2)
+
+
+def all_maps_block_utility(model, eps):
+    """Per-symbol optimum over 2^n-output filters, maximized over every guessing map."""
+    size = 2 ** model.n
+    maps = itertools.product(range(size), repeat=size)
+    value, _, _ = lp_guess_max(model.block_joint().matrix, eps ** model.n, size, maps)
+    return value ** (1.0 / model.n)
 
 
 class TestModel:
@@ -118,9 +128,14 @@ class TestBlock:
 
     def test_validity_flag(self):
         model = VectorModel(2, **FIG3)
-        thr = heuristic_threshold(model)
-        assert block_utility_detail(model, thr + 0.01).validity is Validity.VALID
+        thr = certificate_threshold(model)
+        for eps in np.linspace(thr, model.abar, 5):
+            assert block_utility_detail(model, float(eps)).validity is Validity.VALID
         assert block_utility_detail(model, thr - 0.01).validity is Validity.UNKNOWN
+        # above the heuristic threshold, but the formula exceeds the optimum 0.849467
+        detail = block_utility_detail(model, 0.676)
+        assert detail.value == pytest.approx(0.862419, abs=1e-6)
+        assert detail.validity is Validity.UNKNOWN
 
     def test_dominates_memoryless(self):
         rng = np.random.default_rng(7)
@@ -223,7 +238,7 @@ class TestThresholds:
         est = validity_threshold(VectorModel(2, **FIG3))
         assert est.certified
         assert 0.6 <= est.eps_l < 0.8
-        # the brute-force boundary coincides with the composition certificate
+        # the LP-certified boundary coincides with the composition certificate
         assert est.eps_l == pytest.approx(certificate_threshold(VectorModel(2, **FIG3)), abs=1e-4)
 
     def test_large_n_is_heuristic(self):
@@ -231,14 +246,38 @@ class TestThresholds:
         assert not est.certified
         assert VectorModel(10, **FIG3).p <= est.eps_l < VectorModel(10, **FIG3).abar
 
+    def test_n3_certified_value(self):
+        est = validity_threshold(VectorModel(3, **FIG3))
+        assert est.certified
+        assert est.eps_l == pytest.approx(0.783495, abs=1e-3)  # certificate_threshold
+
     def test_brute_force_matches_formula_above_threshold(self):
         model = VectorModel(2, **FIG3)
         got = brute_force_block_utility(model, 0.78)
         assert got == pytest.approx(block_utility(model, 0.78), abs=1e-6)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_formula_optimal_exactly_from_certificate_threshold(self, n):
+        model = VectorModel(n, **FIG3)
+        thr = certificate_threshold(model)
+        for eps in np.linspace(thr, model.abar, 5):
+            got = brute_force_block_utility(model, float(eps))
+            assert got == pytest.approx(block_utility(model, float(eps)), abs=1e-12)
+        # below the threshold the formula overstates the optimum
+        below = thr - 0.02
+        assert block_utility(model, below) - brute_force_block_utility(model, below) > 1e-4
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_single_lp_matches_all_maps_oracle(self, n):
+        for p, alpha in ((0.6, 0.2), (0.55, 0.1), (0.7, 0.15)):
+            model = VectorModel(n, p, alpha)
+            for eps in (p, 0.5 * (p + model.abar)):
+                want = all_maps_block_utility(model, eps)
+                assert brute_force_block_utility(model, eps) == pytest.approx(want, abs=1e-12)
+
     def test_brute_force_capped(self):
         with pytest.raises(CapacityError):
-            brute_force_block_utility(VectorModel(3, **FIG3), 0.78)
+            brute_force_block_utility(VectorModel(4, **FIG3), 0.78)
 
 
 class TestConsistencyAtN1:
