@@ -6,7 +6,6 @@ exact LP-based optimization for arbitrary finite alphabets, closed forms for
 binary channels and i.i.d. binary blocks, and seeded Monte Carlo validation.
 """
 
-from ._backend import KERNEL_BACKEND
 from .bibo import (
     BiboParams,
     BranchTag,
@@ -29,7 +28,7 @@ from .errors import (
     ParameterError,
     PrivguessError,
 )
-from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
+from .lp import KERNEL_BACKEND, LinearProgram, LpSolution, LpStatus, solve_lp
 from .mc import SimConfig, SimReport, simulate, vector_sim_config
 from .prob import (
     Axis,

@@ -13,7 +13,8 @@ stay semantically identical:
 * after each pivot the entering column is set to an exact unit vector.
 
 The driver (:mod:`privguess.lp`) owns everything else: standard-form
-conversion, the two phases, and solution extraction.
+conversion, the two phases, and solution extraction; it calls :func:`pivot`
+itself to drive artificial variables out of the basis between the phases.
 """
 
 from __future__ import annotations
@@ -50,15 +51,19 @@ def run_simplex(tableau: np.ndarray, basis: np.ndarray, n_enter: int,
         tied = rows[ratios == ratios.min()]
         r = int(tied[np.argmin(basis[tied])])
 
-        tableau[r, :] /= tableau[r, j]
-        tableau[r, j] = 1.0
-        factors = tableau[:, j].copy()
-        factors[r] = 0.0
-        tableau -= np.outer(factors, tableau[r, :])
-        tableau[:, j] = 0.0
-        tableau[r, j] = 1.0
-        basis[r] = j
-
+        pivot(tableau, basis, r, j)
         it += 1
         if it >= max_iter:
             return STATUS_BUDGET, it
+
+
+def pivot(tableau: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
+    """Make column ``j`` basic in row ``r``: one Gauss-Jordan step, in place."""
+    tableau[r, :] /= tableau[r, j]
+    tableau[r, j] = 1.0
+    factors = tableau[:, j].copy()
+    factors[r] = 0.0
+    tableau -= np.outer(factors, tableau[r, :])
+    tableau[:, j] = 0.0
+    tableau[r, j] = 1.0
+    basis[r] = j

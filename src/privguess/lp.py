@@ -16,8 +16,10 @@ it raises :class:`NumericalError` rather than ever mislabeling a point
 OPTIMAL. Optimal points are basic feasible solutions, i.e. vertices of the
 polytope.
 
-The pivot loop itself lives in a swappable kernel (compiled extension with a
-NumPy fallback, chosen at import); see ``_backend``.
+The pivot loop itself lives in a kernel: the compiled extension
+``_simplex_cy`` when it is built, the NumPy ``_simplex_py`` otherwise
+(``KERNEL_BACKEND`` names the one in use). Both follow the contract in
+``_simplex_py``.
 """
 
 from __future__ import annotations
@@ -27,10 +29,15 @@ from enum import Enum
 
 import numpy as np
 
-from ._backend import STATUS_BUDGET, STATUS_UNBOUNDED, run_simplex
+from ._simplex_py import STATUS_BUDGET, STATUS_UNBOUNDED, pivot
 from .errors import DimensionMismatchError, NumericalError
 
-__all__ = ["LinearProgram", "LpSolution", "LpStatus", "solve_lp"]
+try:
+    from ._simplex_cy import BACKEND as KERNEL_BACKEND, run_simplex
+except ImportError:
+    from ._simplex_py import BACKEND as KERNEL_BACKEND, run_simplex
+
+__all__ = ["KERNEL_BACKEND", "LinearProgram", "LpSolution", "LpStatus", "solve_lp"]
 
 #: tableau pivot tolerance
 PIVOT_TOL = 1e-10
@@ -92,39 +99,24 @@ class LpSolution:
     iterations: int
 
 
-def solve_lp(prog: LinearProgram, *, kernel=None, max_iter: int | None = None) -> LpSolution:
+def solve_lp(prog: LinearProgram) -> LpSolution:
     """Solve ``prog`` with the two-phase dense simplex.
 
-    ``kernel`` overrides the pivot kernel (used by benchmarks); ``max_iter``
-    bounds pivots per phase. Raises :class:`NumericalError` if the budget is
-    exhausted or the final point fails its feasibility certificate.
+    Both phases run on one tableau ``[A | slacks | artificials | rhs]``;
+    phase 2 continues on it once the artificial columns are dropped. Each
+    phase may take ``100 * (rows + columns) + 1000`` pivots. Raises
+    :class:`NumericalError` if that budget is exhausted or the final point
+    fails its feasibility certificate.
     """
-    pivot = kernel if kernel is not None else run_simplex
     c = prog.objective
     n = prog.n_vars
     me, mi = prog.a_eq.shape[0], prog.a_ub.shape[0]
     m = me + mi
     n_real = n + mi  # original variables plus slacks
+    max_iter = 100 * (m + n_real) + 1000
 
-    if m == 0:
-        # only the nonnegativity box: optimum is x = 0 unless some profit is positive
-        if np.any(c > PIVOT_TOL):
-            return LpSolution(LpStatus.UNBOUNDED, None, None, 0)
-        return LpSolution(LpStatus.OPTIMAL, 0.0, np.zeros(n), 0)
-
-    if max_iter is None:
-        max_iter = 100 * (m + n_real) + 1000
-
-    # standard form [A | slacks], rhs made nonnegative row by row
-    a = np.zeros((m, n_real))
-    a[:me, :n] = prog.a_eq
-    a[me:, :n] = prog.a_ub
-    a[me:, n:] = np.eye(mi)
     b = np.concatenate([prog.b_eq, prog.b_ub])
     neg = b < 0.0
-    a[neg] *= -1.0
-    b = np.abs(b)
-
     # initial basis: slack where its coefficient stayed +1, artificial elsewhere
     art_rows = np.nonzero(np.concatenate([np.ones(me, dtype=bool), neg[me:]]))[0]
     n_art = art_rows.shape[0]
@@ -132,16 +124,24 @@ def solve_lp(prog: LinearProgram, *, kernel=None, max_iter: int | None = None) -
     basis[me:] = np.arange(n, n_real)
     basis[art_rows] = n_real + np.arange(n_art)
 
+    # one tableau for both phases: standard form [A | slacks] with rows
+    # negated where the rhs was negative, then artificials, then the rhs
+    t = np.zeros((m + 1, n_real + n_art + 1))
+    a = t[:m, :n_real]
+    a[:me, :n] = prog.a_eq
+    a[me:, :n] = prog.a_ub
+    a[me:, n:] = np.eye(mi)
+    a[neg] *= -1.0
+    b = np.abs(b)
+    t[:m, -1] = b
+
     iters = 0
     if n_art:
-        t = np.zeros((m + 1, n_real + n_art + 1))
-        t[:m, :n_real] = a
         t[art_rows, n_real + np.arange(n_art)] = 1.0
-        t[:m, -1] = b
         t[m, :n_real] = a[art_rows].sum(axis=0)
         t[m, -1] = b[art_rows].sum()
 
-        status, it1 = pivot(t, basis, n_real, PIVOT_TOL, max_iter)
+        status, it1 = run_simplex(t, basis, n_real, PIVOT_TOL, max_iter)
         iters += it1
         if status == STATUS_BUDGET:
             raise NumericalError(f"phase-1 pivot budget ({max_iter}) exhausted")
@@ -149,23 +149,24 @@ def solve_lp(prog: LinearProgram, *, kernel=None, max_iter: int | None = None) -
             raise NumericalError("phase-1 reported unbounded")
         if t[m, -1] > FEAS_TOL:
             return LpSolution(LpStatus.INFEASIBLE, None, None, iters)
-        t, basis = _purge_artificials(t, basis, n_real)
-        m = basis.shape[0]
-        a, b = t[:m, :n_real], t[:m, -1]
+        keep = _purge_artificials(t, basis, n_real)
+        # rhs into the first artificial column, then slice off the artificials
+        # and the redundant rows (one contiguous copy, as the kernel needs)
+        t[:, n_real] = t[:, -1]
+        t = t[keep + [m], :n_real + 1]
+        basis = basis[keep]
+        m = len(keep)
 
     # phase 2: price out the basis for the real objective
-    t2 = np.zeros((m + 1, n_real + 1))
-    t2[:m, :n_real] = a
-    t2[:m, -1] = b
     row = np.zeros(n_real + 1)
     row[:n] = c
     for r in range(m):
         cb = row[basis[r]]
         if cb != 0.0:
-            row = row - cb * t2[r]
-    t2[m] = row
+            row = row - cb * t[r]
+    t[m] = row
 
-    status, it2 = pivot(t2, basis, n_real, PIVOT_TOL, max_iter)
+    status, it2 = run_simplex(t, basis, n_real, PIVOT_TOL, max_iter)
     iters += it2
     if status == STATUS_BUDGET:
         raise NumericalError(f"phase-2 pivot budget ({max_iter}) exhausted")
@@ -173,42 +174,29 @@ def solve_lp(prog: LinearProgram, *, kernel=None, max_iter: int | None = None) -
         return LpSolution(LpStatus.UNBOUNDED, None, None, iters)
 
     # optimality certificate: no improving reduced cost remains
-    worst = float(t2[basis.shape[0], :n_real].max()) if n_real else 0.0
+    worst = float(t[m, :n_real].max()) if n_real else 0.0
     if worst > FEAS_TOL:
         raise NumericalError(f"reduced cost {worst} above {FEAS_TOL} at claimed optimum")
 
     x_full = np.zeros(n_real)
-    x_full[basis] = t2[:basis.shape[0], -1]
+    x_full[basis] = t[:m, -1]
     point = x_full[:n]
     _certify(prog, point)
     point = np.maximum(point, 0.0)  # clip roundoff-negative basics
     return LpSolution(LpStatus.OPTIMAL, float(c @ point), point, iters)
 
 
-def _purge_artificials(t: np.ndarray, basis: np.ndarray, n_real: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pivot artificials out of the basis; drop rows of redundant constraints."""
-    m = basis.shape[0]
-    drop = []
-    for r in range(m):
-        if basis[r] < n_real:
-            continue
-        cols = np.nonzero(np.abs(t[r, :n_real]) > PIVOT_TOL)[0]
-        if cols.size == 0:
-            drop.append(r)  # zero row: constraint was redundant
-            continue
-        j = int(cols[0])
-        t[r] /= t[r, j]
-        factors = t[:, j].copy()
-        factors[r] = 0.0
-        t -= np.outer(factors, t[r])
-        t[:, j] = 0.0
-        t[r, j] = 1.0
-        basis[r] = j
-    if drop:
-        keep = np.setdiff1d(np.arange(m), np.array(drop, dtype=int))
-        t = np.vstack([t[keep], t[m:]])
-        basis = basis[keep]
-    return t, basis
+def _purge_artificials(t: np.ndarray, basis: np.ndarray, n_real: int) -> list[int]:
+    """Pivot artificials out of the basis; return the rows that are not redundant."""
+    keep = []
+    for r in range(basis.shape[0]):
+        if basis[r] >= n_real:
+            cols = np.nonzero(np.abs(t[r, :n_real]) > PIVOT_TOL)[0]
+            if cols.size == 0:
+                continue  # zero row: constraint was redundant
+            pivot(t, basis, r, int(cols[0]))
+        keep.append(r)
+    return keep
 
 
 def _certify(prog: LinearProgram, x: np.ndarray) -> None:

@@ -92,12 +92,8 @@ def simulate(config: SimConfig) -> SimReport:
     m, n = joint.shape
     c = filt.shape[1]
 
-    p_xz = compose(config.joint, config.filter, Axis.COLS).matrix
-    p_yz = config.joint.col_marginal[:, None] * filt
-    x_map = p_xz.argmax(axis=0)
-    y_map = p_yz.argmax(axis=0)
-    analytic_x = float(p_xz.max(axis=0).sum())
-    analytic_y = float(p_yz.max(axis=0).sum())
+    x_map, analytic_x = _map_guess(compose(config.joint, config.filter, Axis.COLS).matrix)
+    y_map, analytic_y = _map_guess(config.joint.col_marginal[:, None] * filt)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     u = rng.random((config.samples, 2))
@@ -108,12 +104,13 @@ def simulate(config: SimConfig) -> SimReport:
     xs = idx // n
     ys = idx % n
 
+    # group the samples by y once, then invert each filter row's CDF on its group
     cdf_rows = np.cumsum(filt, axis=1)
+    groups = np.split(np.argsort(ys, kind="stable"), np.cumsum(np.bincount(ys, minlength=n))[:-1])
     zs = np.empty(config.samples, dtype=np.int64)
-    for yv in np.unique(ys):
-        mask = ys == yv
-        zv = np.searchsorted(cdf_rows[yv], u[mask, 1], side="right")
-        zs[mask] = np.minimum(zv, c - 1)
+    for yv, group in enumerate(groups):
+        zv = np.searchsorted(cdf_rows[yv], u[group, 1], side="right")
+        zs[group] = np.minimum(zv, c - 1)
 
     hit_y = float(np.mean(y_map[zs] == ys))
     hit_x = float(np.mean(x_map[zs] == xs))
@@ -127,6 +124,11 @@ def simulate(config: SimConfig) -> SimReport:
         samples=config.samples,
         seed=config.seed,
     )
+
+
+def _map_guess(p_z: np.ndarray) -> tuple[np.ndarray, float]:
+    """MAP guess of the row symbol from each column of a joint, and its success probability."""
+    return p_z.argmax(axis=0), float(p_z.max(axis=0).sum())
 
 
 def _binom_stderr(freq: float, samples: int) -> float:

@@ -47,7 +47,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .lp import LinearProgram, LpStatus, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LpStatus, solve_lp
 from .prob import Axis, Channel, JointDistribution, compose, cond_guess_prob, guess_prob, renyi_entropy
 
 __all__ = [
@@ -63,17 +63,11 @@ __all__ = [
 #: largest Y alphabet accepted by the enumerating solver
 MAX_ALPHABET = 6
 
-#: consistency tolerance between LP value and recomputed utility
-CONSISTENCY_TOL = 1e-8
-
 #: chord-slope tolerance for breakpoint detection
 SLOPE_TOL = 1e-6
 
 #: breakpoints are located to this resolution
 BREAKPOINT_RESOLUTION = 1e-7
-
-#: bisection depth cap for curve tracing
-MAX_TRACE_DEPTH = 40
 
 
 @dataclass(frozen=True)
@@ -218,7 +212,7 @@ def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
     f = np.maximum(f, 0.0)
     filt = Channel(f / f.sum(axis=1, keepdims=True))
     utility, privacy = _evaluate(joint, filt)
-    if privacy > cap + CONSISTENCY_TOL or abs(utility - value) > CONSISTENCY_TOL:
+    if privacy > cap + FEAS_TOL or abs(utility - value) > FEAS_TOL:
         raise NumericalError(
             f"filter certificate failed: privacy {privacy} vs cap {cap}, "
             f"utility {utility} vs LP value {value}"
@@ -300,8 +294,9 @@ def trace_curve(joint: JointDistribution) -> GuessCurve:
 
     leaves: list[tuple[float, float, bool]] = []  # (a, b, is_kink)
 
-    def subdivide(a: float, ha: float, b: float, hb: float, depth: int) -> None:
-        if b - a <= BREAKPOINT_RESOLUTION or depth >= MAX_TRACE_DEPTH:
+    # the domain is narrower than 1, so halving reaches the resolution by depth 24
+    def subdivide(a: float, ha: float, b: float, hb: float) -> None:
+        if b - a <= BREAKPOINT_RESOLUTION:
             leaves.append((a, b, True))
             return
         mid = 0.5 * (a + b)
@@ -311,10 +306,10 @@ def trace_curve(joint: JointDistribution) -> GuessCurve:
         if abs(s1 - s2) <= SLOPE_TOL:
             leaves.append((a, b, False))
         else:
-            subdivide(a, ha, mid, hm, depth + 1)
-            subdivide(mid, hm, b, hb, depth + 1)
+            subdivide(a, ha, mid, hm)
+            subdivide(mid, hm, b, hb)
 
-    subdivide(pcx, h(pcx), pcxy, h(pcxy), 0)
+    subdivide(pcx, h(pcx), pcxy, h(pcxy))
 
     cuts: list[float] = []
     for i, (a, b, kink) in enumerate(leaves):
@@ -347,7 +342,7 @@ def trace_curve(joint: JointDistribution) -> GuessCurve:
             merged_slopes.append(s)
 
     for a, b in itertools.pairwise(merged_slopes):
-        if b - a > CONSISTENCY_TOL:
+        if b - a > FEAS_TOL:
             raise NumericalError(f"slope increased from {a} to {b}; frontier is not concave")
 
     samples = tuple(sorted(cache.items()))

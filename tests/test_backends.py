@@ -1,32 +1,36 @@
-"""Parity between the compiled pivot kernel and the NumPy fallback."""
+"""The two pivot kernels: parity, selection at import, and the committed C source."""
 
-import os
-import subprocess
-import sys
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from privguess import LpStatus, solve_lp
-from privguess._backend import available_kernels
+from privguess import LpStatus, _simplex_py, solve_lp
+from privguess import lp as lp_module
 from test_lp import random_program
 
-KERNELS = available_kernels()
+try:
+    from privguess import _simplex_cy
+except ImportError:
+    _simplex_cy = None
 
-needs_compiled = pytest.mark.skipif(
-    "compiled" not in KERNELS, reason="compiled kernel not built"
-)
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "privguess"
+
+needs_compiled = pytest.mark.skipif(_simplex_cy is None, reason="compiled kernel not built")
 
 
 @needs_compiled
 class TestKernelParity:
-    def test_identical_results_on_random_programs(self):
+    def test_identical_results_on_random_programs(self, monkeypatch):
         rng = np.random.default_rng(31337)
         agree_optimal = 0
         for _ in range(80):
             prog = random_program(rng)
-            a = solve_lp(prog, kernel=KERNELS["python"])
-            b = solve_lp(prog, kernel=KERNELS["compiled"])
+            monkeypatch.setattr(lp_module, "run_simplex", _simplex_py.run_simplex)
+            a = solve_lp(prog)
+            monkeypatch.setattr(lp_module, "run_simplex", _simplex_cy.run_simplex)
+            b = solve_lp(prog)
             assert a.status is b.status
             if a.status is LpStatus.OPTIMAL:
                 assert a.value == pytest.approx(b.value, abs=1e-12)
@@ -36,26 +40,20 @@ class TestKernelParity:
         assert agree_optimal >= 40
 
 
-@needs_compiled
-def test_pure_python_env_var_forces_fallback():
-    code = (
-        "import privguess, numpy as np;"
-        "assert privguess.KERNEL_BACKEND == 'python', privguess.KERNEL_BACKEND;"
-        "j = privguess.JointDistribution(np.array([[0.32,0.08],[0.12,0.48]]));"
-        "s = privguess.best_filter(j, 0.7);"
-        "assert abs(s.utility - 0.86) < 1e-9, s.utility;"
-        "print('ok')"
-    )
-    env = dict(os.environ, PRIVGUESS_PURE_PYTHON="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
-
-
 def test_default_backend_prefers_compiled():
     import privguess
-    if "compiled" in KERNELS and not os.environ.get("PRIVGUESS_PURE_PYTHON"):
-        assert privguess.KERNEL_BACKEND == "compiled"
-    else:
-        assert privguess.KERNEL_BACKEND == "python"
+    assert privguess.KERNEL_BACKEND == ("python" if _simplex_cy is None else "compiled")
+
+
+def test_committed_c_source_matches_pyx():
+    # the generated C quotes each .pyx statement it compiles, marked with
+    # "# <<<<<<<<<<<<<<"; an edit to the .pyx alone leaves the quote stale
+    pyx = (SOURCE / "_simplex_cy.pyx").read_text().splitlines()
+    c_source = (SOURCE / "_simplex_cy.c").read_text()
+    blocks = re.findall(r'/\* "privguess/_simplex_cy\.pyx":(\d+)\n(.*?)\*/', c_source, re.S)
+    assert blocks
+    for lineno, body in blocks:
+        marked = [line for line in body.splitlines() if line.endswith("# <<<<<<<<<<<<<<")]
+        assert len(marked) == 1, f"block for line {lineno} has {len(marked)} marked lines"
+        quoted = marked[0][len(" * "):-len("# <<<<<<<<<<<<<<")].rstrip()
+        assert quoted == pyx[int(lineno) - 1].rstrip(), f"_simplex_cy.c is stale at .pyx line {lineno}"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from privguess import BiboParams, LinearProgram, LpStatus, NumericalError, closed_form_utility, solve_lp
+from privguess import lp as lp_module
 
 NO_EQ = (np.zeros((0, 0)), [])
 
@@ -63,10 +64,24 @@ class TestExamples:
         assert sol.status is LpStatus.OPTIMAL
         assert sol.value == pytest.approx(2.0, abs=1e-12)
 
-    def test_budget_exhaustion_is_an_error(self):
+    def test_no_constraints(self):
+        # only x >= 0: unbounded if some profit is positive, else optimal at 0
+        assert solve_lp(lp([1.0, -1.0])).status is LpStatus.UNBOUNDED
+        sol = solve_lp(lp([-1.0, -1.0]))
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.value == 0.0
+        np.testing.assert_array_equal(sol.point, [0.0, 0.0])
+
+    def test_budget_exhaustion_is_an_error(self, monkeypatch):
+        kernel = lp_module.run_simplex
+
+        def one_pivot(tableau, basis, n_enter, pivot_tol, max_iter):
+            return kernel(tableau, basis, n_enter, pivot_tol, 1)
+
+        monkeypatch.setattr(lp_module, "run_simplex", one_pivot)
         prog = lp([1.0, 1.0], a_ub=[[1.0, 2.0], [2.0, 1.0]], b_ub=[4.0, 4.0])
-        with pytest.raises(NumericalError):
-            solve_lp(prog, max_iter=1)
+        with pytest.raises(NumericalError, match="phase-2 pivot budget"):
+            solve_lp(prog)
 
 
 def enumerate_vertices(prog: LinearProgram):

@@ -12,6 +12,7 @@ from privguess import (
     CapacityError,
     InfeasibleThresholdError,
     JointDistribution,
+    NumericalError,
     ParameterError,
     best_filter,
     closed_form_utility,
@@ -96,6 +97,19 @@ class TestBestFilter:
         sol = best_filter(fig3_joint(), 0.7)
         assert sol.utility == pytest.approx(0.86, abs=1e-7)
         assert np.abs(sol.filter.matrix.sum(axis=1) - 1.0).max() <= 1e-12
+
+    @pytest.mark.xfail(strict=True, raises=NumericalError,
+                       reason="the pivot kernel ends on a numerically singular basis")
+    def test_skewed_reproducer(self):
+        # a skewed 3x4 joint whose per-map LP fails its own certificate;
+        # the expected value is the HiGHS optimum of the frontier LP
+        joint = JointDistribution(np.array([
+            [0.10254077521972826, 0.05444091096140368, 1.3507750791114549e-06, 0.27548437839541984],
+            [0.00011648308778760545, 0.0008384290203021182, 0.12978168071627388, 0.20882279985212668],
+            [0.18969633067644073, 0.03609595025162467, 0.002163760229318767, 1.7150814494695373e-05],
+        ]))
+        sol = best_filter(joint, 0.5409353580505845)
+        assert sol.utility == pytest.approx(0.88972137, abs=1e-7)
 
     def test_monotone_in_eps(self):
         rng = np.random.default_rng(59)
