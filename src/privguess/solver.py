@@ -27,8 +27,8 @@ lexicographically smallest, so results are independent of evaluation order.
 
 Also here: the log-gain form of the frontier, sandwich bounds for the
 finite-order variants, and piecewise-linear structure extraction (the
-frontier is concave and piecewise linear in eps; breakpoints are located by
-adaptive bisection on chord slopes).
+frontier is concave and piecewise linear in eps, so each breakpoint is found
+exactly by solving where the lines of two neighbouring chords cross).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -63,8 +63,10 @@ __all__ = [
 #: largest Y alphabet accepted by the enumerating solver
 MAX_ALPHABET = 6
 
-#: chord-slope tolerance for breakpoint detection
-SLOPE_TOL = 1e-6
+#: a sample within this of its neighbours' chord is on a linear piece; wider
+#: than lp.FEAS_TOL, since best_filter can read a few 1e-8 below the optimum
+#: at interior thresholds while the saturated endpoint is exact
+KINK_TOL = 1e-7
 
 #: breakpoints are located to this resolution
 BREAKPOINT_RESOLUTION = 1e-7
@@ -89,7 +91,11 @@ class FilterSolution:
 
 @dataclass(frozen=True)
 class GuessCurve:
-    """Piecewise-linear frontier: samples, piece boundaries, per-piece slopes."""
+    """Piecewise-linear frontier: samples, piece boundaries, per-piece slopes.
+
+    ``samples`` are the (eps, h) points the tracer used, in eps order: those
+    it solved and those the caller passed in as known.
+    """
 
     samples: tuple[tuple[float, float], ...]
     breakpoints: tuple[float, ...]
@@ -268,19 +274,32 @@ def finite_order_gain_bounds(joint: JointDistribution, nu: float, mu: float,
     return OrderBounds(lower, upper)
 
 
-def trace_curve(joint: JointDistribution) -> GuessCurve:
+def trace_curve(joint: JointDistribution,
+                known: Mapping[float, float] | None = None) -> GuessCurve:
     """Sample the frontier and extract its piecewise-linear structure.
 
-    Adaptive bisection: an interval splits while its two half-chord slopes
-    differ by more than ``SLOPE_TOL``; intervals narrower than the breakpoint
-    resolution stop splitting and mark a kink. Piece slopes are chords over
-    whole pieces, so they are insensitive to per-point solver noise.
-    Concavity makes the midpoint test sound: a kink inside an interval
-    always separates the half-slopes.
+    Sandwich tracing (Rote 1992) over the points solved so far, in eps
+    order. A point is *flat* when it lies within ``KINK_TOL`` of the chord of
+    its two neighbours; concavity then makes h linear between them, so a
+    chord with a flat end needs no further point. Every other chord is split
+    where the lines of its two neighbouring chords cross: concavity puts
+    that crossing inside the chord, at the largest gap between the upper and
+    lower bounds, and exactly on the kink when the chord holds one kink and
+    its neighbours lie on the pieces either side. The last chord's right
+    neighbour is the flat line h = 1 beyond P_c(X|Y). The first chord, and
+    chords whose crossing lies within ``BREAKPOINT_RESOLUTION`` of an end,
+    are split at their midpoint; chords no wider than the resolution are
+    not split. Breakpoints are the points that are not flat. Piece slopes
+    are chords over whole pieces, so they are insensitive to per-point
+    solver noise.
+
+    ``known`` maps thresholds to utilities the caller has already solved
+    with ``best_filter``. They are trusted, not solved again, and become
+    samples; entries outside [P_c(X), P_c(X|Y)] are ignored.
     """
     pcx = guess_prob(joint, Axis.ROWS)
     pcxy = cond_guess_prob(joint, Axis.ROWS)
-    cache: dict[float, float] = {}
+    cache = {float(e): float(v) for e, v in (known or {}).items() if pcx <= e <= pcxy}
 
     def h(eps: float) -> float:
         if eps not in cache:
@@ -292,59 +311,38 @@ def trace_curve(joint: JointDistribution) -> GuessCurve:
         val = h(pcxy)
         return GuessCurve(samples=((pcxy, val),), breakpoints=(pcx, pcxy), slopes=(0.0,))
 
-    leaves: list[tuple[float, float, bool]] = []  # (a, b, is_kink)
+    h(pcx)
+    h(pcxy)
+    while True:
+        xs = sorted(cache)
+        ys = [cache[x] for x in xs]
+        n = len(xs)
+        # h stays at 1 beyond P_c(X|Y): the last chord's right neighbour is flat
+        chord = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(n - 1)] + [0.0]
+        flat = [0 < i < n - 1
+                and abs(ys[i] - ys[i - 1] - (ys[i + 1] - ys[i - 1])
+                        * (xs[i] - xs[i - 1]) / (xs[i + 1] - xs[i - 1])) <= KINK_TOL
+                for i in range(n)]
+        split = []
+        for i in range(n - 1):
+            a, b = xs[i], xs[i + 1]
+            if flat[i] or flat[i + 1] or b - a <= BREAKPOINT_RESOLUTION:
+                continue
+            x = 0.5 * (a + b)
+            if i > 0 and chord[i - 1] > chord[i + 1]:
+                cross = a + (b - a) * (chord[i] - chord[i + 1]) / (chord[i - 1] - chord[i + 1])
+                if a + BREAKPOINT_RESOLUTION < cross < b - BREAKPOINT_RESOLUTION:
+                    x = cross
+            split.append(x)
+        if not split:
+            break
+        for x in split:
+            h(x)
 
-    # the domain is narrower than 1, so halving reaches the resolution by depth 24
-    def subdivide(a: float, ha: float, b: float, hb: float) -> None:
-        if b - a <= BREAKPOINT_RESOLUTION:
-            leaves.append((a, b, True))
-            return
-        mid = 0.5 * (a + b)
-        hm = h(mid)
-        s1 = (hm - ha) / (mid - a)
-        s2 = (hb - hm) / (b - mid)
-        if abs(s1 - s2) <= SLOPE_TOL:
-            leaves.append((a, b, False))
-        else:
-            subdivide(a, ha, mid, hm)
-            subdivide(mid, hm, b, hb)
-
-    subdivide(pcx, h(pcx), pcxy, h(pcxy))
-
-    cuts: list[float] = []
-    for i, (a, b, kink) in enumerate(leaves):
-        if kink:
-            cuts.append(0.5 * (a + b))
-        elif i + 1 < len(leaves) and not leaves[i + 1][2]:
-            na, nb, _ = leaves[i + 1]
-            s_here = (h(b) - h(a)) / (b - a)
-            s_next = (h(nb) - h(na)) / (nb - na)
-            if abs(s_next - s_here) > SLOPE_TOL:
-                cuts.append(b)
-
-    bps = [pcx]
-    for c in sorted(cuts):
-        if c - bps[-1] > BREAKPOINT_RESOLUTION and pcxy - c > BREAKPOINT_RESOLUTION:
-            bps.append(c)
-    bps.append(pcxy)
-
-    # merge pieces whose chord slopes agree within tolerance
-    slopes = [(h(bps[i + 1]) - h(bps[i])) / (bps[i + 1] - bps[i]) for i in range(len(bps) - 1)]
-    merged_bps = [bps[0]]
-    merged_slopes: list[float] = []
-    for i, s in enumerate(slopes):
-        if merged_slopes and abs(s - merged_slopes[-1]) <= SLOPE_TOL:
-            merged_bps[-1] = bps[i + 1]
-            a0 = merged_bps[-2]
-            merged_slopes[-1] = (h(bps[i + 1]) - h(a0)) / (bps[i + 1] - a0)
-        else:
-            merged_bps.append(bps[i + 1])
-            merged_slopes.append(s)
-
-    for a, b in itertools.pairwise(merged_slopes):
+    bps = [x for x, f in zip(xs, flat) if not f]
+    slopes = [(cache[b] - cache[a]) / (b - a) for a, b in itertools.pairwise(bps)]
+    for a, b in itertools.pairwise(slopes):
         if b - a > FEAS_TOL:
             raise NumericalError(f"slope increased from {a} to {b}; frontier is not concave")
 
-    samples = tuple(sorted(cache.items()))
-    return GuessCurve(samples=samples, breakpoints=tuple(merged_bps),
-                      slopes=tuple(merged_slopes))
+    return GuessCurve(samples=tuple(zip(xs, ys)), breakpoints=tuple(bps), slopes=tuple(slopes))

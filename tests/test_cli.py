@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import privguess
+from privguess import solver
 from privguess.cli import main
 
 FIG3 = {"joint": [[0.32, 0.08], [0.12, 0.48]]}
@@ -135,6 +136,37 @@ class TestHcurve:
         path.write_text(json.dumps({"joint": [[1.0 / 14] * 7] * 2}))
         code, _, err = run_cli(capsys, ["hcurve", "--joint", str(path)])
         assert code == 3
+
+    @pytest.fixture
+    def multi_piece(self, tmp_path, monkeypatch):
+        """A K >= 3 joint file, and the list of thresholds best_filter is called at."""
+        from test_solver import MULTI_PIECE
+        path = tmp_path / "multi.json"
+        path.write_text(json.dumps({"joint": (MULTI_PIECE / MULTI_PIECE.sum()).tolist()}))
+        calls = []
+        real = solver.best_filter
+
+        def counted(joint, eps):
+            calls.append(eps)
+            return real(joint, eps)
+
+        monkeypatch.setattr(solver, "best_filter", counted)
+        return str(path), calls
+
+    def test_breakpoints_reuse_grid_solves(self, capsys, multi_piece):
+        path, calls = multi_piece
+        code, out, _ = run_cli(capsys, ["hcurve", "--joint", path, "--points", "21",
+                                        "--breakpoints"])
+        assert code == 0
+        k = parse_curve(out)[2]["K"]
+        assert k >= 3
+        assert len(calls) <= 21 + 2 * k
+
+    def test_grid_only_solves_grid(self, capsys, multi_piece):
+        path, calls = multi_piece
+        code, _, _ = run_cli(capsys, ["hcurve", "--joint", path, "--points", "21"])
+        assert code == 0
+        assert len(calls) == 21
 
     def test_non_binary_rows_tagged_lp(self, capsys, tmp_path):
         path = tmp_path / "j33.json"
