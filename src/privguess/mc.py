@@ -8,9 +8,12 @@ probabilities.
 Determinism contract: sampling consumes a PCG64 stream seeded explicitly,
 two uniforms per sample in a fixed order (first selects the (x, y) cell by
 inverse CDF over the row-major flattened joint, second selects z by inverse
-CDF over the filter row of y). Identical config therefore gives a
-bit-identical report within this implementation; the generator name is
-recorded in the report so reruns can verify they used the same algorithm.
+CDF over the filter row of y). The samples are then visited in order of
+their first uniform, each keeping its own second one; hit counts do not
+depend on the visiting order, so every count is the one a visit in draw
+order gives. Identical config therefore gives a bit-identical report within
+this implementation; the generator name is recorded in the report so reruns
+can verify they used the same algorithm.
 The MAP guessers are computed exactly from the composed joints, never
 estimated, with argmax ties broken by lowest index.
 """
@@ -98,18 +101,23 @@ def simulate(config: SimConfig) -> SimReport:
     rng = np.random.Generator(np.random.PCG64(config.seed))
     u = rng.random((config.samples, 2))
 
+    # hit counts do not depend on the order samples are visited in, so visit
+    # them in order of their first uniform (keeping each sample's pair): the
+    # inverse-CDF search then walks sorted keys
+    order = np.argsort(u[:, 0])
+    u0, u1 = u[order, 0], u[order, 1]
     cdf_joint = np.cumsum(joint.ravel())
-    idx = np.searchsorted(cdf_joint, u[:, 0], side="right")
-    idx = np.minimum(idx, m * n - 1)
-    xs = idx // n
-    ys = idx % n
+    idx = np.minimum(np.searchsorted(cdf_joint, u0, side="right"), m * n - 1)
+    xs, ys = np.divmod(idx, n)
 
-    # group the samples by y once, then invert each filter row's CDF on its group
+    # group the samples by y once, then invert each filter row's CDF on its
+    # group; a stable sort of keys this narrow runs as a radix sort
     cdf_rows = np.cumsum(filt, axis=1)
-    groups = np.split(np.argsort(ys, kind="stable"), np.cumsum(np.bincount(ys, minlength=n))[:-1])
+    by_y = np.argsort(ys.astype(np.min_scalar_type(n - 1)), kind="stable")
+    groups = np.split(by_y, np.cumsum(np.bincount(ys, minlength=n))[:-1])
     zs = np.empty(config.samples, dtype=np.int64)
     for yv, group in enumerate(groups):
-        zv = np.searchsorted(cdf_rows[yv], u[group, 1], side="right")
+        zv = np.searchsorted(cdf_rows[yv], u1[group], side="right")
         zs[group] = np.minimum(zv, c - 1)
 
     hit_y = float(np.mean(y_map[zs] == ys))
@@ -127,8 +135,13 @@ def simulate(config: SimConfig) -> SimReport:
 
 
 def _map_guess(p_z: np.ndarray) -> tuple[np.ndarray, float]:
-    """MAP guess of the row symbol from each column of a joint, and its success probability."""
-    return p_z.argmax(axis=0), float(p_z.max(axis=0).sum())
+    """MAP guess of the row symbol from each column of a joint, and its success probability.
+
+    The guess is the first row that attains the column maximum, so ties go to
+    the lowest index.
+    """
+    best = p_z.max(axis=0)
+    return (p_z == best).argmax(axis=0), float(best.sum())
 
 
 def _binom_stderr(freq: float, samples: int) -> float:

@@ -289,9 +289,14 @@ def trace_curve(joint: JointDistribution,
     neighbour is the flat line h = 1 beyond P_c(X|Y). The first chord, and
     chords whose crossing lies within ``BREAKPOINT_RESOLUTION`` of an end,
     are split at their midpoint; chords no wider than the resolution are
-    not split. Breakpoints are the points that are not flat. Piece slopes
-    are chords over whole pieces, so they are insensitive to per-point
-    solver noise.
+    not split. Flatness next to neighbours misses a small slope change when
+    samples are dense, so a run of flat points must also lie within
+    ``KINK_TOL`` of the chord of its two ends. Where it does not, its sample
+    farthest from that chord is a kink, the run is checked again on either
+    side of it, and the chord around it is split where the lines through the
+    flat samples on either side cross. Breakpoints are the points that are
+    not flat. Piece slopes are chords over whole pieces, so they are
+    insensitive to per-point solver noise.
 
     ``known`` maps thresholds to utilities the caller has already solved
     with ``best_filter``. They are trusted, not solved again, and become
@@ -324,6 +329,38 @@ def trace_curve(joint: JointDistribution,
                         * (xs[i] - xs[i - 1]) / (xs[i + 1] - xs[i - 1])) <= KINK_TOL
                 for i in range(n)]
         split = []
+        # flat runs: dense samples each lie within KINK_TOL of their neighbours'
+        # chord around a small slope change, so each run must also lie within
+        # it of its own end chord. Where a run strays most, its sample is a
+        # kink, and the run is checked again on either side of it.
+        runs = list(itertools.pairwise([i for i in range(n) if not flat[i]]))
+        bent = []
+        while runs:
+            a, b = runs.pop()
+            off = [abs(ys[i] - ys[a] - (ys[b] - ys[a]) * (xs[i] - xs[a]) / (xs[b] - xs[a]))
+                   for i in range(a + 1, b)]
+            worst = max(off, default=0.0)
+            if worst > KINK_TOL:
+                m = a + 1 + off.index(worst)
+                flat[m] = False
+                bent.append(m)
+                runs += [(a, m), (m, b)]
+        # a kink found so sits between its neighbours: split there where the
+        # lines through the flat runs on either side cross
+        ends = [i for i in range(n) if not flat[i]]
+        for m in bent:
+            k = ends.index(m)
+            a, b = ends[k - 1], ends[k + 1]
+            if not a < m - 1 < m + 1 < b:
+                continue
+            left = (ys[m - 1] - ys[a]) / (xs[m - 1] - xs[a])
+            right = (ys[b] - ys[m + 1]) / (xs[b] - xs[m + 1])
+            mid = (ys[m + 1] - ys[m - 1]) / (xs[m + 1] - xs[m - 1])
+            if left > right:
+                cross = xs[m - 1] + (xs[m + 1] - xs[m - 1]) * (mid - right) / (left - right)
+                if (xs[m - 1] + BREAKPOINT_RESOLUTION < cross < xs[m + 1] - BREAKPOINT_RESOLUTION
+                        and abs(cross - xs[m]) > BREAKPOINT_RESOLUTION):
+                    split.append(cross)
         for i in range(n - 1):
             a, b = xs[i], xs[i + 1]
             if flat[i] or flat[i + 1] or b - a <= BREAKPOINT_RESOLUTION:

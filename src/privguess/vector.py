@@ -52,8 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
-from .prob import Axis, Channel, JointDistribution, compose, cond_guess_prob
+from .errors import CapacityError, DimensionMismatchError, ParameterError
+from .prob import Channel, JointDistribution
 from .solver import lp_guess_max
 
 __all__ = [
@@ -401,11 +401,22 @@ def compose_zn(model: VectorModel, filt: ZnChannel) -> tuple[float, float]:
     """Exact whole-block (utility, privacy) of a flip channel, i.e. the pair
     (P_c of Y-block given Z-block, P_c of X-block given Z-block).
 
-    End-to-end evaluation through the materialized product joint; n <= 10.
+    Composes through the channel's structure rather than a dense product:
+    only the all-zeros output column gains mass (gamma times the all-ones
+    column) and only the all-ones column loses it, so the product joint is
+    copied and those two columns are updated, O(4^n) with no 2^n x 2^n
+    channel. The product joint itself is materialized, so n <= 10.
     """
     joint = model.block_joint()
-    w = filt.to_channel()
-    privacy = cond_guess_prob(compose(joint, w, Axis.COLS), Axis.ROWS)
-    p_yz = JointDistribution(joint.col_marginal[:, None] * w.matrix)
-    utility = cond_guess_prob(p_yz, Axis.ROWS)
-    return utility, privacy
+    if filt.n != model.n:
+        raise DimensionMismatchError(f"channel block length {filt.n} != model block length {model.n}")
+    g = filt.gamma
+    # the (Y-block, Z-block) joint is diagonal except that the all-zeros
+    # output column also holds gamma of the all-ones input's mass, so its
+    # column maxima are the Y-block marginal with two entries changed
+    best_y = joint.col_marginal
+    best_y[0], best_y[-1] = max(best_y[0], best_y[-1] * g), best_y[-1] * (1.0 - g)
+    p_xz = joint.matrix.copy()
+    p_xz[:, 0] += g * p_xz[:, -1]
+    p_xz[:, -1] *= 1.0 - g
+    return float(best_y.sum()), float(p_xz.max(axis=0).sum())

@@ -19,6 +19,38 @@ from privguess import (
 
 Z025 = Channel(np.array([[1.0, 0.0], [0.25, 0.75]]))
 
+#: 3x5 joint and 5x4 channel in dyadic entries, with MAP ties in the first
+#: output column of both composed joints (rows 0 and 2 of X, rows 0 and 4 of Y)
+JOINT_3X5 = np.array([[8, 4, 0, 8, 2], [4, 8, 6, 2, 4], [8, 4, 2, 0, 4]]) / 64
+CHANNEL_5X4 = np.array([[4, 4, 0, 0], [2, 2, 4, 0], [0, 0, 0, 8], [2, 2, 1, 3], [8, 0, 0, 0]]) / 8
+
+#: every float SimReport field as float.hex, in the order
+#: (empirical_pc_y, empirical_pc_x, analytic_pc_y, analytic_pc_x, stderr_y, stderr_x),
+#: from a sampler that visits samples in draw order. gamma and the 3x5 case
+#: are dyadic, so the analytic values, which pass through a BLAS product, do
+#: not depend on its summation order or on fused multiply-adds.
+GOLDEN = {
+    "n4": ("0x1.f322291fb3fa7p-1", "0x1.983a53b8e4b88p-2", "0x1.f3696eae896aep-1",
+           "0x1.98e7c2f25877bp-2", "0x1.6efd804542631p-12", "0x1.1f00bec95a5a8p-10"),
+    "n7": ("0x1.fee43aa79bbaep-1", "0x1.ad013a92a3055p-3", "0x1.fee5086442a8dp-1",
+           "0x1.accb34e74d153p-3", "0x1.b3ea9a33f78dcp-14", "0x1.dd10ff22975d8p-11"),
+    "n10": ("0x1.ffe86833c6003p-1", "0x1.ba58f7121ab4bp-4", "0x1.ffe727390df6ep-1",
+            "0x1.b7c22f7782310p-4", "0x1.f7456c04ade5dp-16", "0x1.6bdd766f62ef6p-11"),
+    "3x5": ("0x1.2022bbecaab8ap-1", "0x1.b141205bc01a3p-2", "0x1.2000000000000p-1",
+            "0x1.b000000000000p-2", "0x1.22c47d8fa7e4ep-10", "0x1.219948b29cd84p-10"),
+}
+
+
+def golden_config(case):
+    if case == "3x5":
+        return SimConfig(seed=2026, samples=200_000, joint=JointDistribution(JOINT_3X5),
+                         filter=Channel(CHANNEL_5X4))
+    n = int(case[1:])
+    # small enough that the all-zeros output is guessed as all-zeros, so that
+    # flipped samples miss and the counts depend on each sample's second uniform
+    gamma = {4: 0.25, 7: 0.125, 10: 0.0625}[n]
+    return vector_sim_config(2026 + n, 200_000, VectorModel(n, 0.6, 0.2), "block", gamma)
+
 
 def fig3_config(seed=1, samples=10**5):
     return SimConfig(seed=seed, samples=samples, joint=fig3_joint(), filter=Z025)
@@ -43,6 +75,15 @@ class TestDeterminism:
         a = simulate(fig3_config(seed=1))
         b = simulate(fig3_config(seed=2))
         assert a.empirical_pc_y != b.empirical_pc_y
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_golden_report(self, case):
+        config = golden_config(case)
+        report = simulate(config)
+        fields = (report.empirical_pc_y, report.empirical_pc_x, report.analytic_pc_y,
+                  report.analytic_pc_x, report.stderr_y, report.stderr_x)
+        assert tuple(float.hex(v) for v in fields) == GOLDEN[case]
+        assert (report.samples, report.seed, report.rng_algorithm) == (200_000, config.seed, "PCG64")
 
     def test_rng_algorithm_recorded(self):
         assert simulate(fig3_config(samples=10)).rng_algorithm == "PCG64"

@@ -392,6 +392,23 @@ class TestTraceCurveSandwich:
         if kinks == [0.7] and with_grid:
             assert front.calls == 0
 
+    @pytest.mark.parametrize("kink, tol", [
+        (0.7123, solver.BREAKPOINT_RESOLUTION),  # on a grid point
+        (0.71230071, 1e-12),                     # between grid points
+    ])
+    def test_dense_grid_keeps_small_kink(self, monkeypatch, kink, tol):
+        # samples 2e-6 apart: a slope change of 0.01 moves each one by at most
+        # 1e-8 off the chord of its neighbours, well inside KINK_TOL
+        joint = fig3_joint()
+        lo, hi = guess_prob(joint, Axis.ROWS), cond_guess_prob(joint, Axis.ROWS)
+        front = _Frontier(lo, [kink], [1.0, 0.99])
+        known = {float(e): front.value(float(e)) for e in np.linspace(lo, hi, 100_001)}
+        monkeypatch.setattr(solver, "best_filter", front)
+        curve = trace_curve(joint, known)
+        assert curve.k == 2
+        assert curve.breakpoints[1] == pytest.approx(kink, abs=tol)
+        assert front.calls <= 1
+
     @pytest.mark.parametrize("with_grid", [True, False])
     def test_noisy_line_is_one_piece(self, monkeypatch, with_grid):
         joint = fig3_joint()

@@ -10,6 +10,8 @@ from privguess import (
     Axis,
     BiboParams,
     CapacityError,
+    DimensionMismatchError,
+    JointDistribution,
     ParameterError,
     Validity,
     VectorModel,
@@ -183,6 +185,27 @@ class TestZnFilter:
                 utility, privacy = compose_zn(model, filt)
                 assert privacy == pytest.approx(float(eps) ** n, abs=1e-10)
                 assert utility == pytest.approx(block_utility(model, float(eps)) ** n, abs=1e-10)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_compose_zn_matches_dense_product(self, n, gamma):
+        # utility repeats the dense path's float operations and is exact.
+        # Privacy is within 1 ulp: the dense path forms the all-zeros column in
+        # a BLAS product, whose kernel may fuse the multiply-add (exact with
+        # the OpenBLAS kernels this was measured on).
+        model, filt = VectorModel(n, **FIG3), ZnChannel(gamma=gamma, n=n)
+        joint, w = model.block_joint(), filt.to_channel()
+        privacy = cond_guess_prob(compose(joint, w, Axis.COLS), Axis.ROWS)
+        utility = cond_guess_prob(JointDistribution(joint.col_marginal[:, None] * w.matrix), Axis.ROWS)
+        got_utility, got_privacy = compose_zn(model, filt)
+        assert got_utility == utility
+        assert abs(got_privacy - privacy) <= np.spacing(privacy)
+
+    def test_compose_zn_block_length_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            compose_zn(VectorModel(3, **FIG3), ZnChannel(gamma=0.3, n=2))
+        with pytest.raises(DimensionMismatchError):
+            compose_zn(VectorModel(2, **FIG3), ZnChannel(gamma=0.3, n=3))
 
 
 class TestGapBounds:
