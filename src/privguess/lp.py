@@ -16,6 +16,17 @@ it raises :class:`NumericalError` rather than ever mislabeling a point
 OPTIMAL. Optimal points are basic feasible solutions, i.e. vertices of the
 polytope.
 
+An optimal solution also carries the dual prices of the inequality rows:
+the rate at which the optimal value grows with each row's right-hand side
+(Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, section 5.2).
+They are read off the final reduced-profit row: a slack column's reduced
+profit is minus its row's price. A row negated for its negative right-hand
+side carries a negated slack, and its price is taken with respect to the
+negated right-hand side, so the two sign changes cancel and every price is
+``-t[m, slack]``. The prices are nonnegative (within the certificate
+tolerance); on a degenerate optimum they are one optimal dual among several,
+and each is then a supergradient of the value in its right-hand side.
+
 The pivot loop itself lives in a kernel: the compiled extension
 ``_simplex_cy`` when it is built, the NumPy ``_simplex_py`` otherwise
 (``KERNEL_BACKEND`` names the one in use). Both follow the contract in
@@ -91,12 +102,17 @@ class LpSolution:
 
     ``point``/``value`` are None unless ``status`` is OPTIMAL. Optimal points
     satisfy every constraint within ``FEAS_TOL`` (verified before returning).
+    ``duals`` holds, for an optimal solution, one price per inequality row
+    (in ``a_ub`` order): the optimal value's rate of change in that row's
+    right-hand side, which is nonnegative for a maximization. It is None
+    otherwise.
     """
 
     status: LpStatus
     value: float | None
     point: np.ndarray | None
     iterations: int
+    duals: np.ndarray | None = None
 
 
 def solve_lp(prog: LinearProgram) -> LpSolution:
@@ -183,7 +199,8 @@ def solve_lp(prog: LinearProgram) -> LpSolution:
     point = x_full[:n]
     _certify(prog, point)
     point = np.maximum(point, 0.0)  # clip roundoff-negative basics
-    return LpSolution(LpStatus.OPTIMAL, float(c @ point), point, iters)
+    duals = -t[m, n:n_real]  # a slack's reduced profit is minus its row's price
+    return LpSolution(LpStatus.OPTIMAL, float(c @ point), point, iters, duals)
 
 
 def _purge_artificials(t: np.ndarray, basis: np.ndarray, n_real: int) -> list[int]:

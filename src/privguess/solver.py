@@ -47,7 +47,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .lp import FEAS_TOL, LinearProgram, LpStatus, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LpSolution, LpStatus, solve_lp
 from .prob import Axis, Channel, JointDistribution, compose, cond_guess_prob, guess_prob, renyi_entropy
 
 __all__ = [
@@ -154,14 +154,18 @@ def _guess_lp(p: np.ndarray, q: np.ndarray, gmap: tuple[int, ...], cap: float,
 
 
 def lp_guess_max(p: np.ndarray, cap: float, n_outputs: int,
-                 maps: Iterable[tuple[int, ...]]) -> tuple[float, np.ndarray, tuple[int, ...]]:
-    """Max utility over the given guessing maps; returns (value, F, map).
+                 maps: Iterable[tuple[int, ...]]) -> tuple[float, np.ndarray, tuple[int, ...], float]:
+    """Max utility over the given guessing maps; returns (value, F, map, price).
 
-    Ties go to the earliest map in iteration order.
+    ``price`` is the dual price of the winning map's privacy-cap row: a
+    supergradient of that map's optimal utility as a function of ``cap``,
+    and its slope wherever that function is linear. It is NaN when the
+    solution carries no duals. Ties go to the earliest map in iteration
+    order.
     """
     q = p.sum(axis=0)
     best_val = -1.0
-    best_f: np.ndarray | None = None
+    best: LpSolution | None = None
     best_map: tuple[int, ...] | None = None
     for gmap in maps:
         sol = solve_lp(_guess_lp(p, q, gmap, cap, n_outputs))
@@ -170,10 +174,12 @@ def lp_guess_max(p: np.ndarray, cap: float, n_outputs: int,
             raise NumericalError(f"filter subproblem ended {sol.status.value} for map {gmap}")
         if sol.value > best_val:
             best_val = sol.value
-            best_f = sol.point[: p.shape[1] * n_outputs].reshape(p.shape[1], n_outputs)
+            best = sol
             best_map = gmap
-    assert best_f is not None and best_map is not None
-    return best_val, best_f, best_map
+    assert best is not None and best_map is not None
+    best_f = best.point[: p.shape[1] * n_outputs].reshape(p.shape[1], n_outputs)
+    price = math.nan if best.duals is None else float(best.duals[-1])
+    return best_val, best_f, best_map, price
 
 
 def _evaluate(joint: JointDistribution, filt: Channel) -> tuple[float, float]:
@@ -212,7 +218,7 @@ def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
         )
 
     cap = max(eps, pcx)  # accept eps within tolerance below the left endpoint
-    value, f, gmap = lp_guess_max(p, cap, n + 1, nondecreasing_maps(n + 1, n))
+    value, f, gmap, _ = lp_guess_max(p, cap, n + 1, nondecreasing_maps(n + 1, n))
     # the LP certifies rows only to lp.FEAS_TOL, looser than Channel's mass
     # check: project them onto the simplex, the certificate below still holds
     f = np.maximum(f, 0.0)

@@ -30,11 +30,12 @@ it down three ways, in increasing strength:
    channel with the product joint provably reproduces privacy eps**n and
    utility block**n (closed form, derived from which input string wins each
    output column);
-3. for n <= 3, a *certified* threshold: bisection against the exact
-   optimum over all filters, one LP per step. Replacing each filter output
-   by the MAP guess of Y^n from it keeps P_c(Y^n|Z^n) and, by data
-   processing, cannot raise P_c(X^n|Z^n); so the optimum is attained by a
-   2^n-output filter whose outputs are guessed by the identity map.
+3. for n <= 3, a *certified* threshold: Newton steps against the exact
+   optimum over all filters, one LP per step, with slopes from the LP's
+   dual price of the privacy cap. Replacing each filter output by the MAP
+   guess of Y^n from it keeps P_c(Y^n|Z^n) and, by data processing, cannot
+   raise P_c(X^n|Z^n); so the optimum is attained by a 2^n-output filter
+   whose outputs are guessed by the identity map.
 
 Values requested below the certificate threshold are still returned (the
 formula is well defined wherever 1 - zeta_n q^n > 0) but flagged UNKNOWN.
@@ -52,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError, ParameterError
+from .errors import CapacityError, DimensionMismatchError, NumericalError, ParameterError
 from .prob import Channel, JointDistribution
 from .solver import lp_guess_max
 
@@ -79,8 +80,8 @@ MAX_MATERIALIZED_N = 10
 #: simplex exhausts its pivot budget on the 272-variable LP
 MAX_CERTIFIED_N = 3
 
-#: LP-vs-formula agreement that validity_threshold counts as optimal, and the
-#: resolution of its bisection
+#: LP-vs-formula agreement (per-symbol utility) at which validity_threshold
+#: stops and certifies the point
 AGREEMENT_TOL = 1e-6
 
 RANGE_TOL = 1e-9
@@ -365,36 +366,50 @@ def brute_force_block_utility(model: VectorModel, eps: float) -> float:
     eps = _check_eps(model, eps)
     joint = model.block_joint()
     size = 2 ** model.n
-    value, _, _ = lp_guess_max(joint.matrix, eps ** model.n, size, [tuple(range(size))])
+    value, _, _, _ = lp_guess_max(joint.matrix, eps ** model.n, size, [tuple(range(size))])
     return value ** (1.0 / model.n)
 
 
 def validity_threshold(model: VectorModel) -> ThresholdEstimate:
     """Estimate the smallest eps from which the block formula is optimal.
 
-    n <= 3: certified by bisection of the agreement boundary between
-    :func:`brute_force_block_utility` and the formula (agreement within
-    ``AGREEMENT_TOL``; assumes the agreement region is an interval ending
-    at abar). n >= 4: the cheap heuristic threshold, flagged uncertified.
+    n <= 3: certified against the exact optimum. In the cap t = eps**n the
+    optimum V(t) (the block utility to the n-th power, one identity-map LP
+    as in :func:`brute_force_block_utility`) is concave and piecewise
+    linear, and the formula is the line L(t) = 1 - (abar**n - t) q**n / D
+    that V follows from the threshold up to abar**n. So the gap g = L - V
+    is convex, and zero exactly on that last piece. Newton steps on g start
+    at the heuristic threshold and take V's slope from the dual price of
+    the LP's cap row: each one lands at or left of the threshold, and one
+    from the piece next to the last lands on it, so the iteration runs one
+    LP per piece it crosses. It stops at the first point where the optimum
+    and the formula agree within ``AGREEMENT_TOL`` and certifies that
+    point. A step that does not advance is a numerical breakdown and raises
+    :class:`NumericalError`. n >= 4: the cheap heuristic threshold, flagged
+    uncertified.
     """
-    if model.n > MAX_CERTIFIED_N:
+    n = model.n
+    if n > MAX_CERTIFIED_N:
         return ThresholdEstimate(heuristic_threshold(model), False)
 
-    start = heuristic_threshold(model)
-
-    def agrees(e: float) -> bool:
-        return abs(brute_force_block_utility(model, e) - block_utility(model, e)) <= AGREEMENT_TOL
-
-    if agrees(start):
-        return ThresholdEstimate(start, True)
-    lo, hi = start, model.abar
-    while hi - lo > AGREEMENT_TOL:
-        mid = 0.5 * (lo + hi)
-        if agrees(mid):
-            hi = mid
-        else:
-            lo = mid
-    return ThresholdEstimate(hi, True)
+    p = model.block_joint().matrix
+    size = 2 ** n
+    identity = [tuple(range(size))]
+    top = model.abar ** n
+    slope = math.exp(n * math.log(model.q) - _log_denom(model))  # of the line L
+    t = heuristic_threshold(model) ** n
+    while True:
+        value, _, _, price = lp_guess_max(p, t, size, identity)
+        eps = t ** (1.0 / n)
+        if abs(value ** (1.0 / n) - block_utility(model, eps)) <= AGREEMENT_TOL:
+            return ThresholdEstimate(eps, True)
+        step = t + (1.0 - (top - t) * slope - value) / (price - slope)
+        if not (math.isfinite(step) and step > t):
+            raise NumericalError(
+                f"Newton step from cap {t!r} does not advance: "
+                f"cap price {price!r}, formula slope {slope!r}"
+            )
+        t = min(step, top)
 
 
 def compose_zn(model: VectorModel, filt: ZnChannel) -> tuple[float, float]:

@@ -35,6 +35,7 @@ class TestKernelParity:
             if a.status is LpStatus.OPTIMAL:
                 assert a.value == pytest.approx(b.value, abs=1e-12)
                 np.testing.assert_allclose(a.point, b.point, atol=1e-10)
+                np.testing.assert_array_equal(a.duals, b.duals)
                 assert a.iterations == b.iterations  # same pivot path
                 agree_optimal += 1
         assert agree_optimal >= 40

@@ -1,12 +1,21 @@
-"""Simplex solver: frozen examples, certificates, and a vertex-enumeration oracle."""
+"""Simplex solver: frozen examples, certificates, dual prices, and a vertex-enumeration oracle."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from privguess import BiboParams, LinearProgram, LpStatus, NumericalError, closed_form_utility, solve_lp
+from privguess import (
+    BiboParams,
+    LinearProgram,
+    LpStatus,
+    NumericalError,
+    VectorModel,
+    closed_form_utility,
+    solve_lp,
+)
 from privguess import lp as lp_module
+from privguess.solver import _guess_lp
 
 NO_EQ = (np.zeros((0, 0)), [])
 
@@ -173,3 +182,73 @@ class TestCertificates:
                 continue
             for v in enumerate_vertices(prog):
                 assert float(prog.objective @ v) <= sol.value + 1e-8
+
+
+def nondegenerate_program(rng: np.random.Generator) -> LinearProgram:
+    """Feasible, bounded program with continuous coefficients, so its duals are unique.
+
+    The first row is a lower bound on a positive combination of x, written
+    with a negative right-hand side; the others are generic rows through a
+    known interior point, then a box.
+    """
+    n = int(rng.integers(2, 7))
+    x0 = rng.uniform(0.1, 1.0, n)
+    a = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 4)), n))
+    a = np.vstack([-rng.uniform(0.2, 1.0, n), a])
+    b = a @ x0 + rng.uniform(0.05, 0.5, a.shape[0])
+    b[0] = 0.5 * float(a[0] @ x0)
+    if rng.random() < 0.5:
+        a_eq = rng.uniform(0.0, 1.0, (1, n))
+        b_eq = a_eq @ x0
+    else:
+        a_eq, b_eq = np.zeros((0, n)), []
+    a_ub = np.vstack([a, np.eye(n)])
+    b_ub = np.concatenate([b, np.full(n, 2.0)])
+    return LinearProgram(rng.uniform(-1.0, 1.0, n), a_eq, b_eq, a_ub, b_ub)
+
+
+def highs_duals(prog: LinearProgram) -> np.ndarray:
+    """HiGHS prices of the inequality rows, as rates of the maximum."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    eq = {"A_eq": prog.a_eq, "b_eq": prog.b_eq} if prog.a_eq.shape[0] else {}
+    res = linprog(-prog.objective, A_ub=prog.a_ub, b_ub=prog.b_ub, bounds=(0, None),
+                  method="highs", **eq)
+    assert res.status == 0
+    # HiGHS minimizes -objective: its marginals are the rates of that minimum
+    return -res.ineqlin.marginals
+
+
+class TestDuals:
+    def test_single_bound(self):
+        np.testing.assert_allclose(solve_lp(lp([1.0], a_ub=[[1.0]], b_ub=[1.0])).duals, [1.0],
+                                   atol=1e-12)
+
+    def test_negated_row_closed_form(self):
+        # the binary filter reduction: value 1.4 * (eps - 0.8), so the price of
+        # the privacy row, whose rhs eps - 0.8 is negative, is 1.4; the box
+        # g <= 1 is slack and free
+        for eps in (0.62, 0.7, 0.78):
+            sol = solve_lp(lp([-0.56], a_ub=[[-0.4], [1.0]], b_ub=[eps - 0.8, 1.0]))
+            np.testing.assert_allclose(sol.duals, [1.4, 0.0], atol=1e-12)
+
+    def test_only_optimal_solutions_carry_duals(self):
+        assert solve_lp(lp([1.0], a_ub=[[1.0]], b_ub=[-1.0])).duals is None
+        assert solve_lp(lp([1.0, 0.0], a_ub=[[0.0, 1.0]], b_ub=[1.0])).duals is None
+
+    def test_random_programs_match_highs(self):
+        rng = np.random.default_rng(4242)
+        for _ in range(60):
+            prog = nondegenerate_program(rng)
+            assert prog.b_ub[0] < 0.0
+            sol = solve_lp(prog)
+            assert sol.status is LpStatus.OPTIMAL
+            assert sol.duals.shape == prog.b_ub.shape
+            np.testing.assert_allclose(sol.duals, highs_duals(prog), rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("eps", [0.65, 0.7, 0.76, 0.79])
+    def test_block_cap_row_matches_highs(self, eps):
+        # the privacy-cap row of the n = 2 block LP, away from its kinks
+        p = VectorModel(2, p=0.6, alpha=0.2).block_joint().matrix
+        prog = _guess_lp(p, p.sum(axis=0), (0, 1, 2, 3), eps ** 2, 4)
+        sol = solve_lp(prog)
+        assert sol.duals[-1] == pytest.approx(highs_duals(prog)[-1], abs=1e-9)

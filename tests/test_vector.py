@@ -12,6 +12,7 @@ from privguess import (
     CapacityError,
     DimensionMismatchError,
     JointDistribution,
+    NumericalError,
     ParameterError,
     Validity,
     VectorModel,
@@ -30,6 +31,7 @@ from privguess import (
     validity_threshold,
     zn_filter,
 )
+from privguess import solver, vector
 from privguess.solver import lp_guess_max
 from privguess.vector import compose_zn
 
@@ -40,7 +42,7 @@ def all_maps_block_utility(model, eps):
     """Per-symbol optimum over 2^n-output filters, maximized over every guessing map."""
     size = 2 ** model.n
     maps = itertools.product(range(size), repeat=size)
-    value, _, _ = lp_guess_max(model.block_joint().matrix, eps ** model.n, size, maps)
+    value, _, _, _ = lp_guess_max(model.block_joint().matrix, eps ** model.n, size, maps)
     return value ** (1.0 / model.n)
 
 
@@ -262,7 +264,7 @@ class TestThresholds:
         assert est.certified
         assert 0.6 <= est.eps_l < 0.8
         # the LP-certified boundary coincides with the composition certificate
-        assert est.eps_l == pytest.approx(certificate_threshold(VectorModel(2, **FIG3)), abs=1e-4)
+        assert est.eps_l == pytest.approx(certificate_threshold(VectorModel(2, **FIG3)), abs=1e-9)
 
     def test_large_n_is_heuristic(self):
         est = validity_threshold(VectorModel(10, **FIG3))
@@ -272,7 +274,35 @@ class TestThresholds:
     def test_n3_certified_value(self):
         est = validity_threshold(VectorModel(3, **FIG3))
         assert est.certified
-        assert est.eps_l == pytest.approx(0.783495, abs=1e-3)  # certificate_threshold
+        assert est.eps_l == pytest.approx(0.783495, abs=1e-6)
+        assert est.eps_l == pytest.approx(certificate_threshold(VectorModel(3, **FIG3)), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_lp_per_piece_crossed(self, n, monkeypatch):
+        # one LP per frontier piece the Newton steps cross, and one that agrees
+        solves = []
+        real = solver.solve_lp
+
+        def counting(prog):
+            solves.append(prog)
+            return real(prog)
+
+        monkeypatch.setattr(solver, "solve_lp", counting)
+        validity_threshold(VectorModel(n, **FIG3))
+        assert 1 <= len(solves) <= 4
+
+    @pytest.mark.parametrize("price", [0.0, math.nan])
+    def test_non_advancing_step_raises(self, price, monkeypatch):
+        # a cap price at or below the formula's slope, or none, cannot move right
+        real = vector.lp_guess_max
+
+        def priced(*args):
+            value, f, gmap, _ = real(*args)
+            return value, f, gmap, price
+
+        monkeypatch.setattr(vector, "lp_guess_max", priced)
+        with pytest.raises(NumericalError, match="does not advance"):
+            validity_threshold(VectorModel(2, **FIG3))
 
     def test_brute_force_matches_formula_above_threshold(self):
         model = VectorModel(2, **FIG3)
