@@ -3,7 +3,10 @@
 Maximizes a linear objective over ``{x >= 0 : a_eq x = b_eq, a_ub x <= b_ub}``.
 All variables are nonnegative by construction (the quantities optimized here
 are probabilities and bounds on probabilities), so free variables are not
-supported.
+supported. The objective may also be a family of objectives, one per row,
+over the same constraints: the solve then returns the best of their optima.
+Feasibility does not depend on the objective, so the family shares one
+phase 1 and each objective runs only its own phase 2.
 
 Method: slack variables turn inequalities into equalities. Slack columns of
 inequality rows with nonnegative right-hand side form the initial basis;
@@ -65,7 +68,11 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max objective . x  subject to  a_eq x = b_eq, a_ub x <= b_ub, x >= 0."""
+    """max objective . x  subject to  a_eq x = b_eq, a_ub x <= b_ub, x >= 0.
+
+    ``objective`` is one row of n coefficients, or a (k, n) family of them,
+    all maximized over the same constraints.
+    """
 
     objective: np.ndarray
     a_eq: np.ndarray
@@ -75,7 +82,9 @@ class LinearProgram:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.objective, dtype=np.float64))
-        n = c.shape[0]
+        if c.ndim > 2 or (c.ndim == 2 and c.shape[0] == 0):
+            raise DimensionMismatchError("objective must be one row or a nonempty family of rows")
+        n = c.shape[-1]
         a_eq = np.asarray(self.a_eq, dtype=np.float64).reshape(-1, n)
         a_ub = np.asarray(self.a_ub, dtype=np.float64).reshape(-1, n)
         b_eq = np.atleast_1d(np.asarray(self.b_eq, dtype=np.float64)) if np.size(self.b_eq) else np.zeros(0)
@@ -93,7 +102,7 @@ class LinearProgram:
 
     @property
     def n_vars(self) -> int:
-        return self.objective.shape[0]
+        return self.objective.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -106,6 +115,11 @@ class LpSolution:
     (in ``a_ub`` order): the optimal value's rate of change in that row's
     right-hand side, which is nonnegative for a maximization. It is None
     otherwise.
+
+    ``winner`` is the objective row the solution belongs to: the first row
+    with the largest optimum, the row found unbounded, or 0 when the
+    constraints are infeasible. ``iterations`` counts phase 1 once and the
+    phase 2 of every row solved.
     """
 
     status: LpStatus
@@ -113,19 +127,23 @@ class LpSolution:
     point: np.ndarray | None
     iterations: int
     duals: np.ndarray | None = None
+    winner: int = 0
 
 
 def solve_lp(prog: LinearProgram) -> LpSolution:
     """Solve ``prog`` with the two-phase dense simplex.
 
     Both phases run on one tableau ``[A | slacks | artificials | rhs]``;
-    phase 2 continues on it once the artificial columns are dropped. Each
-    phase may take ``100 * (rows + columns) + 1000`` pivots. Raises
-    :class:`NumericalError` if that budget is exhausted or the final point
-    fails its feasibility certificate.
+    phase 2 continues on it once the artificial columns are dropped. For a
+    family of objectives, phase 1 runs once and each row's phase 2 runs on
+    its own copy of the feasible tableau (the last row on the tableau
+    itself), in row order; the first row that ends unbounded ends the solve.
+    Each phase may take ``100 * (rows + columns) + 1000`` pivots. Raises
+    :class:`NumericalError` if that budget is exhausted or a row's final
+    point fails its certificate.
     """
-    c = prog.objective
     n = prog.n_vars
+    objectives = prog.objective.reshape(-1, n)
     me, mi = prog.a_eq.shape[0], prog.a_ub.shape[0]
     m = me + mi
     n_real = n + mi  # original variables plus slacks
@@ -173,34 +191,42 @@ def solve_lp(prog: LinearProgram) -> LpSolution:
         basis = basis[keep]
         m = len(keep)
 
-    # phase 2: price out the basis for the real objective
-    row = np.zeros(n_real + 1)
-    row[:n] = c
-    for r in range(m):
-        cb = row[basis[r]]
-        if cb != 0.0:
-            row = row - cb * t[r]
-    t[m] = row
+    best = None  # (value, point, duals, row) of the first best row so far
+    last = objectives.shape[0] - 1
+    for k, c in enumerate(objectives):
+        tk, bk = (t, basis) if k == last else (t.copy(), basis.copy())
+        # phase 2: price out the basis for this objective
+        row = np.zeros(n_real + 1)
+        row[:n] = c
+        for r in range(m):
+            cb = row[bk[r]]
+            if cb != 0.0:
+                row = row - cb * tk[r]
+        tk[m] = row
 
-    status, it2 = run_simplex(t, basis, n_real, PIVOT_TOL, max_iter)
-    iters += it2
-    if status == STATUS_BUDGET:
-        raise NumericalError(f"phase-2 pivot budget ({max_iter}) exhausted")
-    if status == STATUS_UNBOUNDED:
-        return LpSolution(LpStatus.UNBOUNDED, None, None, iters)
+        status, it2 = run_simplex(tk, bk, n_real, PIVOT_TOL, max_iter)
+        iters += it2
+        if status == STATUS_BUDGET:
+            raise NumericalError(f"phase-2 pivot budget ({max_iter}) exhausted")
+        if status == STATUS_UNBOUNDED:
+            return LpSolution(LpStatus.UNBOUNDED, None, None, iters, winner=k)
 
-    # optimality certificate: no improving reduced cost remains
-    worst = float(t[m, :n_real].max()) if n_real else 0.0
-    if worst > FEAS_TOL:
-        raise NumericalError(f"reduced cost {worst} above {FEAS_TOL} at claimed optimum")
+        # optimality certificate: no improving reduced cost remains
+        worst = float(tk[m, :n_real].max()) if n_real else 0.0
+        if worst > FEAS_TOL:
+            raise NumericalError(f"reduced cost {worst} above {FEAS_TOL} at claimed optimum")
 
-    x_full = np.zeros(n_real)
-    x_full[basis] = t[:m, -1]
-    point = x_full[:n]
-    _certify(prog, point)
-    point = np.maximum(point, 0.0)  # clip roundoff-negative basics
-    duals = -t[m, n:n_real]  # a slack's reduced profit is minus its row's price
-    return LpSolution(LpStatus.OPTIMAL, float(c @ point), point, iters, duals)
+        x_full = np.zeros(n_real)
+        x_full[bk] = tk[:m, -1]
+        point = x_full[:n]
+        _certify(prog, point)
+        point = np.maximum(point, 0.0)  # clip roundoff-negative basics
+        value = float(c @ point)
+        if best is None or value > best[0]:
+            # a slack's reduced profit is minus its row's price
+            best = (value, point, -tk[m, n:n_real], k)
+    value, point, duals, k = best
+    return LpSolution(LpStatus.OPTIMAL, value, point, iters, duals, k)
 
 
 def _purge_artificials(t: np.ndarray, basis: np.ndarray, n_real: int) -> list[int]:

@@ -10,13 +10,16 @@ suffices (N = |Y| alphabet), so the search space is the polytope of
 N x (N+1) row-stochastic matrices F.
 
 Both P_c(Y|Z) and P_c(X|Z) are convex piecewise-linear in F, so the problem
-is solved exactly as a finite family of LPs:
+is solved exactly as the best of a finite family of linear objectives over
+one polytope:
 
 * fixing a guessing map g: outputs -> Y turns the objective into the linear
   form sum_z q_g(z) F[g(z), z], a lower bound on P_c(Y|Z) that is tight for
   the map actually achieving the per-column maxima;
 * the constraint sum_z max_x (P F)[x, z] <= eps is linearized exactly with
-  one auxiliary upper-bound variable per output column.
+  one auxiliary upper-bound variable per output column. It does not involve
+  the map, so every map's LP has the same constraints: one LP solve with one
+  objective row per map runs phase 1 once and a phase 2 per map.
 
 The outer maximum over guessing maps needs only maps that are nondecreasing
 in the output index: permuting output labels permutes F's columns without
@@ -47,7 +50,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .lp import FEAS_TOL, LinearProgram, LpSolution, LpStatus, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LpStatus, solve_lp
 from .prob import Axis, Channel, JointDistribution, compose, cond_guess_prob, guess_prob, renyi_entropy
 
 __all__ = [
@@ -118,22 +121,23 @@ def nondecreasing_maps(n_outputs: int, n_y: int) -> Iterable[tuple[int, ...]]:
     return itertools.combinations_with_replacement(range(n_y), n_outputs)
 
 
-def _guess_lp(p: np.ndarray, q: np.ndarray, gmap: tuple[int, ...], cap: float,
+def _guess_lp(p: np.ndarray, maps: list[tuple[int, ...]], cap: float,
               n_outputs: int) -> LinearProgram:
-    """LP over (F, t): maximize the fixed-map utility under the privacy cap.
+    """LP over (F, t): maximize each map's fixed-map utility under the privacy cap.
 
     Variables are F row-major (N * n_outputs) then one bound variable per
     output column; constraints are row-stochasticity, the per-column bounds
-    t_z >= (P F)[x, z], and sum_z t_z <= cap.
+    t_z >= (P F)[x, z], and sum_z t_z <= cap. The constraints do not depend
+    on the map, so there is one objective row per map over one set of them.
     """
     m, n = p.shape
     c = n_outputs
     nf = n * c
     nv = nf + c
+    g = np.array(maps, dtype=np.int64).reshape(len(maps), c)
 
-    obj = np.zeros(nv)
-    for z, y in enumerate(gmap):
-        obj[y * c + z] = q[y]
+    obj = np.zeros((len(maps), nv))
+    obj[np.arange(len(maps))[:, None], g * c + np.arange(c)] = p.sum(axis=0)[g]
 
     a_eq = np.zeros((n, nv))
     for y in range(n):
@@ -141,15 +145,13 @@ def _guess_lp(p: np.ndarray, q: np.ndarray, gmap: tuple[int, ...], cap: float,
     b_eq = np.ones(n)
 
     a_ub = np.zeros((m * c + 1, nv))
+    for z in range(c):
+        # rows x*c + z: the bounds t_z >= (P F)[x, z], F[:, z] at columns y*c + z
+        a_ub[z:-1:c, z:nf:c] = p
+        a_ub[z:-1:c, nf + z] = -1.0
+    a_ub[-1, nf:] = 1.0
     b_ub = np.zeros(m * c + 1)
-    k = 0
-    for x in range(m):
-        for z in range(c):
-            a_ub[k, z:nf:c] = p[x]
-            a_ub[k, nf + z] = -1.0
-            k += 1
-    a_ub[k, nf:] = 1.0
-    b_ub[k] = cap
+    b_ub[-1] = cap
     return LinearProgram(obj, a_eq, b_eq, a_ub, b_ub)
 
 
@@ -157,29 +159,19 @@ def lp_guess_max(p: np.ndarray, cap: float, n_outputs: int,
                  maps: Iterable[tuple[int, ...]]) -> tuple[float, np.ndarray, tuple[int, ...], float]:
     """Max utility over the given guessing maps; returns (value, F, map, price).
 
-    ``price`` is the dual price of the winning map's privacy-cap row: a
-    supergradient of that map's optimal utility as a function of ``cap``,
-    and its slope wherever that function is linear. It is NaN when the
-    solution carries no duals. Ties go to the earliest map in iteration
-    order.
+    One LP solve: the maps share their constraints, so phase 1 runs once
+    and each map adds only its own phase 2. ``price`` is the dual price of
+    the winning map's privacy-cap row: a supergradient of that map's
+    optimal utility as a function of ``cap``, and its slope wherever that
+    function is linear. Ties go to the earliest map in iteration order.
     """
-    q = p.sum(axis=0)
-    best_val = -1.0
-    best: LpSolution | None = None
-    best_map: tuple[int, ...] | None = None
-    for gmap in maps:
-        sol = solve_lp(_guess_lp(p, q, gmap, cap, n_outputs))
-        if sol.status is not LpStatus.OPTIMAL:
-            # the constant filter is always feasible, so this is a solver failure
-            raise NumericalError(f"filter subproblem ended {sol.status.value} for map {gmap}")
-        if sol.value > best_val:
-            best_val = sol.value
-            best = sol
-            best_map = gmap
-    assert best is not None and best_map is not None
-    best_f = best.point[: p.shape[1] * n_outputs].reshape(p.shape[1], n_outputs)
-    price = math.nan if best.duals is None else float(best.duals[-1])
-    return best_val, best_f, best_map, price
+    maps = list(maps)
+    sol = solve_lp(_guess_lp(p, maps, cap, n_outputs))
+    if sol.status is not LpStatus.OPTIMAL:
+        # the constant filter is always feasible, so this is a solver failure
+        raise NumericalError(f"filter subproblem ended {sol.status.value} for map {maps[sol.winner]}")
+    best_f = sol.point[: p.shape[1] * n_outputs].reshape(p.shape[1], n_outputs)
+    return sol.value, best_f, maps[sol.winner], float(sol.duals[-1])
 
 
 def _evaluate(joint: JointDistribution, filt: Channel) -> tuple[float, float]:

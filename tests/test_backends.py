@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from privguess import LpStatus, _simplex_py, solve_lp
+from privguess import LinearProgram, LpStatus, _simplex_py, solve_lp
 from privguess import lp as lp_module
 from test_lp import random_program
 
@@ -39,6 +39,31 @@ class TestKernelParity:
                 assert a.iterations == b.iterations  # same pivot path
                 agree_optimal += 1
         assert agree_optimal >= 40
+
+    def test_identical_family_results(self, monkeypatch):
+        # objective families over one set of constraints, with one extra
+        # variable that no constraint bounds: a tie between rows 0 and 2, then
+        # an unbounded row that ends the solve
+        rng = np.random.default_rng(4711)
+        optimal = unbounded = 0
+        for _ in range(40):
+            prog = random_program(rng)
+            n = prog.n_vars
+            rows = [np.append(rng.choice([-1.0, 0.0, 1.0], n), 0.0) for _ in range(2)]
+            rows += [rows[0], np.eye(n + 1)[n], np.append(rng.uniform(-1.0, 1.0, n), 0.0)]
+            for objectives in (rows[:3], rows):
+                fam = LinearProgram(np.array(objectives), np.pad(prog.a_eq, ((0, 0), (0, 1))),
+                                    prog.b_eq, np.pad(prog.a_ub, ((0, 0), (0, 1))), prog.b_ub)
+                monkeypatch.setattr(lp_module, "run_simplex", _simplex_py.run_simplex)
+                a = solve_lp(fam)
+                monkeypatch.setattr(lp_module, "run_simplex", _simplex_cy.run_simplex)
+                b = solve_lp(fam)
+                assert (a.status, a.value, a.winner, a.iterations) == (b.status, b.value, b.winner, b.iterations)
+                for x, y in ((a.point, b.point), (a.duals, b.duals)):
+                    assert (x is None and y is None) or x.tobytes() == y.tobytes()
+                optimal += a.status is LpStatus.OPTIMAL
+                unbounded += a.status is LpStatus.UNBOUNDED and a.winner == 3
+        assert optimal >= 15 and unbounded >= 15
 
 
 def test_default_backend_prefers_compiled():

@@ -1,5 +1,6 @@
 """Simplex solver: frozen examples, certificates, dual prices, and a vertex-enumeration oracle."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from privguess import (
     BiboParams,
+    DimensionMismatchError,
     LinearProgram,
     LpStatus,
     NumericalError,
@@ -184,6 +186,64 @@ class TestCertificates:
                 assert float(prog.objective @ v) <= sol.value + 1e-8
 
 
+def family(prog: LinearProgram, objectives) -> LinearProgram:
+    """``prog``'s constraints with a family of objective rows."""
+    return dataclasses.replace(prog, objective=np.array(objectives, dtype=np.float64))
+
+
+class TestObjectiveFamily:
+    def test_winner_is_its_own_solve(self):
+        # the family returns the first best row's own solve, bit for bit, and
+        # counts phase 1 once
+        rng = np.random.default_rng(707)
+        for _ in range(40):
+            prog = random_program(rng)
+            n = prog.n_vars
+            rows = [prog.objective, rng.choice([-1.0, 0.0, 1.0], n), rng.uniform(-1.0, 1.0, n)]
+            solos = [solve_lp(family(prog, row)) for row in rows]
+            sol = solve_lp(family(prog, rows))
+            if solos[0].status is LpStatus.INFEASIBLE:
+                assert sol.status is LpStatus.INFEASIBLE and sol.winner == 0
+                continue
+            values = [s.value for s in solos]
+            k = values.index(max(values))
+            assert sol.winner == k
+            assert sol.value == solos[k].value
+            np.testing.assert_array_equal(sol.point, solos[k].point)
+            np.testing.assert_array_equal(sol.duals, solos[k].duals)
+            phase1 = solve_lp(family(prog, np.zeros(n))).iterations  # phase 2 has nothing to do
+            assert sol.iterations == phase1 + sum(s.iterations - phase1 for s in solos)
+
+    def test_tie_goes_to_first_row(self):
+        prog = lp([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0])
+        sol = solve_lp(family(prog, [[0.5, 0.0], [1.0, 1.0], [1.0, 1.0]]))
+        assert sol.winner == 1
+        assert sol.value == 1.0
+
+    def test_unbounded_row_ends_the_solve(self):
+        prog = lp([0.0, 1.0], a_ub=[[0.0, 1.0]], b_ub=[1.0])
+        sol = solve_lp(family(prog, [[0.0, 1.0], [1.0, 0.0], [0.0, 2.0]]))
+        assert sol.status is LpStatus.UNBOUNDED
+        assert sol.winner == 1
+        assert sol.point is None and sol.duals is None
+
+    def test_infeasible_names_the_first_row(self):
+        sol = solve_lp(family(lp([1.0], a_ub=[[1.0]], b_ub=[-1.0]), [[1.0], [2.0]]))
+        assert sol.status is LpStatus.INFEASIBLE
+        assert sol.winner == 0
+
+    def test_single_row_is_a_family_of_one(self):
+        prog = lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+        a, b = solve_lp(prog), solve_lp(family(prog, [prog.objective]))
+        assert (a.value, a.iterations, a.winner) == (b.value, b.iterations, b.winner)
+        np.testing.assert_array_equal(a.point, b.point)
+
+    @pytest.mark.parametrize("objective", [np.zeros((0, 2)), np.zeros((1, 1, 2))])
+    def test_rejects_empty_or_deeper_families(self, objective):
+        with pytest.raises(DimensionMismatchError):
+            LinearProgram(objective, np.zeros((0, 2)), [], np.zeros((0, 2)), [])
+
+
 def nondegenerate_program(rng: np.random.Generator) -> LinearProgram:
     """Feasible, bounded program with continuous coefficients, so its duals are unique.
 
@@ -249,6 +309,6 @@ class TestDuals:
     def test_block_cap_row_matches_highs(self, eps):
         # the privacy-cap row of the n = 2 block LP, away from its kinks
         p = VectorModel(2, p=0.6, alpha=0.2).block_joint().matrix
-        prog = _guess_lp(p, p.sum(axis=0), (0, 1, 2, 3), eps ** 2, 4)
+        prog = _guess_lp(p, [(0, 1, 2, 3)], eps ** 2, 4)
         sol = solve_lp(prog)
         assert sol.duals[-1] == pytest.approx(highs_duals(prog)[-1], abs=1e-9)

@@ -1,6 +1,8 @@
 """LP frontier solver: frozen values, oracle agreement, structural invariants."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,8 +28,9 @@ from privguess import (
     to_joint,
     trace_curve,
 )
+from privguess import lp as lp_module
 from privguess import solver
-from privguess.lp import LpSolution
+from privguess.lp import LinearProgram, LpStatus
 
 
 class TestBestFilter:
@@ -87,15 +90,18 @@ class TestBestFilter:
         # an LP point certified to lp.FEAS_TOL may miss the channel's tighter
         # mass tolerance; the filter is still valid and must be returned
         real = solver.solve_lp
+        calls = []
 
         def skewed(prog):
             sol = real(prog)
+            calls.append(prog)
             point = sol.point.copy()
             point[:3] *= 1.0 + 5e-9  # first row of the 2x3 filter
-            return LpSolution(sol.status, sol.value, point, sol.iterations)
+            return dataclasses.replace(sol, point=point)
 
         monkeypatch.setattr(solver, "solve_lp", skewed)
         sol = best_filter(fig3_joint(), 0.7)
+        assert calls
         assert sol.utility == pytest.approx(0.86, abs=1e-7)
         assert np.abs(sol.filter.matrix.sum(axis=1) - 1.0).max() <= 1e-12
 
@@ -151,6 +157,123 @@ class TestBestFilter:
                 want, _ = closed_form_utility(params, float(eps))
                 got = best_filter(joint, float(eps)).utility
                 assert got == pytest.approx(want, abs=1e-7)
+
+
+def per_map_lp(p: np.ndarray, gmap: tuple[int, ...], cap: float, n_outputs: int) -> LinearProgram:
+    """The frontier LP of one guessing map, built entry by entry."""
+    m, n = p.shape
+    q = p.sum(axis=0)
+    c = n_outputs
+    nf = n * c
+    nv = nf + c
+    obj = np.zeros(nv)
+    for z, y in enumerate(gmap):
+        obj[y * c + z] = q[y]
+    a_eq = np.zeros((n, nv))
+    for y in range(n):
+        a_eq[y, y * c:(y + 1) * c] = 1.0
+    a_ub = np.zeros((m * c + 1, nv))
+    b_ub = np.zeros(m * c + 1)
+    k = 0
+    for x in range(m):
+        for z in range(c):
+            a_ub[k, z:nf:c] = p[x]
+            a_ub[k, nf + z] = -1.0
+            k += 1
+    a_ub[k, nf:] = 1.0
+    b_ub[k] = cap
+    return LinearProgram(obj, a_eq, np.ones(n), a_ub, b_ub)
+
+
+def per_map_guess_max(p: np.ndarray, cap: float, n_outputs: int, maps):
+    """Oracle for lp_guess_max: one LP, with its own phase 1, per guessing map."""
+    best_val, best, best_map = -1.0, None, None
+    for gmap in maps:
+        sol = lp_module.solve_lp(per_map_lp(p, gmap, cap, n_outputs))
+        if sol.status is not LpStatus.OPTIMAL:
+            raise NumericalError(f"filter subproblem ended {sol.status.value} for map {gmap}")
+        if sol.value > best_val:
+            best_val, best, best_map = sol.value, sol, gmap
+    best_f = best.point[: p.shape[1] * n_outputs].reshape(p.shape[1], n_outputs)
+    return best_val, best_f, best_map, float(best.duals[-1])
+
+
+def _outcome(fn, *args):
+    """A guess-max result as exact bytes, or the exception it raised."""
+    try:
+        value, f, gmap, price = fn(*args)
+    except NumericalError as exc:
+        return type(exc), str(exc)
+    return value.hex(), f.tobytes(), gmap, price.hex()
+
+
+class TestFamilySolve:
+    """lp_guess_max solves every map in one LP; the per-map loop is its oracle."""
+
+    @pytest.mark.parametrize("skewed", [False, True])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 4), (5, 4), (5, 5)])
+    def test_matches_per_map_loop_exactly(self, shape, skewed):
+        rng = np.random.default_rng([89, *shape, skewed])
+        n = shape[1]
+        for _ in range(2 if n == 5 else 4):
+            w = rng.random(shape) ** (3 if skewed else 1)
+            p = w / w.sum()
+            lo, hi = float(p.sum(axis=1).max()), float(p.max(axis=0).sum())
+            cap = lo + float(rng.uniform(0.1, 0.9)) * (hi - lo)
+            maps = list(solver.nondecreasing_maps(n + 1, n))
+            want = _outcome(per_map_guess_max, p, cap, n + 1, maps)
+            assert _outcome(solver.lp_guess_max, p, cap, n + 1, iter(maps)) == want
+
+    @pytest.mark.parametrize("p, eps", [
+        # ROADMAP reproducer: a later map's point fails its certificate
+        ([[0.10254077521972826, 0.05444091096140368, 1.3507750791114549e-06, 0.27548437839541984],
+          [0.00011648308778760545, 0.0008384290203021182, 0.12978168071627388, 0.20882279985212668],
+          [0.18969633067644073, 0.03609595025162467, 0.002163760229318767, 1.7150814494695373e-05]],
+         0.5409353580505845),
+        # screened-out frontier candidate s4x4 105: phase 1 ends infeasible
+        ([[0.004117943896902955, 8.831915255223304e-11, 0.000924923915744195, 0.002880209750395186],
+          [0.20918896573555668, 0.21333881640736943, 0.06268350228583622, 0.0008998456337292294],
+          [0.16656720016713353, 0.0014423663934665077, 0.12490456852514589, 0.0551993304553761],
+          [0.12815259371783932, 0.029684832911505202, 1.4899678301283203e-05, 4.3737918085783227e-10]],
+         0.5102563355798561),
+    ])
+    def test_failures_match_per_map_loop(self, p, eps):
+        p = np.array(p)
+        maps = list(solver.nondecreasing_maps(5, 4))
+        want = _outcome(per_map_guess_max, p, eps, 5, maps)
+        assert want[0] is NumericalError
+        assert _outcome(solver.lp_guess_max, p, eps, 5, maps) == want
+        with pytest.raises(NumericalError, match=re.escape(want[1])):
+            best_filter(JointDistribution(p), eps)
+
+    def test_constraints_match_per_map_lp(self):
+        # byte for byte, signed zeros included: the simplex sees the same tableau
+        rng = np.random.default_rng(97)
+        for shape in ((2, 2), (3, 5), (5, 4)):
+            p = random_joint(rng, *shape).matrix
+            n_outputs = shape[1] + 1
+            maps = list(solver.nondecreasing_maps(n_outputs, shape[1]))
+            family = solver._guess_lp(p, maps, 0.5, n_outputs)
+            for row, gmap in zip(family.objective, maps):
+                single = per_map_lp(p, gmap, 0.5, n_outputs)
+                assert row.tobytes() == single.objective.tobytes()
+                for name in ("a_eq", "b_eq", "a_ub", "b_ub"):
+                    assert getattr(family, name).tobytes() == getattr(single, name).tobytes()
+
+    def test_one_phase_one_per_point(self, monkeypatch):
+        # a 3x3 point: one phase 1, then one phase 2 for each of the 15 maps
+        calls = []
+        real = lp_module.run_simplex
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lp_module, "run_simplex", counting)
+        joint = JointDistribution(MULTI_PIECE / MULTI_PIECE.sum())
+        lo, hi = guess_prob(joint, Axis.ROWS), cond_guess_prob(joint, Axis.ROWS)
+        best_filter(joint, 0.5 * (lo + hi))
+        assert len(calls) == 1 + 15
 
 
 class TestEnumerationCompleteness:
