@@ -26,15 +26,11 @@ class OptionalBuildExt(build_ext):
 
 
 def extensions():
-    try:
-        import numpy as np
-    except ImportError:
-        return []
-    # the C source is generated from _simplex_cy.pyx and committed (see README)
+    # a hand-written C source: the kernel uses the buffer protocol and needs no
+    # NumPy headers at build time
     return [Extension(
-        "privguess._simplex_cy",
-        ["src/privguess/_simplex_cy.c"],
-        include_dirs=[np.get_include()],
+        "privguess._simplex_c",
+        ["src/privguess/_simplex_c.c"],
         # keep float semantics identical to the NumPy fallback (no FMA contraction)
         extra_compile_args=["-O3", "-ffp-contract=off"],
     )]

@@ -1,7 +1,7 @@
 """Pure-NumPy simplex pivot kernel.
 
-Reference implementation of the hot loop shared with the compiled extension
-(``_simplex_cy``). Both kernels run Bland's rule on a dense tableau and must
+Reference implementation of the hot loop shared with the C extension
+(``_simplex_c``). Both kernels run Bland's rule on a dense tableau and must
 stay semantically identical:
 
 * tableau layout: rows 0..m-1 are constraints, row m is the reduced-profit

@@ -98,14 +98,23 @@ def _scalar_tags(joint: JointDistribution):
     return params
 
 
+def _eps_range(args, lo: float, hi: float) -> tuple[float, float]:
+    """The grid ends: --eps-min and --eps-max where given, ``lo`` and ``hi`` otherwise."""
+    for flag, value in (("--eps-min", args.eps_min), ("--eps-max", args.eps_max)):
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value}")
+    lo = args.eps_min if args.eps_min is not None else lo
+    hi = args.eps_max if args.eps_max is not None else hi
+    if hi < lo:
+        raise UsageError(f"--eps-max {hi} below --eps-min {lo}")
+    return lo, hi
+
+
 def _cmd_hcurve(args) -> int:
     joint = _load_joint(args.joint)
     if args.points < 2:
         raise UsageError(f"--points must be at least 2, got {args.points}")
-    lo = args.eps_min if args.eps_min is not None else guess_prob(joint, Axis.ROWS)
-    hi = args.eps_max if args.eps_max is not None else cond_guess_prob(joint, Axis.ROWS)
-    if hi < lo:
-        raise UsageError(f"--eps-max {hi} below --eps-min {lo}")
+    lo, hi = _eps_range(args, guess_prob(joint, Axis.ROWS), cond_guess_prob(joint, Axis.ROWS))
     params = _scalar_tags(joint)
     print(CURVE_HEADER)
     known = {}
@@ -154,10 +163,7 @@ def _cmd_vector(args) -> int:
     model = vector.VectorModel(n=args.n, p=args.p, alpha=args.alpha)
     if args.points < 2:
         raise UsageError(f"--points must be at least 2, got {args.points}")
-    lo = args.eps_min if args.eps_min is not None else model.p
-    hi = args.eps_max if args.eps_max is not None else model.abar
-    if hi < lo:
-        raise UsageError(f"--eps-max {hi} below --eps-min {lo}")
+    lo, hi = _eps_range(args, model.p, model.abar)
     grid = np.linspace(lo, hi, args.points)
     if args.compare:
         print(VECTOR_HEADER_COMPARE)

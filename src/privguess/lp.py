@@ -30,8 +30,8 @@ negated right-hand side, so the two sign changes cancel and every price is
 tolerance); on a degenerate optimum they are one optimal dual among several,
 and each is then a supergradient of the value in its right-hand side.
 
-The pivot loop itself lives in a kernel: the compiled extension
-``_simplex_cy`` when it is built, the NumPy ``_simplex_py`` otherwise
+The pivot loop itself lives in a kernel: the C extension ``_simplex_c``
+when it is built, the NumPy ``_simplex_py`` otherwise
 (``KERNEL_BACKEND`` names the one in use). Both follow the contract in
 ``_simplex_py``.
 """
@@ -47,7 +47,7 @@ from ._simplex_py import STATUS_BUDGET, STATUS_UNBOUNDED, pivot
 from .errors import DimensionMismatchError, NumericalError
 
 try:
-    from ._simplex_cy import BACKEND as KERNEL_BACKEND, run_simplex
+    from ._simplex_c import BACKEND as KERNEL_BACKEND, run_simplex
 except ImportError:
     from ._simplex_py import BACKEND as KERNEL_BACKEND, run_simplex
 

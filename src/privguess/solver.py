@@ -190,6 +190,8 @@ def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
     filter is returned directly with utility 1 and the solution is flagged
     saturated. Y alphabets larger than ``MAX_ALPHABET`` are rejected.
     """
+    if math.isnan(eps):
+        raise ParameterError(f"threshold eps must be a number, got {eps!r}")
     p = joint.matrix
     n = p.shape[1]
     if n > MAX_ALPHABET:

@@ -187,16 +187,19 @@ def memoryless_utility(model: VectorModel, eps: float) -> float:
     return 1.0 - (model.abar - eps) * model.q / denom
 
 
+def _log1m_ratio_pow(model: VectorModel, n: int) -> float:
+    """log(1 - r**n) with r = alpha pbar / (abar p); 0 when alpha = 0."""
+    r = (model.alpha * (1.0 - model.p)) / (model.abar * model.p)
+    return math.log1p(-math.exp(n * math.log(r))) if r > 0.0 else 0.0
+
+
 def _log_zeta_n(model: VectorModel, eps: float) -> float:
     """log of zeta_n(eps); -inf at eps = abar. Stable for any n."""
-    n, p, a = model.n, model.p, model.alpha
-    abar = model.abar
+    n, p = model.n, model.p
     # zeta_n = p**-n * (1 - (eps/abar)**n) / (1 - (a*pbar/(abar*p))**n)
-    t_eps = n * math.log(eps / abar)
+    t_eps = n * math.log(eps / model.abar)
     t1 = math.log1p(-math.exp(t_eps)) if t_eps < 0.0 else -math.inf
-    r = (a * (1.0 - p)) / (abar * p)
-    t2 = math.log1p(-math.exp(n * math.log(r))) if r > 0.0 else 0.0
-    return -n * math.log(p) + t1 - t2
+    return -n * math.log(p) + t1 - _log1m_ratio_pow(model, n)
 
 
 def _log_block_shortfall(model: VectorModel, eps: float) -> float:
@@ -260,11 +263,8 @@ class GapBounds(NamedTuple):
 
 def _phi(model: VectorModel, n: int) -> float:
     """q**n * abar**(n-1) / ((abar p)**n - (alpha pbar)**n), in stable form."""
-    p, a = model.p, model.alpha
-    abar = model.abar
-    r = (a * (1.0 - p)) / (abar * p)
-    t2 = math.log1p(-math.exp(n * math.log(r))) if r > 0.0 else 0.0
-    return math.exp(n * math.log(model.q / p) - math.log(abar) - t2)
+    return math.exp(n * math.log(model.q / model.p) - math.log(model.abar)
+                    - _log1m_ratio_pow(model, n))
 
 
 def gap_bounds(model: VectorModel, eps: float) -> GapBounds:
@@ -295,10 +295,8 @@ def _nth_root_threshold(model: VectorModel, log_margin: float) -> float:
 
 def _log_denom(model: VectorModel) -> float:
     """log((abar p)**n - (alpha pbar)**n)."""
-    n, p, a = model.n, model.p, model.alpha
-    r = (a * (1.0 - p)) / (model.abar * p)
-    t2 = math.log1p(-math.exp(n * math.log(r))) if r > 0.0 else 0.0
-    return n * math.log(model.abar * p) + t2
+    n = model.n
+    return n * math.log(model.abar * model.p) + _log1m_ratio_pow(model, n)
 
 
 def heuristic_threshold(model: VectorModel) -> float:

@@ -1,7 +1,4 @@
-"""The two pivot kernels: parity, selection at import, and the committed C source."""
-
-import re
-from pathlib import Path
+"""The two pivot kernels: parity, selection at import, and input checks."""
 
 import numpy as np
 import pytest
@@ -11,13 +8,11 @@ from privguess import lp as lp_module
 from test_lp import random_program
 
 try:
-    from privguess import _simplex_cy
+    from privguess import _simplex_c
 except ImportError:
-    _simplex_cy = None
+    _simplex_c = None
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "privguess"
-
-needs_compiled = pytest.mark.skipif(_simplex_cy is None, reason="compiled kernel not built")
+needs_compiled = pytest.mark.skipif(_simplex_c is None, reason="compiled kernel not built")
 
 
 @needs_compiled
@@ -29,7 +24,7 @@ class TestKernelParity:
             prog = random_program(rng)
             monkeypatch.setattr(lp_module, "run_simplex", _simplex_py.run_simplex)
             a = solve_lp(prog)
-            monkeypatch.setattr(lp_module, "run_simplex", _simplex_cy.run_simplex)
+            monkeypatch.setattr(lp_module, "run_simplex", _simplex_c.run_simplex)
             b = solve_lp(prog)
             assert a.status is b.status
             if a.status is LpStatus.OPTIMAL:
@@ -56,7 +51,7 @@ class TestKernelParity:
                                     prog.b_eq, np.pad(prog.a_ub, ((0, 0), (0, 1))), prog.b_ub)
                 monkeypatch.setattr(lp_module, "run_simplex", _simplex_py.run_simplex)
                 a = solve_lp(fam)
-                monkeypatch.setattr(lp_module, "run_simplex", _simplex_cy.run_simplex)
+                monkeypatch.setattr(lp_module, "run_simplex", _simplex_c.run_simplex)
                 b = solve_lp(fam)
                 assert (a.status, a.value, a.winner, a.iterations) == (b.status, b.value, b.winner, b.iterations)
                 for x, y in ((a.point, b.point), (a.duals, b.duals)):
@@ -68,18 +63,25 @@ class TestKernelParity:
 
 def test_default_backend_prefers_compiled():
     import privguess
-    assert privguess.KERNEL_BACKEND == ("python" if _simplex_cy is None else "compiled")
+    assert privguess.KERNEL_BACKEND == ("python" if _simplex_c is None else "compiled")
 
 
-def test_committed_c_source_matches_pyx():
-    # the generated C quotes each .pyx statement it compiles, marked with
-    # "# <<<<<<<<<<<<<<"; an edit to the .pyx alone leaves the quote stale
-    pyx = (SOURCE / "_simplex_cy.pyx").read_text().splitlines()
-    c_source = (SOURCE / "_simplex_cy.c").read_text()
-    blocks = re.findall(r'/\* "privguess/_simplex_cy\.pyx":(\d+)\n(.*?)\*/', c_source, re.S)
-    assert blocks
-    for lineno, body in blocks:
-        marked = [line for line in body.splitlines() if line.endswith("# <<<<<<<<<<<<<<")]
-        assert len(marked) == 1, f"block for line {lineno} has {len(marked)} marked lines"
-        quoted = marked[0][len(" * "):-len("# <<<<<<<<<<<<<<")].rstrip()
-        assert quoted == pyx[int(lineno) - 1].rstrip(), f"_simplex_cy.c is stale at .pyx line {lineno}"
+@needs_compiled
+def test_kernel_rejects_malformed_buffers():
+    # the kernel pivots twice on the well-formed inputs, so a malformed call
+    # that got past the checks would change the tableau
+    tableau = np.array([[1.0, 1.0, 2.0], [1.0, -1.0, 1.0], [1.0, 1.0, 0.0]])
+    basis = np.array([0, 1], dtype=np.int64)
+    cases = {
+        "float32 tableau": (tableau.astype(np.float32), basis, 2),
+        "Fortran-order tableau": (np.asfortranarray(tableau), basis, 2),
+        "int32 basis": (tableau.copy(), basis.astype(np.int32), 2),
+        "basis one row short": (tableau.copy(), basis[:1].copy(), 2),
+        "n_enter past the last column": (tableau.copy(), basis, tableau.shape[1] + 1),
+    }
+    for name, (t, bas, n_enter) in cases.items():
+        before = t.tobytes()
+        with pytest.raises(ValueError):
+            _simplex_c.run_simplex(t, bas, n_enter, 1e-10, 100)
+        assert t.tobytes() == before, name
+    assert _simplex_c.run_simplex(tableau, basis, 2, 1e-10, 100) == (0, 2)

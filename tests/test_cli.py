@@ -131,6 +131,12 @@ class TestHcurve:
                                         "--eps-min", "0.75", "--eps-max", "0.65"])
         assert code == 2
 
+    def test_non_finite_eps_usage_error(self, capsys, fig3_file):
+        for flag, value in (("--eps-min", "nan"), ("--eps-max", "inf")):
+            code, out, err = run_cli(capsys, ["hcurve", "--joint", fig3_file, flag, value])
+            assert (code, out) == (2, "")
+            assert flag in err
+
     def test_capacity_error(self, capsys, tmp_path):
         path = tmp_path / "wide.json"
         path.write_text(json.dumps({"joint": [[1.0 / 14] * 7] * 2}))
@@ -245,6 +251,13 @@ class TestVector:
         assert code == 0
         _, rows, _ = parse_curve(out)
         assert all(float(r[1]) == 1.0 and float(r[2]) == 1.0 for r in rows)
+
+    def test_non_finite_eps_usage_error(self, capsys):
+        for flag, value in (("--eps-min", "nan"), ("--eps-max", "-inf")):
+            code, out, err = run_cli(capsys, ["vector", "--n", "2", "--p", "0.6",
+                                              "--alpha", "0.2", flag, value])
+            assert (code, out) == (2, "")
+            assert flag in err
 
     def test_plain_two_columns(self, capsys):
         code, out, _ = run_cli(capsys, ["vector", "--n", "2", "--p", "0.6",

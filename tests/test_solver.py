@@ -62,6 +62,10 @@ class TestBestFilter:
         with pytest.raises(InfeasibleThresholdError):
             best_filter(fig3_joint(), 0.55)
 
+    def test_nan_threshold_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="eps"):
+            best_filter(fig3_joint(), float("nan"))
+
     def test_alphabet_cap(self):
         j = JointDistribution(np.full((2, 7), 1.0 / 14))
         with pytest.raises(CapacityError):
