@@ -139,6 +139,8 @@ def _cmd_hcurve(args) -> int:
 
 
 def _cmd_bibo(args) -> int:
+    if args.eps is not None and not math.isfinite(args.eps):
+        raise UsageError(f"--eps must be finite, got {args.eps}")
     params = bibo.BiboParams(p=args.p, alpha=args.alpha, beta=args.beta)
     out = {
         "perfect_privacy_h": _round12(bibo.perfect_privacy_utility(params)),

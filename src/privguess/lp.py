@@ -30,6 +30,16 @@ negated right-hand side, so the two sign changes cancel and every price is
 tolerance); on a degenerate optimum they are one optimal dual among several,
 and each is then a supergradient of the value in its right-hand side.
 
+The optimum is concave and piecewise linear in one right-hand side, and
+:func:`piece_start` finds where its piece through a solved program starts,
+by walking that rhs down from the solve's final tableau (parametric
+programming, Bertsimas & Tsitsiklis sections 5.2-5.5). A primal ratio test
+on the row's slack column gives the exact rhs where a basic variable
+reaches 0, and one dual simplex pivot on that variable's row continues
+below it. Each step is a basis change, so the kink found is exact, with no
+sampling or tolerance in its position; the price is compared only to see
+where the piece ends.
+
 The pivot loop itself lives in a kernel: the C extension ``_simplex_c``
 when it is built, the NumPy ``_simplex_py`` otherwise
 (``KERNEL_BACKEND`` names the one in use). Both follow the contract in
@@ -38,8 +48,10 @@ when it is built, the NumPy ``_simplex_py`` otherwise
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +63,8 @@ try:
 except ImportError:
     from ._simplex_py import BACKEND as KERNEL_BACKEND, run_simplex
 
-__all__ = ["KERNEL_BACKEND", "LinearProgram", "LpSolution", "LpStatus", "solve_lp"]
+__all__ = ["KERNEL_BACKEND", "LinearProgram", "LpSolution", "LpStatus", "PieceStart",
+           "piece_start", "solve_lp"]
 
 #: tableau pivot tolerance
 PIVOT_TOL = 1e-10
@@ -120,6 +133,12 @@ class LpSolution:
     with the largest optimum, the row found unbounded, or 0 when the
     constraints are infeasible. ``iterations`` counts phase 1 once and the
     phase 2 of every row solved.
+
+    ``tableau`` and ``basis`` are the winning row's final phase 2 tableau
+    (constraint rows, then the reduced-profit row; columns are the variables,
+    the slacks in ``a_ub`` order and the right-hand side) and the column
+    basic in each constraint row, for an optimal solution; None otherwise.
+    :func:`piece_start` continues from them.
     """
 
     status: LpStatus
@@ -128,6 +147,8 @@ class LpSolution:
     iterations: int
     duals: np.ndarray | None = None
     winner: int = 0
+    tableau: np.ndarray | None = None
+    basis: np.ndarray | None = None
 
 
 def solve_lp(prog: LinearProgram) -> LpSolution:
@@ -191,7 +212,7 @@ def solve_lp(prog: LinearProgram) -> LpSolution:
         basis = basis[keep]
         m = len(keep)
 
-    best = None  # (value, point, duals, row) of the first best row so far
+    best = None  # (value, point, duals, row, tableau, basis) of the first best row so far
     last = objectives.shape[0] - 1
     for k, c in enumerate(objectives):
         tk, bk = (t, basis) if k == last else (t.copy(), basis.copy())
@@ -224,9 +245,91 @@ def solve_lp(prog: LinearProgram) -> LpSolution:
         value = float(c @ point)
         if best is None or value > best[0]:
             # a slack's reduced profit is minus its row's price
-            best = (value, point, -tk[m, n:n_real], k)
-    value, point, duals, k = best
-    return LpSolution(LpStatus.OPTIMAL, value, point, iters, duals, k)
+            best = (value, point, -tk[m, n:n_real], k, tk, bk)
+    return LpSolution(LpStatus.OPTIMAL, best[0], best[1], iters, *best[2:])
+
+
+class PieceStart(NamedTuple):
+    """Left end of a linear piece of the optimum in one right-hand side (:func:`piece_start`).
+
+    ``kink_price`` is the row's price in the first basis past the kink. It
+    is a supergradient of the optimum at ``rhs`` that exceeds the piece's
+    slope, which proves ``rhs`` a kink; it need not be the slope below, which
+    a degenerate kink can take more pivots to reach. It is inf where the
+    walk found nothing feasible below ``rhs``: no column could enter.
+    """
+
+    rhs: float
+    value: float
+    point: np.ndarray
+    kink_price: float
+    pivots: int
+
+
+def piece_start(prog: LinearProgram, sol: LpSolution, row: int) -> PieceStart:
+    """Lower ``b_ub[row]`` from its value in ``prog`` to where the optimum's linear piece starts.
+
+    Parametric right-hand side (Gass & Saaty 1955; Bertsimas & Tsitsiklis
+    sections 5.2-5.5), from ``sol``, an optimal solve of ``prog``. While the
+    rhs falls by s, the basic solution of a fixed basis moves along the
+    row's slack column d, x_B(s) = x_B - s d, and the optimum falls at the
+    row's price. The basis stays optimal up to the primal ratio test, the
+    least x_B[i] / d[i] over d[i] > 0, where a basic variable reaches 0
+    (exact ties to the lowest basic column). A dual simplex pivot on that
+    variable's row then gives another basis optimal at that rhs, which
+    continues the walk: the entering column is the one with a negative
+    entry in the row and the least ratio of reduced profit to that entry
+    (exact ties to the lowest column). A step has length 0 where a basic
+    variable already is 0, as at a degenerate kink. The walk repeats
+    until the price rises more than ``FEAS_TOL`` above the one it started
+    from, at the kink where the piece starts, or until no column can enter:
+    nothing is feasible below that rhs.
+
+    The point of the last basis at the returned rhs passes the same
+    certificate as an optimum of :func:`solve_lp`, and ``value`` is
+    recomputed from it. Raises :class:`NumericalError` if the certificate
+    fails, if no basic variable limits a step (the rhs would fall without
+    end, which a cap on probabilities cannot) or if the walk takes more
+    pivots than a phase of :func:`solve_lp` may.
+    """
+    t, basis = sol.tableau.copy(), sol.basis.copy()
+    m, n = basis.shape[0], prog.n_vars
+    s = n + row  # the row's slack column
+    b_ub = prog.b_ub.copy()
+    start = -t[m, s]
+    price = start
+    pivots = 0
+    while price <= start + FEAS_TOL:
+        d = t[:m, s]
+        rows = np.nonzero(d > PIVOT_TOL)[0]
+        if rows.size == 0:
+            raise NumericalError(f"no basic variable limits the right-hand side of row {row}")
+        # a roundoff-negative basic variable counts as 0: a step of length 0
+        ratios = np.maximum(t[rows, -1], 0.0) / d[rows]
+        step = ratios.min()
+        tied = rows[ratios == step]
+        r = int(tied[np.argmin(basis[tied])])
+        t[:, -1] -= step * t[:, s]
+        t[r, -1] = 0.0
+        b_ub[row] -= step
+
+        cols = np.nonzero(t[r, :-1] < -PIVOT_TOL)[0]
+        if cols.size == 0:
+            price = math.inf
+            break
+        pivot(t, basis, r, int(cols[np.argmin(t[m, cols] / t[r, cols])]))
+        pivots += 1
+        if pivots >= 100 * sum(t.shape) + 1000:
+            raise NumericalError(f"right-hand side walk of row {row} exhausted its pivot budget")
+        price = -t[m, s]
+
+    x_full = np.zeros(t.shape[1] - 1)
+    x_full[basis] = t[:m, -1]
+    point = x_full[:n]
+    _certify(replace(prog, b_ub=b_ub), point)
+    point = np.maximum(point, 0.0)
+    value = float(prog.objective.reshape(-1, n)[sol.winner] @ point)
+    return PieceStart(float(b_ub[row]), value, point, float(price), pivots)
 
 
 def _purge_artificials(t: np.ndarray, basis: np.ndarray, n_real: int) -> list[int]:

@@ -50,7 +50,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .lp import FEAS_TOL, LinearProgram, LpStatus, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LpSolution, LpStatus, solve_lp
 from .prob import Axis, Channel, JointDistribution, compose, cond_guess_prob, guess_prob, renyi_entropy
 
 __all__ = [
@@ -155,23 +155,44 @@ def _guess_lp(p: np.ndarray, maps: list[tuple[int, ...]], cap: float,
     return LinearProgram(obj, a_eq, b_eq, a_ub, b_ub)
 
 
+@dataclass(frozen=True)
+class GuessMax:
+    """Result of :func:`lp_guess_max`; unpacks as ``(value, filter, map, price)``.
+
+    ``program`` and ``solution`` are the LP solved and its solve, whose final
+    tableau a caller can continue from (:func:`lp.piece_start`).
+    """
+
+    value: float
+    filter: np.ndarray
+    map: tuple[int, ...]
+    price: float
+    program: LinearProgram
+    solution: LpSolution
+
+    def __iter__(self):
+        return iter((self.value, self.filter, self.map, self.price))
+
+
 def lp_guess_max(p: np.ndarray, cap: float, n_outputs: int,
-                 maps: Iterable[tuple[int, ...]]) -> tuple[float, np.ndarray, tuple[int, ...], float]:
-    """Max utility over the given guessing maps; returns (value, F, map, price).
+                 maps: Iterable[tuple[int, ...]]) -> GuessMax:
+    """Max utility over the given guessing maps: value, filter F, map and price.
 
     One LP solve: the maps share their constraints, so phase 1 runs once
     and each map adds only its own phase 2. ``price`` is the dual price of
-    the winning map's privacy-cap row: a supergradient of that map's
-    optimal utility as a function of ``cap``, and its slope wherever that
-    function is linear. Ties go to the earliest map in iteration order.
+    the winning map's privacy-cap row, the last row of ``a_ub``: a
+    supergradient of that map's optimal utility as a function of ``cap``,
+    and its slope wherever that function is linear. Ties go to the earliest
+    map in iteration order.
     """
     maps = list(maps)
-    sol = solve_lp(_guess_lp(p, maps, cap, n_outputs))
+    prog = _guess_lp(p, maps, cap, n_outputs)
+    sol = solve_lp(prog)
     if sol.status is not LpStatus.OPTIMAL:
         # the constant filter is always feasible, so this is a solver failure
         raise NumericalError(f"filter subproblem ended {sol.status.value} for map {maps[sol.winner]}")
     best_f = sol.point[: p.shape[1] * n_outputs].reshape(p.shape[1], n_outputs)
-    return sol.value, best_f, maps[sol.winner], float(sol.duals[-1])
+    return GuessMax(sol.value, best_f, maps[sol.winner], float(sol.duals[-1]), prog, sol)
 
 
 def _evaluate(joint: JointDistribution, filt: Channel) -> tuple[float, float]:

@@ -30,12 +30,16 @@ it down three ways, in increasing strength:
    channel with the product joint provably reproduces privacy eps**n and
    utility block**n (closed form, derived from which input string wins each
    output column);
-3. for n <= 3, a *certified* threshold: Newton steps against the exact
-   optimum over all filters, one LP per step, with slopes from the LP's
-   dual price of the privacy cap. Replacing each filter output by the MAP
-   guess of Y^n from it keeps P_c(Y^n|Z^n) and, by data processing, cannot
-   raise P_c(X^n|Z^n); so the optimum is attained by a 2^n-output filter
-   whose outputs are guessed by the identity map.
+3. for n <= 3, a *certified* threshold: the left end of the last linear
+   piece of the exact optimum over all filters, found by parametric
+   right-hand-side programming from one LP on that piece. A primal ratio
+   test on the privacy-cap row's slack column finds the exact cap where a
+   basic variable reaches 0, and a dual simplex pivot continues from there,
+   until the cap's dual price leaves the formula's slope. Replacing each
+   filter output by the MAP guess of Y^n from it keeps P_c(Y^n|Z^n) and,
+   by data processing, cannot raise P_c(X^n|Z^n); so the optimum is
+   attained by a 2^n-output filter whose outputs are guessed by the
+   identity map.
 
 Values requested below the certificate threshold are still returned (the
 formula is well defined wherever 1 - zeta_n q^n > 0) but flagged UNKNOWN.
@@ -54,6 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, NumericalError, ParameterError
+from .lp import FEAS_TOL, piece_start
 from .prob import Channel, JointDistribution
 from .solver import lp_guess_max
 
@@ -79,10 +84,6 @@ MAX_MATERIALIZED_N = 10
 #: largest n for which LP certification is attempted; at n = 4 the dense
 #: simplex exhausts its pivot budget on the 272-variable LP
 MAX_CERTIFIED_N = 3
-
-#: LP-vs-formula agreement (per-symbol utility) at which validity_threshold
-#: stops and certifies the point
-AGREEMENT_TOL = 1e-6
 
 RANGE_TOL = 1e-9
 
@@ -375,39 +376,41 @@ def validity_threshold(model: VectorModel) -> ThresholdEstimate:
     optimum V(t) (the block utility to the n-th power, one identity-map LP
     as in :func:`brute_force_block_utility`) is concave and piecewise
     linear, and the formula is the line L(t) = 1 - (abar**n - t) q**n / D
-    that V follows from the threshold up to abar**n. So the gap g = L - V
-    is convex, and zero exactly on that last piece. Newton steps on g start
-    at the heuristic threshold and take V's slope from the dual price of
-    the LP's cap row: each one lands at or left of the threshold, and one
-    from the piece next to the last lands on it, so the iteration runs one
-    LP per piece it crosses. It stops at the first point where the optimum
-    and the formula agree within ``AGREEMENT_TOL`` and certifies that
-    point. A step that does not advance is a numerical breakdown and raises
-    :class:`NumericalError`. n >= 4: the cheap heuristic threshold, flagged
-    uncertified.
+    that V follows from the threshold up to abar**n. The flip channel
+    attains L from the certificate threshold up, so one LP is solved at t0
+    halfway between that threshold and abar, in cap terms, on the last
+    piece. Its value must equal L(t0) and its cap-row price L's slope, both
+    within ``FEAS_TOL``. From there :func:`lp.piece_start` lowers the cap by
+    primal ratio tests and dual simplex pivots on that LP's final tableau,
+    to the kink where the cap price rises above its value on the piece,
+    which is the threshold; or to the left end of the domain, where the
+    threshold is p. The point of the basis there must be feasible and
+    attain L within ``FEAS_TOL``; concavity then puts V on L from there up.
+    A failed check raises :class:`NumericalError`. n >= 4: the cheap
+    heuristic threshold, flagged uncertified.
     """
     n = model.n
     if n > MAX_CERTIFIED_N:
         return ThresholdEstimate(heuristic_threshold(model), False)
 
-    p = model.block_joint().matrix
     size = 2 ** n
-    identity = [tuple(range(size))]
     top = model.abar ** n
     slope = math.exp(n * math.log(model.q) - _log_denom(model))  # of the line L
-    t = heuristic_threshold(model) ** n
-    while True:
-        value, _, _, price = lp_guess_max(p, t, size, identity)
-        eps = t ** (1.0 / n)
-        if abs(value ** (1.0 / n) - block_utility(model, eps)) <= AGREEMENT_TOL:
-            return ThresholdEstimate(eps, True)
-        step = t + (1.0 - (top - t) * slope - value) / (price - slope)
-        if not (math.isfinite(step) and step > t):
-            raise NumericalError(
-                f"Newton step from cap {t!r} does not advance: "
-                f"cap price {price!r}, formula slope {slope!r}"
-            )
-        t = min(step, top)
+    t0 = 0.5 * (certificate_threshold(model) ** n + top)
+    res = lp_guess_max(model.block_joint().matrix, t0, size, [tuple(range(size))])
+    line = 1.0 - (top - t0) * slope
+    if not (abs(res.value - line) <= FEAS_TOL and abs(res.price - slope) <= FEAS_TOL):
+        raise NumericalError(
+            f"LP at cap {t0!r} is off the formula's line: value {res.value!r} against "
+            f"{line!r}, cap price {res.price!r} against slope {slope!r}"
+        )
+    kink = piece_start(res.program, res.solution, res.program.a_ub.shape[0] - 1)
+    line = 1.0 - (top - kink.rhs) * slope
+    if not abs(kink.value - line) <= FEAS_TOL:
+        raise NumericalError(f"LP value {kink.value!r} at cap {kink.rhs!r} is off the formula's line {line!r}")
+    if math.isinf(kink.kink_price):
+        return ThresholdEstimate(model.p, True)
+    return ThresholdEstimate(min(max(kink.rhs ** (1.0 / n), model.p), model.abar), True)
 
 
 def compose_zn(model: VectorModel, filt: ZnChannel) -> tuple[float, float]:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from privguess import LinearProgram, LpStatus, _simplex_py, solve_lp
+from privguess import LinearProgram, LpStatus, VectorModel, _simplex_py, solve_lp
 from privguess import lp as lp_module
+from privguess.solver import _guess_lp
 from test_lp import random_program
 
 try:
@@ -59,6 +60,38 @@ class TestKernelParity:
                 optimal += a.status is LpStatus.OPTIMAL
                 unbounded += a.status is LpStatus.UNBOUNDED and a.winner == 3
         assert optimal >= 15 and unbounded >= 15
+
+
+    def test_identical_walks(self, monkeypatch):
+        # the walk pivots with NumPy on either kernel's final tableau: block
+        # caps on either side of the threshold, and random programs
+        rng = np.random.default_rng(1618)
+        cases = []
+        for n in (1, 2, 3):
+            model = VectorModel(n, p=0.6, alpha=0.2)
+            size = 2 ** n
+            for eps in (0.65, 0.7, 0.76, 0.79):
+                prog = _guess_lp(model.block_joint().matrix, [tuple(range(size))], eps ** n, size)
+                cases.append((prog, prog.a_ub.shape[0] - 1))
+        for _ in range(40):
+            prog = random_program(rng)
+            cases.append((prog, int(rng.integers(prog.a_ub.shape[0]))))
+        walked = 0
+        for prog, row in cases:
+            starts = []
+            for kernel in (_simplex_py, _simplex_c):
+                monkeypatch.setattr(lp_module, "run_simplex", kernel.run_simplex)
+                sol = solve_lp(prog)
+                starts.append(None if sol.status is not LpStatus.OPTIMAL
+                              else lp_module.piece_start(prog, sol, row))
+            a, b = starts
+            if a is not None:
+                assert (a.rhs, a.value, a.kink_price, a.pivots) == (b.rhs, b.value, b.kink_price, b.pivots)
+                assert a.point.tobytes() == b.point.tobytes()
+                walked += 1
+            else:
+                assert b is None
+        assert walked >= 30
 
 
 def test_default_backend_prefers_compiled():

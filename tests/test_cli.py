@@ -221,6 +221,14 @@ class TestBibo:
         assert code == 3
         assert "advantage" in err
 
+    def test_non_finite_eps_usage_error(self, capsys):
+        # a malformed flag value, as in hcurve and vector, not a domain error
+        for value in ("nan", "inf", "-inf"):
+            code, out, err = run_cli(capsys, ["bibo", "--p", "0.6", "--alpha", "0.2",
+                                              "--beta", "0.2", "--eps", value])
+            assert (code, out) == (2, "")
+            assert "--eps" in err
+
 
 class TestVector:
     def test_compare_row_values(self, capsys):

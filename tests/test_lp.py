@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -312,3 +313,102 @@ class TestDuals:
         prog = _guess_lp(p, [(0, 1, 2, 3)], eps ** 2, 4)
         sol = solve_lp(prog)
         assert sol.duals[-1] == pytest.approx(highs_duals(prog)[-1], abs=1e-9)
+
+
+def walk(prog: LinearProgram, row: int) -> lp_module.PieceStart:
+    """Solve ``prog`` and walk ``b_ub[row]`` down to where its piece starts."""
+    sol = solve_lp(prog)
+    tableau = sol.tableau.tobytes()
+    start = lp_module.piece_start(prog, sol, row)
+    assert sol.tableau.tobytes() == tableau  # the walk pivots on its own copy
+    return start
+
+
+def capped(b: float) -> LinearProgram:
+    """max x1 + x2 / 2 s.t. x1 <= 1, x2 <= 1, x1 + x2 <= b: V(b) = b to b = 1, then (1 + b) / 2 to b = 2."""
+    return lp([1.0, 0.5], a_ub=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], b_ub=[1.0, 1.0, b])
+
+
+class TestPieceStart:
+    @pytest.mark.parametrize("b", [1.25, 1.5, 1.9])
+    def test_kink_of_known_piece(self, b):
+        start = walk(capped(b), 2)
+        assert (start.rhs, start.value, start.kink_price, start.pivots) == (1.0, 1.0, 1.0, 1)
+        np.testing.assert_array_equal(start.point, [1.0, 0.0])
+
+    def test_flat_piece_ends_at_the_last_kink(self):
+        # beyond b = 2 the cap is slack and its price 0
+        start = walk(capped(2.5), 2)
+        assert (start.rhs, start.value, start.kink_price) == (2.0, 1.5, 0.5)
+
+    def test_degenerate_zero_length_step(self):
+        # at the kink itself the solve ends on the right piece's basis, with
+        # x2 basic at 0: the ratio test gives a step of length 0, and the
+        # pivot after it already reads the left piece's price
+        prog = capped(1.0)
+        sol = solve_lp(prog)
+        assert sol.duals[2] == 0.5
+        start = walk(prog, 2)
+        assert (start.rhs, start.value, start.kink_price, start.pivots) == (1.0, 1.0, 1.0, 1)
+
+    def test_end_of_the_feasible_range(self):
+        # the first piece runs to b = 0, below which nothing is feasible
+        start = walk(capped(0.5), 2)
+        assert (start.rhs, start.value, start.kink_price, start.pivots) == (0.0, 0.0, math.inf, 0)
+
+    def test_basis_change_without_a_kink(self):
+        # max x1 s.t. x1 <= b, y <= 1/2, x1 = y + z: at b = 1/2 z leaves the
+        # basis and y starts to fall, but the value stays b down to 0
+        prog = lp([1.0, 0.0, 0.0], a_eq=[[1.0, -1.0, -1.0]], b_eq=[0.0],
+                  a_ub=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], b_ub=[1.0, 0.5])
+        start = walk(prog, 0)
+        assert (start.rhs, start.value, start.kink_price, start.pivots) == (0.0, 0.0, math.inf, 1)
+
+    def test_negated_row(self):
+        # the binary filter reduction: -0.4 g <= eps - 0.8, g <= 1, value
+        # 1.4 (eps - 0.8); the negative rhs falls until g reaches 1
+        start = walk(lp([-0.56], a_ub=[[-0.4], [1.0]], b_ub=[-0.1, 1.0]), 0)
+        assert start.rhs == pytest.approx(-0.4, abs=1e-15)
+        assert start.value == pytest.approx(-0.56, abs=1e-15)
+        assert start.kink_price == math.inf
+
+    def test_matches_vertex_enumeration(self):
+        # optima enumerated at the kink and a step either side of it: the
+        # piece's price to the right, and to the left a slope no less than
+        # kink_price, which a degenerate kink can leave below that slope
+        def optimum(prog, row, rhs):
+            b = prog.b_ub.copy()
+            b[row] = rhs
+            vertices = enumerate_vertices(dataclasses.replace(prog, b_ub=b))
+            return max((float(prog.objective @ v) for v in vertices), default=-math.inf)
+
+        rng = np.random.default_rng(2718)
+        kinks = ends = 0
+        for _ in range(40):
+            prog = random_program(rng)
+            sol = solve_lp(prog)
+            if sol.status is not LpStatus.OPTIMAL:
+                continue
+            row = int(rng.integers(prog.a_ub.shape[0]))
+            start = lp_module.piece_start(prog, sol, row)
+            h = 1e-4
+            v = optimum(prog, row, start.rhs)
+            assert start.value == pytest.approx(v, abs=1e-9)
+            if prog.b_ub[row] - start.rhs > h:
+                slope = (optimum(prog, row, start.rhs + h) - v) / h
+                assert slope == pytest.approx(sol.duals[row], abs=1e-6)
+            below = optimum(prog, row, start.rhs - h)
+            if below == -math.inf:
+                ends += 1  # nothing feasible below: kink_price may still be finite
+            else:
+                assert start.kink_price < math.inf
+                assert (v - below) / h >= start.kink_price - 1e-6
+                kinks += 1
+            assert start.kink_price > sol.duals[row] + lp_module.FEAS_TOL
+        assert kinks >= 10 and ends >= 5
+
+    def test_unlimited_walk_raises(self):
+        # max -x - y s.t. x + y >= 1: the rhs -1 of -x - y <= -1 can fall forever
+        prog = lp([-1.0, -1.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+        with pytest.raises(NumericalError, match="no basic variable limits"):
+            lp_module.piece_start(prog, solve_lp(prog), 0)

@@ -1,5 +1,6 @@
 """Block-vector frontiers: formulas, filters, gap bounds, certification."""
 
+import dataclasses
 import itertools
 import math
 
@@ -34,6 +35,7 @@ from privguess import (
 from privguess import solver, vector
 from privguess.solver import lp_guess_max
 from privguess.vector import compose_zn
+from test_solver import highs_frontier
 
 FIG3 = dict(p=0.6, alpha=0.2)
 
@@ -44,6 +46,12 @@ def all_maps_block_utility(model, eps):
     maps = itertools.product(range(size), repeat=size)
     value, _, _, _ = lp_guess_max(model.block_joint().matrix, eps ** model.n, size, maps)
     return value ** (1.0 / model.n)
+
+
+def _line(a, b):
+    """(slope, intercept) of the line through two (x, y) points."""
+    slope = (b[1] - a[1]) / (b[0] - a[0])
+    return slope, a[1] - slope * a[0]
 
 
 class TestModel:
@@ -277,9 +285,10 @@ class TestThresholds:
         assert est.eps_l == pytest.approx(0.783495, abs=1e-6)
         assert est.eps_l == pytest.approx(certificate_threshold(VectorModel(3, **FIG3)), abs=1e-9)
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_one_lp_per_piece_crossed(self, n, monkeypatch):
-        # one LP per frontier piece the Newton steps cross, and one that agrees
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_lp_per_call(self, n, monkeypatch):
+        # one LP on the last piece; the walk to its left end pivots on that
+        # LP's tableau and solves no other
         solves = []
         real = solver.solve_lp
 
@@ -289,20 +298,48 @@ class TestThresholds:
 
         monkeypatch.setattr(solver, "solve_lp", counting)
         validity_threshold(VectorModel(n, **FIG3))
-        assert 1 <= len(solves) <= 4
+        assert len(solves) == 1
 
     @pytest.mark.parametrize("price", [0.0, math.nan])
-    def test_non_advancing_step_raises(self, price, monkeypatch):
-        # a cap price at or below the formula's slope, or none, cannot move right
+    def test_start_off_the_formula_raises(self, price, monkeypatch):
+        # a cap price at the start that is not the formula's slope, or none:
+        # the start is not on the last piece, and no walk from it is certified
         real = vector.lp_guess_max
 
         def priced(*args):
-            value, f, gmap, _ = real(*args)
-            return value, f, gmap, price
+            return dataclasses.replace(real(*args), price=price)
 
         monkeypatch.setattr(vector, "lp_guess_max", priced)
-        with pytest.raises(NumericalError, match="does not advance"):
+        with pytest.raises(NumericalError, match="off the formula's line"):
             validity_threshold(VectorModel(2, **FIG3))
+
+    def test_n1_is_p_exactly(self):
+        # at n = 1 the formula is the scalar frontier, one line over [p, abar];
+        # the first three models are block pool candidates whose heuristic
+        # threshold lies up to 0.0093 above p
+        models = [(0.6609431762596368, 0.19237812747839328),
+                  (0.5666036727615433, 0.1542356588458359),
+                  (0.6627648382740602, 0.23509719894095696)]
+        models += [(float(p), float(a)) for p in np.linspace(0.5, 0.85, 8)
+                   for a in np.linspace(0.0, 0.45, 10) if 1.0 - a > p + 0.01]
+        for p, alpha in models:
+            assert validity_threshold(VectorModel(1, p, alpha)) == (p, True)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_threshold_is_the_highs_kink(self, n):
+        # the HiGHS piece lines either side of eps_l**n cross at it
+        pytest.importorskip("scipy")
+        for p, alpha in itertools.product((0.55, 0.6, 0.65), (0.1, 0.2, 0.3)):
+            # every model here has 1 - alpha - p >= 0.05
+            model = VectorModel(n, p, alpha)
+            joint = model.block_joint().matrix
+            t, top = validity_threshold(model).eps_l ** n, model.abar ** n
+            h = 1e-4 * (top - p ** n)
+            left = [(x, highs_frontier(joint, x)) for x in (t - 2 * h, t - h)]
+            right = [(x, highs_frontier(joint, x)) for x in (t + 0.25 * (top - t), t + 0.75 * (top - t))]
+            (s1, c1), (s2, c2) = (_line(*pts) for pts in (left, right))
+            assert s1 - s2 > 1e-3
+            assert (c2 - c1) / (s1 - s2) == pytest.approx(t, abs=1e-9)
 
     def test_brute_force_matches_formula_above_threshold(self):
         model = VectorModel(2, **FIG3)
