@@ -117,10 +117,8 @@ def _cmd_hcurve(args) -> int:
     lo, hi = _eps_range(args, guess_prob(joint, Axis.ROWS), cond_guess_prob(joint, Axis.ROWS))
     params = _scalar_tags(joint)
     print(CURVE_HEADER)
-    known = {}
     for eps in np.linspace(lo, hi, args.points):
         sol = solver.best_filter(joint, float(eps))
-        known[float(eps)] = sol.utility
         if params is not None:
             _, tag = bibo.closed_form_utility(params, min(float(eps), params.pc_x_given_y))
             gamma = bibo.optimal_filter(params, min(float(eps), params.pc_x_given_y))
@@ -129,7 +127,7 @@ def _cmd_hcurve(args) -> int:
         else:
             print(f"{_fmt(float(eps))},{_fmt(sol.utility)},lp,")
     if args.breakpoints:
-        curve = solver.trace_curve(joint, known)
+        curve = solver.trace_curve(joint)
         _json_out({
             "breakpoints": [_round12(b) for b in curve.breakpoints],
             "slopes": [_round12(s) for s in curve.slopes],

@@ -31,14 +31,14 @@ tolerance); on a degenerate optimum they are one optimal dual among several,
 and each is then a supergradient of the value in its right-hand side.
 
 The optimum is concave and piecewise linear in one right-hand side, and
-:func:`piece_start` finds where its piece through a solved program starts,
-by walking that rhs down from the solve's final tableau (parametric
-programming, Bertsimas & Tsitsiklis sections 5.2-5.5). A primal ratio test
-on the row's slack column gives the exact rhs where a basic variable
-reaches 0, and one dual simplex pivot on that variable's row continues
-below it. Each step is a basis change, so the kink found is exact, with no
-sampling or tolerance in its position; the price is compared only to see
-where the piece ends.
+:func:`piece_starts` walks that rhs down from a solve's final tableau
+through every kink of it (parametric programming, Bertsimas & Tsitsiklis
+sections 5.2-5.5). A primal ratio test on the row's slack column gives the
+exact rhs where a basic variable reaches 0, and one dual simplex pivot on
+that variable's row continues below it. Each step is a basis change, so
+every kink found is exact, with no sampling or tolerance in its position;
+the price is compared only to see where a piece ends, and the slope of each
+piece is the row's price on it.
 
 The pivot loop itself lives in a kernel: the C extension ``_simplex_c``
 when it is built, the NumPy ``_simplex_py`` otherwise
@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -64,7 +64,7 @@ except ImportError:
     from ._simplex_py import BACKEND as KERNEL_BACKEND, run_simplex
 
 __all__ = ["KERNEL_BACKEND", "LinearProgram", "LpSolution", "LpStatus", "PieceStart",
-           "piece_start", "solve_lp"]
+           "piece_starts", "solve_lp"]
 
 #: tableau pivot tolerance
 PIVOT_TOL = 1e-10
@@ -138,7 +138,7 @@ class LpSolution:
     (constraint rows, then the reduced-profit row; columns are the variables,
     the slacks in ``a_ub`` order and the right-hand side) and the column
     basic in each constraint row, for an optimal solution; None otherwise.
-    :func:`piece_start` continues from them.
+    :func:`piece_starts` continues from them.
     """
 
     status: LpStatus
@@ -250,24 +250,24 @@ def solve_lp(prog: LinearProgram) -> LpSolution:
 
 
 class PieceStart(NamedTuple):
-    """Left end of a linear piece of the optimum in one right-hand side (:func:`piece_start`).
+    """Left end of a linear piece of the optimum in one right-hand side (:func:`piece_starts`).
 
-    ``kink_price`` is the row's price in the first basis past the kink. It
-    is a supergradient of the optimum at ``rhs`` that exceeds the piece's
-    slope, which proves ``rhs`` a kink; it need not be the slope below, which
-    a degenerate kink can take more pivots to reach. It is inf where the
-    walk found nothing feasible below ``rhs``: no column could enter.
+    ``slope`` is the row's price on the piece above ``rhs``; ``price_below``
+    is its price in the first basis that carries the walk more than
+    ``FEAS_TOL`` below ``rhs``, the slope of the next piece down, which
+    exceeds ``slope`` by more than ``FEAS_TOL`` and so proves ``rhs`` a kink.
+    It is inf at the end of the feasible range, where no column can enter.
     """
 
     rhs: float
     value: float
     point: np.ndarray
-    kink_price: float
-    pivots: int
+    slope: float
+    price_below: float
 
 
-def piece_start(prog: LinearProgram, sol: LpSolution, row: int) -> PieceStart:
-    """Lower ``b_ub[row]`` from its value in ``prog`` to where the optimum's linear piece starts.
+def piece_starts(prog: LinearProgram, sol: LpSolution, row: int) -> Iterator[PieceStart]:
+    """Lower ``b_ub[row]`` from its value in ``prog`` through every kink of the optimum.
 
     Parametric right-hand side (Gass & Saaty 1955; Bertsimas & Tsitsiklis
     sections 5.2-5.5), from ``sol``, an optimal solve of ``prog``. While the
@@ -280,26 +280,40 @@ def piece_start(prog: LinearProgram, sol: LpSolution, row: int) -> PieceStart:
     continues the walk: the entering column is the one with a negative
     entry in the row and the least ratio of reduced profit to that entry
     (exact ties to the lowest column). A step has length 0 where a basic
-    variable already is 0, as at a degenerate kink. The walk repeats
-    until the price rises more than ``FEAS_TOL`` above the one it started
-    from, at the kink where the piece starts, or until no column can enter:
-    nothing is feasible below that rhs.
+    variable already is 0, as at a degenerate kink.
 
-    The point of the last basis at the returned rhs passes the same
-    certificate as an optimum of :func:`solve_lp`, and ``value`` is
-    recomputed from it. Raises :class:`NumericalError` if the certificate
-    fails, if no basic variable limits a step (the rhs would fall without
-    end, which a cap on probabilities cannot) or if the walk takes more
-    pivots than a phase of :func:`solve_lp` may.
+    A kink is where the price rises more than ``FEAS_TOL`` above the
+    piece's. Price rises less than ``FEAS_TOL`` of rhs apart are one kink,
+    at the first of them: a degenerate kink can take several pivots, and
+    roundoff gives some of their steps lengths near 1e-17. The walk yields
+    each kink, from the solve's rhs downward, and last the end of the
+    feasible range, where no column can enter.
+
+    The point of the basis at each yielded rhs passes the same certificate
+    as an optimum of :func:`solve_lp`, and ``value`` is recomputed from it.
+    Raises :class:`NumericalError` if a certificate fails, if no basic
+    variable limits a step (the rhs would fall without end, which a cap on
+    probabilities cannot) or if the walk takes more pivots than a phase of
+    :func:`solve_lp` may.
     """
     t, basis = sol.tableau.copy(), sol.basis.copy()
     m, n = basis.shape[0], prog.n_vars
     s = n + row  # the row's slack column
     b_ub = prog.b_ub.copy()
-    start = -t[m, s]
-    price = start
-    pivots = 0
-    while price <= start + FEAS_TOL:
+    objective = prog.objective.reshape(-1, n)[sol.winner]
+
+    def vertex(slope: float, price_below: float) -> PieceStart:
+        x_full = np.zeros(t.shape[1] - 1)
+        x_full[basis] = t[:m, -1]
+        point = x_full[:n]
+        _certify(replace(prog, b_ub=b_ub), point)
+        point = np.maximum(point, 0.0)
+        return PieceStart(float(b_ub[row]), float(objective @ point), point, slope, price_below)
+
+    slope = price = float(-t[m, s])
+    kink = None  # the latest kink, until a basis moves more than FEAS_TOL below it
+    budget = 100 * sum(t.shape) + 1000
+    for _ in range(budget):
         d = t[:m, s]
         rows = np.nonzero(d > PIVOT_TOL)[0]
         if rows.size == 0:
@@ -307,6 +321,9 @@ def piece_start(prog: LinearProgram, sol: LpSolution, row: int) -> PieceStart:
         # a roundoff-negative basic variable counts as 0: a step of length 0
         ratios = np.maximum(t[rows, -1], 0.0) / d[rows]
         step = ratios.min()
+        if kink is not None and kink.rhs - (b_ub[row] - step) > FEAS_TOL:
+            yield kink._replace(price_below=price)
+            slope, kink = price, None
         tied = rows[ratios == step]
         r = int(tied[np.argmin(basis[tied])])
         t[:, -1] -= step * t[:, s]
@@ -315,21 +332,13 @@ def piece_start(prog: LinearProgram, sol: LpSolution, row: int) -> PieceStart:
 
         cols = np.nonzero(t[r, :-1] < -PIVOT_TOL)[0]
         if cols.size == 0:
-            price = math.inf
-            break
+            yield vertex(slope, math.inf)
+            return
         pivot(t, basis, r, int(cols[np.argmin(t[m, cols] / t[r, cols])]))
-        pivots += 1
-        if pivots >= 100 * sum(t.shape) + 1000:
-            raise NumericalError(f"right-hand side walk of row {row} exhausted its pivot budget")
-        price = -t[m, s]
-
-    x_full = np.zeros(t.shape[1] - 1)
-    x_full[basis] = t[:m, -1]
-    point = x_full[:n]
-    _certify(replace(prog, b_ub=b_ub), point)
-    point = np.maximum(point, 0.0)
-    value = float(prog.objective.reshape(-1, n)[sol.winner] @ point)
-    return PieceStart(float(b_ub[row]), value, point, float(price), pivots)
+        price = float(-t[m, s])
+        if kink is None and price > slope + FEAS_TOL:
+            kink = vertex(slope, price)
+    raise NumericalError(f"right-hand side walk of row {row} exhausted its pivot budget")
 
 
 def _purge_artificials(t: np.ndarray, basis: np.ndarray, n_real: int) -> list[int]:

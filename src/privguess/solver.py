@@ -29,9 +29,14 @@ C(2N, N+1) with identical results. Ties between maps are broken toward the
 lexicographically smallest, so results are independent of evaluation order.
 
 Also here: the log-gain form of the frontier, sandwich bounds for the
-finite-order variants, and piecewise-linear structure extraction (the
-frontier is concave and piecewise linear in eps, so each breakpoint is found
-exactly by solving where the lines of two neighbouring chords cross).
+finite-order variants, and the frontier's piecewise-linear structure. The
+frontier is concave and piecewise linear in eps, and one LP traces all of
+it: an N-output filter whose outputs are guessed by the identity map is
+optimal (replacing each output by the MAP guess of Y from it keeps
+P_c(Y|Z) and, by data processing, cannot raise P_c(X|Z)), so eps is the
+right-hand side of that LP's cap row. Walking it down through the LP's
+basis changes (:func:`lp.piece_starts`) gives every breakpoint exactly and
+every slope as the cap row's dual price.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -50,7 +55,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .lp import FEAS_TOL, LinearProgram, LpSolution, LpStatus, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LpSolution, LpStatus, piece_starts, solve_lp
 from .prob import Axis, Channel, JointDistribution, compose, cond_guess_prob, guess_prob, renyi_entropy
 
 __all__ = [
@@ -65,14 +70,6 @@ __all__ = [
 
 #: largest Y alphabet accepted by the enumerating solver
 MAX_ALPHABET = 6
-
-#: a sample within this of its neighbours' chord is on a linear piece; wider
-#: than lp.FEAS_TOL, since best_filter can read a few 1e-8 below the optimum
-#: at interior thresholds while the saturated endpoint is exact
-KINK_TOL = 1e-7
-
-#: breakpoints are located to this resolution
-BREAKPOINT_RESOLUTION = 1e-7
 
 
 @dataclass(frozen=True)
@@ -94,10 +91,10 @@ class FilterSolution:
 
 @dataclass(frozen=True)
 class GuessCurve:
-    """Piecewise-linear frontier: samples, piece boundaries, per-piece slopes.
+    """Piecewise-linear frontier: vertices, piece boundaries, per-piece slopes.
 
-    ``samples`` are the (eps, h) points the tracer used, in eps order: those
-    it solved and those the caller passed in as known.
+    ``samples`` are the vertices (eps, h), one per breakpoint, in eps order;
+    each h is certified from a filter that attains it.
     """
 
     samples: tuple[tuple[float, float], ...]
@@ -160,7 +157,7 @@ class GuessMax:
     """Result of :func:`lp_guess_max`; unpacks as ``(value, filter, map, price)``.
 
     ``program`` and ``solution`` are the LP solved and its solve, whose final
-    tableau a caller can continue from (:func:`lp.piece_start`).
+    tableau a caller can continue from (:func:`lp.piece_starts`).
     """
 
     value: float
@@ -203,6 +200,26 @@ def _evaluate(joint: JointDistribution, filt: Channel) -> tuple[float, float]:
     return utility, privacy
 
 
+def _certified(joint: JointDistribution, f: np.ndarray, cap: float,
+               value: float) -> tuple[Channel, float, float]:
+    """Filter F of an LP optimum ``value`` at ``cap``, with its recomputed (utility, privacy).
+
+    The LP certifies rows only to lp.FEAS_TOL, looser than Channel's mass
+    check: they are projected onto the simplex, and the filter must then
+    keep privacy within ``FEAS_TOL`` of ``cap`` and attain ``value`` within
+    ``FEAS_TOL``, or :class:`NumericalError` is raised.
+    """
+    f = np.maximum(f, 0.0)
+    filt = Channel(f / f.sum(axis=1, keepdims=True))
+    utility, privacy = _evaluate(joint, filt)
+    if privacy > cap + FEAS_TOL or abs(utility - value) > FEAS_TOL:
+        raise NumericalError(
+            f"filter certificate failed: privacy {privacy} vs cap {cap}, "
+            f"utility {utility} vs LP value {value}"
+        )
+    return filt, utility, privacy
+
+
 def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
     """Solve the frontier problem at privacy threshold ``eps``.
 
@@ -234,16 +251,7 @@ def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
 
     cap = max(eps, pcx)  # accept eps within tolerance below the left endpoint
     value, f, gmap, _ = lp_guess_max(p, cap, n + 1, nondecreasing_maps(n + 1, n))
-    # the LP certifies rows only to lp.FEAS_TOL, looser than Channel's mass
-    # check: project them onto the simplex, the certificate below still holds
-    f = np.maximum(f, 0.0)
-    filt = Channel(f / f.sum(axis=1, keepdims=True))
-    utility, privacy = _evaluate(joint, filt)
-    if privacy > cap + FEAS_TOL or abs(utility - value) > FEAS_TOL:
-        raise NumericalError(
-            f"filter certificate failed: privacy {privacy} vs cap {cap}, "
-            f"utility {utility} vs LP value {value}"
-        )
+    filt, utility, privacy = _certified(joint, f, cap, value)
     return FilterSolution(utility=utility, privacy=privacy, filter=filt,
                           y_guess_map=gmap, eps=eps)
 
@@ -295,112 +303,45 @@ def finite_order_gain_bounds(joint: JointDistribution, nu: float, mu: float,
     return OrderBounds(lower, upper)
 
 
-def trace_curve(joint: JointDistribution,
-                known: Mapping[float, float] | None = None) -> GuessCurve:
-    """Sample the frontier and extract its piecewise-linear structure.
+def trace_curve(joint: JointDistribution) -> GuessCurve:
+    """The frontier's breakpoints, slopes and vertices, from one LP.
 
-    Sandwich tracing (Rote 1992) over the points solved so far, in eps
-    order. A point is *flat* when it lies within ``KINK_TOL`` of the chord of
-    its two neighbours; concavity then makes h linear between them, so a
-    chord with a flat end needs no further point. Every other chord is split
-    where the lines of its two neighbouring chords cross: concavity puts
-    that crossing inside the chord, at the largest gap between the upper and
-    lower bounds, and exactly on the kink when the chord holds one kink and
-    its neighbours lie on the pieces either side. The last chord's right
-    neighbour is the flat line h = 1 beyond P_c(X|Y). The first chord, and
-    chords whose crossing lies within ``BREAKPOINT_RESOLUTION`` of an end,
-    are split at their midpoint; chords no wider than the resolution are
-    not split. Flatness next to neighbours misses a small slope change when
-    samples are dense, so a run of flat points must also lie within
-    ``KINK_TOL`` of the chord of its two ends. Where it does not, its sample
-    farthest from that chord is a kink, the run is checked again on either
-    side of it, and the chord around it is split where the lines through the
-    flat samples on either side cross. Breakpoints are the points that are
-    not flat. Piece slopes are chords over whole pieces, so they are
-    insensitive to per-point solver noise.
-
-    ``known`` maps thresholds to utilities the caller has already solved
-    with ``best_filter``. They are trusted, not solved again, and become
-    samples; entries outside [P_c(X), P_c(X|Y)] are ignored.
+    One identity-map LP with N outputs (see the module docstring) is solved
+    at eps = P_c(X|Y), and :func:`lp.piece_starts` walks its cap down from
+    there to the end of the feasible range, which must lie within
+    ``FEAS_TOL`` of P_c(X) and is reported as P_c(X). Every kink on the way
+    is a breakpoint, and each piece's slope is the cap row's price on it. A
+    kink within ``FEAS_TOL`` of P_c(X|Y) is where h reaches 1 and turns
+    flat, P_c(X|Y) itself. The filter at every vertex passes the same
+    certificate as :func:`best_filter`'s, and h there is recomputed from it.
+    Y alphabets larger than ``MAX_ALPHABET`` are rejected.
     """
+    p = joint.matrix
+    n = p.shape[1]
+    if n > MAX_ALPHABET:
+        raise CapacityError(f"Y alphabet {n} exceeds enumeration cap {MAX_ALPHABET}")
     pcx = guess_prob(joint, Axis.ROWS)
     pcxy = cond_guess_prob(joint, Axis.ROWS)
-    cache = {float(e): float(v) for e, v in (known or {}).items() if pcx <= e <= pcxy}
-
-    def h(eps: float) -> float:
-        if eps not in cache:
-            cache[eps] = best_filter(joint, eps).utility
-        return cache[eps]
-
     if pcxy - pcx <= 1e-9:
         # Y gives no guessing advantage: the domain collapses to a point
-        val = h(pcxy)
+        val = best_filter(joint, pcxy).utility
         return GuessCurve(samples=((pcxy, val),), breakpoints=(pcx, pcxy), slopes=(0.0,))
 
-    h(pcx)
-    h(pcxy)
-    while True:
-        xs = sorted(cache)
-        ys = [cache[x] for x in xs]
-        n = len(xs)
-        # h stays at 1 beyond P_c(X|Y): the last chord's right neighbour is flat
-        chord = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(n - 1)] + [0.0]
-        flat = [0 < i < n - 1
-                and abs(ys[i] - ys[i - 1] - (ys[i + 1] - ys[i - 1])
-                        * (xs[i] - xs[i - 1]) / (xs[i + 1] - xs[i - 1])) <= KINK_TOL
-                for i in range(n)]
-        split = []
-        # flat runs: dense samples each lie within KINK_TOL of their neighbours'
-        # chord around a small slope change, so each run must also lie within
-        # it of its own end chord. Where a run strays most, its sample is a
-        # kink, and the run is checked again on either side of it.
-        runs = list(itertools.pairwise([i for i in range(n) if not flat[i]]))
-        bent = []
-        while runs:
-            a, b = runs.pop()
-            off = [abs(ys[i] - ys[a] - (ys[b] - ys[a]) * (xs[i] - xs[a]) / (xs[b] - xs[a]))
-                   for i in range(a + 1, b)]
-            worst = max(off, default=0.0)
-            if worst > KINK_TOL:
-                m = a + 1 + off.index(worst)
-                flat[m] = False
-                bent.append(m)
-                runs += [(a, m), (m, b)]
-        # a kink found so sits between its neighbours: split there where the
-        # lines through the flat runs on either side cross
-        ends = [i for i in range(n) if not flat[i]]
-        for m in bent:
-            k = ends.index(m)
-            a, b = ends[k - 1], ends[k + 1]
-            if not a < m - 1 < m + 1 < b:
-                continue
-            left = (ys[m - 1] - ys[a]) / (xs[m - 1] - xs[a])
-            right = (ys[b] - ys[m + 1]) / (xs[b] - xs[m + 1])
-            mid = (ys[m + 1] - ys[m - 1]) / (xs[m + 1] - xs[m - 1])
-            if left > right:
-                cross = xs[m - 1] + (xs[m + 1] - xs[m - 1]) * (mid - right) / (left - right)
-                if (xs[m - 1] + BREAKPOINT_RESOLUTION < cross < xs[m + 1] - BREAKPOINT_RESOLUTION
-                        and abs(cross - xs[m]) > BREAKPOINT_RESOLUTION):
-                    split.append(cross)
-        for i in range(n - 1):
-            a, b = xs[i], xs[i + 1]
-            if flat[i] or flat[i + 1] or b - a <= BREAKPOINT_RESOLUTION:
-                continue
-            x = 0.5 * (a + b)
-            if i > 0 and chord[i - 1] > chord[i + 1]:
-                cross = a + (b - a) * (chord[i] - chord[i + 1]) / (chord[i - 1] - chord[i + 1])
-                if a + BREAKPOINT_RESOLUTION < cross < b - BREAKPOINT_RESOLUTION:
-                    x = cross
-            split.append(x)
-        if not split:
-            break
-        for x in split:
-            h(x)
-
-    bps = [x for x, f in zip(xs, flat) if not f]
-    slopes = [(cache[b] - cache[a]) / (b - a) for a, b in itertools.pairwise(bps)]
+    res = lp_guess_max(p, pcxy, n, [tuple(range(n))])
+    *kinks, end = piece_starts(res.program, res.solution, res.program.a_ub.shape[0] - 1)
+    if abs(end.rhs - pcx) > FEAS_TOL:
+        raise NumericalError(f"frontier walk ended at {end.rhs!r}, not at P_c(X) = {pcx!r}")
+    if kinks and kinks[0].rhs > pcxy - FEAS_TOL:
+        kinks = kinks[1:]
+    stops = [end, *reversed(kinks)]
+    samples = [(s.rhs, _certified(joint, s.point[:n * n].reshape(n, n), s.rhs, s.value)[1])
+               for s in stops]
+    samples.append((pcxy, _certified(joint, res.filter, pcxy, res.value)[1]))
+    samples[0] = (pcx, samples[0][1])
+    slopes = [s.slope for s in stops]
     for a, b in itertools.pairwise(slopes):
         if b - a > FEAS_TOL:
             raise NumericalError(f"slope increased from {a} to {b}; frontier is not concave")
 
-    return GuessCurve(samples=tuple(zip(xs, ys)), breakpoints=tuple(bps), slopes=tuple(slopes))
+    return GuessCurve(samples=tuple(samples), breakpoints=tuple(eps for eps, _ in samples),
+                      slopes=tuple(slopes))

@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, NumericalError, ParameterError
-from .lp import FEAS_TOL, piece_start
+from .lp import FEAS_TOL, piece_starts
 from .prob import Channel, JointDistribution
 from .solver import lp_guess_max
 
@@ -303,8 +303,12 @@ def _log_denom(model: VectorModel) -> float:
 def heuristic_threshold(model: VectorModel) -> float:
     """Smallest eps with flip probability <= 1 and block >= memoryless.
 
-    Necessary conditions only; no optimality claim.
+    Necessary conditions only; no optimality claim. At n = 1 the two
+    formulas are the same line and the answer is p; comparing them there
+    would fail by roundoff and let the bisection drift above p.
     """
+    if model.n == 1:
+        return model.p
     lo = _nth_root_threshold(model, _log_denom(model))  # zeta_n(eps) <= 1 from here
     hi = model.abar
     if block_utility(model, lo) >= memoryless_utility(model, lo):
@@ -380,10 +384,10 @@ def validity_threshold(model: VectorModel) -> ThresholdEstimate:
     attains L from the certificate threshold up, so one LP is solved at t0
     halfway between that threshold and abar, in cap terms, on the last
     piece. Its value must equal L(t0) and its cap-row price L's slope, both
-    within ``FEAS_TOL``. From there :func:`lp.piece_start` lowers the cap by
+    within ``FEAS_TOL``. From there :func:`lp.piece_starts` lowers the cap by
     primal ratio tests and dual simplex pivots on that LP's final tableau,
-    to the kink where the cap price rises above its value on the piece,
-    which is the threshold; or to the left end of the domain, where the
+    and its first stop is the threshold: the kink where the cap price rises
+    above its value on the piece, or the left end of the domain, where the
     threshold is p. The point of the basis there must be feasible and
     attain L within ``FEAS_TOL``; concavity then puts V on L from there up.
     A failed check raises :class:`NumericalError`. n >= 4: the cheap
@@ -404,11 +408,11 @@ def validity_threshold(model: VectorModel) -> ThresholdEstimate:
             f"LP at cap {t0!r} is off the formula's line: value {res.value!r} against "
             f"{line!r}, cap price {res.price!r} against slope {slope!r}"
         )
-    kink = piece_start(res.program, res.solution, res.program.a_ub.shape[0] - 1)
+    kink = next(piece_starts(res.program, res.solution, res.program.a_ub.shape[0] - 1))
     line = 1.0 - (top - kink.rhs) * slope
     if not abs(kink.value - line) <= FEAS_TOL:
         raise NumericalError(f"LP value {kink.value!r} at cap {kink.rhs!r} is off the formula's line {line!r}")
-    if math.isinf(kink.kink_price):
+    if math.isinf(kink.price_below):
         return ThresholdEstimate(model.p, True)
     return ThresholdEstimate(min(max(kink.rhs ** (1.0 / n), model.p), model.abar), True)
 

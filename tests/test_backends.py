@@ -64,7 +64,8 @@ class TestKernelParity:
 
     def test_identical_walks(self, monkeypatch):
         # the walk pivots with NumPy on either kernel's final tableau: block
-        # caps on either side of the threshold, and random programs
+        # caps on either side of the threshold, and random programs, walked
+        # through every kink to the end
         rng = np.random.default_rng(1618)
         cases = []
         for n in (1, 2, 3):
@@ -78,16 +79,17 @@ class TestKernelParity:
             cases.append((prog, int(rng.integers(prog.a_ub.shape[0]))))
         walked = 0
         for prog, row in cases:
-            starts = []
+            walks = []
             for kernel in (_simplex_py, _simplex_c):
                 monkeypatch.setattr(lp_module, "run_simplex", kernel.run_simplex)
                 sol = solve_lp(prog)
-                starts.append(None if sol.status is not LpStatus.OPTIMAL
-                              else lp_module.piece_start(prog, sol, row))
-            a, b = starts
+                walks.append(None if sol.status is not LpStatus.OPTIMAL
+                             else list(lp_module.piece_starts(prog, sol, row)))
+            a, b = walks
             if a is not None:
-                assert (a.rhs, a.value, a.kink_price, a.pivots) == (b.rhs, b.value, b.kink_price, b.pivots)
-                assert a.point.tobytes() == b.point.tobytes()
+                assert [(s.rhs, s.value, s.slope, s.price_below) for s in a] == \
+                    [(s.rhs, s.value, s.slope, s.price_below) for s in b]
+                assert [s.point.tobytes() for s in a] == [s.point.tobytes() for s in b]
                 walked += 1
             else:
                 assert b is None

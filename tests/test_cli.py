@@ -164,9 +164,9 @@ class TestHcurve:
         code, out, _ = run_cli(capsys, ["hcurve", "--joint", path, "--points", "21",
                                         "--breakpoints"])
         assert code == 0
-        k = parse_curve(out)[2]["K"]
-        assert k >= 3
-        assert len(calls) <= 21 + 2 * k
+        assert parse_curve(out)[2]["K"] >= 3
+        # the breakpoints come from one LP walk: best_filter runs on the grid only
+        assert len(calls) == 21
 
     def test_grid_only_solves_grid(self, capsys, multi_piece):
         path, calls = multi_piece

@@ -315,13 +315,13 @@ class TestDuals:
         assert sol.duals[-1] == pytest.approx(highs_duals(prog)[-1], abs=1e-9)
 
 
-def walk(prog: LinearProgram, row: int) -> lp_module.PieceStart:
-    """Solve ``prog`` and walk ``b_ub[row]`` down to where its piece starts."""
+def walk(prog: LinearProgram, row: int) -> list[tuple]:
+    """Solve ``prog``, walk ``b_ub[row]`` down through every kink; (rhs, value, slope, price below) of each stop."""
     sol = solve_lp(prog)
     tableau = sol.tableau.tobytes()
-    start = lp_module.piece_start(prog, sol, row)
+    starts = list(lp_module.piece_starts(prog, sol, row))
     assert sol.tableau.tobytes() == tableau  # the walk pivots on its own copy
-    return start
+    return [(s.rhs, s.value, s.slope, s.price_below) for s in starts]
 
 
 def capped(b: float) -> LinearProgram:
@@ -332,50 +332,49 @@ def capped(b: float) -> LinearProgram:
 class TestPieceStart:
     @pytest.mark.parametrize("b", [1.25, 1.5, 1.9])
     def test_kink_of_known_piece(self, b):
-        start = walk(capped(b), 2)
-        assert (start.rhs, start.value, start.kink_price, start.pivots) == (1.0, 1.0, 1.0, 1)
+        assert walk(capped(b), 2) == [(1.0, 1.0, 0.5, 1.0), (0.0, 0.0, 1.0, math.inf)]
+        start = next(lp_module.piece_starts(capped(b), solve_lp(capped(b)), 2))
         np.testing.assert_array_equal(start.point, [1.0, 0.0])
 
     def test_flat_piece_ends_at_the_last_kink(self):
-        # beyond b = 2 the cap is slack and its price 0
-        start = walk(capped(2.5), 2)
-        assert (start.rhs, start.value, start.kink_price) == (2.0, 1.5, 0.5)
+        # beyond b = 2 the cap is slack and its price 0; the walk passes
+        # both kinks and ends at b = 0, below which nothing is feasible
+        assert walk(capped(2.5), 2) == [(2.0, 1.5, 0.0, 0.5), (1.0, 1.0, 0.5, 1.0),
+                                        (0.0, 0.0, 1.0, math.inf)]
 
     def test_degenerate_zero_length_step(self):
         # at the kink itself the solve ends on the right piece's basis, with
         # x2 basic at 0: the ratio test gives a step of length 0, and the
-        # pivot after it already reads the left piece's price
+        # pivot after it already reads the left piece's price. The kink is
+        # found once.
         prog = capped(1.0)
-        sol = solve_lp(prog)
-        assert sol.duals[2] == 0.5
-        start = walk(prog, 2)
-        assert (start.rhs, start.value, start.kink_price, start.pivots) == (1.0, 1.0, 1.0, 1)
+        assert solve_lp(prog).duals[2] == 0.5
+        assert walk(prog, 2) == [(1.0, 1.0, 0.5, 1.0), (0.0, 0.0, 1.0, math.inf)]
 
     def test_end_of_the_feasible_range(self):
         # the first piece runs to b = 0, below which nothing is feasible
-        start = walk(capped(0.5), 2)
-        assert (start.rhs, start.value, start.kink_price, start.pivots) == (0.0, 0.0, math.inf, 0)
+        assert walk(capped(0.5), 2) == [(0.0, 0.0, 1.0, math.inf)]
 
     def test_basis_change_without_a_kink(self):
         # max x1 s.t. x1 <= b, y <= 1/2, x1 = y + z: at b = 1/2 z leaves the
         # basis and y starts to fall, but the value stays b down to 0
         prog = lp([1.0, 0.0, 0.0], a_eq=[[1.0, -1.0, -1.0]], b_eq=[0.0],
                   a_ub=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], b_ub=[1.0, 0.5])
-        start = walk(prog, 0)
-        assert (start.rhs, start.value, start.kink_price, start.pivots) == (0.0, 0.0, math.inf, 1)
+        assert walk(prog, 0) == [(0.0, 0.0, 1.0, math.inf)]
 
     def test_negated_row(self):
         # the binary filter reduction: -0.4 g <= eps - 0.8, g <= 1, value
         # 1.4 (eps - 0.8); the negative rhs falls until g reaches 1
-        start = walk(lp([-0.56], a_ub=[[-0.4], [1.0]], b_ub=[-0.1, 1.0]), 0)
-        assert start.rhs == pytest.approx(-0.4, abs=1e-15)
-        assert start.value == pytest.approx(-0.56, abs=1e-15)
-        assert start.kink_price == math.inf
+        [(rhs, value, slope, below)] = walk(lp([-0.56], a_ub=[[-0.4], [1.0]], b_ub=[-0.1, 1.0]), 0)
+        assert rhs == pytest.approx(-0.4, abs=1e-15)
+        assert value == pytest.approx(-0.56, abs=1e-15)
+        assert slope == pytest.approx(1.4, abs=1e-15)
+        assert below == math.inf
 
     def test_matches_vertex_enumeration(self):
-        # optima enumerated at the kink and a step either side of it: the
-        # piece's price to the right, and to the left a slope no less than
-        # kink_price, which a degenerate kink can leave below that slope
+        # optima enumerated at each stop and a step either side of it: the
+        # piece's slope above, a slope no less than the price below under a
+        # kink, and nothing feasible under the last stop
         def optimum(prog, row, rhs):
             b = prog.b_ub.copy()
             b[row] = rhs
@@ -390,25 +389,32 @@ class TestPieceStart:
             if sol.status is not LpStatus.OPTIMAL:
                 continue
             row = int(rng.integers(prog.a_ub.shape[0]))
-            start = lp_module.piece_start(prog, sol, row)
+            starts = list(lp_module.piece_starts(prog, sol, row))
+            assert starts[0].slope == sol.duals[row]
+            tops = [prog.b_ub[row]] + [s.rhs for s in starts]
             h = 1e-4
-            v = optimum(prog, row, start.rhs)
-            assert start.value == pytest.approx(v, abs=1e-9)
-            if prog.b_ub[row] - start.rhs > h:
-                slope = (optimum(prog, row, start.rhs + h) - v) / h
-                assert slope == pytest.approx(sol.duals[row], abs=1e-6)
-            below = optimum(prog, row, start.rhs - h)
-            if below == -math.inf:
-                ends += 1  # nothing feasible below: kink_price may still be finite
-            else:
-                assert start.kink_price < math.inf
-                assert (v - below) / h >= start.kink_price - 1e-6
-                kinks += 1
-            assert start.kink_price > sol.duals[row] + lp_module.FEAS_TOL
-        assert kinks >= 10 and ends >= 5
+            for start, top in zip(starts, tops):
+                v = optimum(prog, row, start.rhs)
+                assert start.value == pytest.approx(v, abs=1e-9)
+                if top - start.rhs > h:
+                    slope = (optimum(prog, row, start.rhs + h) - v) / h
+                    assert slope == pytest.approx(start.slope, abs=1e-6)
+                below = optimum(prog, row, start.rhs - h)
+                if start is starts[-1]:
+                    assert below == -math.inf
+                    assert start.price_below == math.inf
+                    ends += 1
+                else:
+                    assert (v - below) / h >= start.price_below - 1e-6
+                    assert start.price_below > start.slope + lp_module.FEAS_TOL
+                    kinks += 1
+            for a, b in zip(starts, starts[1:]):
+                assert b.slope == a.price_below
+                assert a.rhs - b.rhs > lp_module.FEAS_TOL
+        assert kinks >= 10 and ends >= 20
 
     def test_unlimited_walk_raises(self):
         # max -x - y s.t. x + y >= 1: the rhs -1 of -x - y <= -1 can fall forever
         prog = lp([-1.0, -1.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0])
         with pytest.raises(NumericalError, match="no basic variable limits"):
-            lp_module.piece_start(prog, solve_lp(prog), 0)
+            list(lp_module.piece_starts(prog, solve_lp(prog), 0))

@@ -12,7 +12,6 @@ from test_bibo import binary_filter_grid_max
 from privguess import (
     Axis,
     CapacityError,
-    FilterSolution,
     InfeasibleThresholdError,
     JointDistribution,
     NumericalError,
@@ -413,34 +412,85 @@ class TestTraceCurve:
             assert np.abs(jumps - b).min() < 2 * step
 
     def test_multi_piece_breakpoints_are_highs_crossings(self):
-        # each kink is the crossing of its two piece lines, read off HiGHS
         pytest.importorskip("scipy")
         p = MULTI_PIECE / MULTI_PIECE.sum()
+        assert_highs_crossings(p, trace_curve(JointDistribution(p)))
+
+    @pytest.mark.parametrize("trial, shape, k", [
+        (71, (4, 4), 3),   # kinks with small slope changes, which sampling
+        (105, (6, 4), 5),  # best_filter placed 2.5e-4 and 1.4e-4 off
+        (44, (6, 4), 7),   # sampling best_filter raised NumericalError here
+    ])
+    def test_random_trial_breakpoints_are_highs_crossings(self, trial, shape, k):
+        pytest.importorskip("scipy")
+        p = seeded_trial(trial)
+        assert p.shape == shape
         curve = trace_curve(JointDistribution(p))
-        lines = []
-        for a, b in zip(curve.breakpoints, curve.breakpoints[1:]):
-            e1, e2 = a + 0.25 * (b - a), a + 0.75 * (b - a)
-            h1, h2 = highs_frontier(p, e1), highs_frontier(p, e2)
-            slope = (h2 - h1) / (e2 - e1)
-            lines.append((slope, h1 - slope * e1))
-        for b, (s1, c1), (s2, c2) in zip(curve.breakpoints[1:], lines, lines[1:]):
-            assert b == pytest.approx((c2 - c1) / (s1 - s2), abs=1e-10)
-        for s, (want, _) in zip(curve.slopes, lines):
-            assert s == pytest.approx(want, abs=1e-10)
+        assert curve.k == k
+        assert_highs_crossings(p, curve)
+
+    def test_one_lp_and_no_grid(self, monkeypatch):
+        real = solver.solve_lp
+        calls = []
+
+        def counted(prog):
+            calls.append(prog)
+            return real(prog)
+
+        def forbidden(joint, eps):
+            raise AssertionError("trace_curve called best_filter")
+
+        monkeypatch.setattr(solver, "solve_lp", counted)
+        monkeypatch.setattr(solver, "best_filter", forbidden)
+        curve = trace_curve(JointDistribution(MULTI_PIECE / MULTI_PIECE.sum()))
+        assert curve.k >= 3
+        assert len(calls) == 1
+
+    def test_end_is_p_c_x_exactly(self):
+        # the walk ends at 0.6 within roundoff; the breakpoint is P_c(X) itself
+        curve = trace_curve(fig3_joint())
+        assert curve.breakpoints == (0.6, 0.8)
+        assert curve.samples[0][0] == 0.6
+
+    def test_alphabet_cap(self):
+        with pytest.raises(CapacityError):
+            trace_curve(JointDistribution(np.full((2, 7), 1.0 / 14)))
 
     def test_skewed_joint_with_shortfall_is_one_piece(self):
         # best_filter reads 3.5-3.9e-8 below HiGHS at every eps below P_c(X|Y)
-        # while the saturated endpoint is exact: a false kink next to P_c(X|Y)
-        # unless that shortfall is within KINK_TOL
+        # while the saturated endpoint is exact, which a tracer sampling
+        # best_filter would read as a kink next to P_c(X|Y)
         joint = JointDistribution(np.array([
             [3.957277130883309e-10, 0.03772696465031602],
             [0.12803240659564852, 0.41563517236954944],
             [0.4007665602698528, 0.01783889571890553],
         ]))
-        lo, hi = guess_prob(joint, Axis.ROWS), cond_guess_prob(joint, Axis.ROWS)
-        grid = {float(e): best_filter(joint, float(e)).utility for e in np.linspace(lo, hi, 21)}
         assert trace_curve(joint).k == 1
-        assert trace_curve(joint, grid).k == 1
+
+
+def seeded_trial(trial: int) -> np.ndarray:
+    """Joint number ``trial`` of a seeded set of 2-6 x 2-6 joints, every odd one skewed by cubing."""
+    rng = np.random.default_rng(7)
+    for k in range(trial + 1):
+        m, n = rng.integers(2, 7, size=2)
+        w = rng.random((m, n))
+        if k % 2:
+            w = w ** 3
+    return w / w.sum()
+
+
+def assert_highs_crossings(p: np.ndarray, curve) -> None:
+    """Each kink is where its two piece lines cross, and each slope theirs, read off HiGHS."""
+    lines = []
+    for a, b in zip(curve.breakpoints, curve.breakpoints[1:]):
+        e1, e2 = a + 0.25 * (b - a), a + 0.75 * (b - a)
+        h1, h2 = highs_frontier(p, e1), highs_frontier(p, e2)
+        slope = (h2 - h1) / (e2 - e1)
+        lines.append((slope, h1 - slope * e1))
+    for b, (s1, c1), (s2, c2) in zip(curve.breakpoints[1:], lines, lines[1:]):
+        assert b == pytest.approx((c2 - c1) / (s1 - s2), abs=1e-10)
+    for s, (want, _) in zip(curve.slopes, lines):
+        assert s == pytest.approx(want, abs=1e-10)
 
 
 def highs_frontier(p: np.ndarray, eps: float) -> float:
@@ -466,85 +516,6 @@ def highs_frontier(p: np.ndarray, eps: float) -> float:
                            "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0, res.message
     return -res.fun
-
-
-class _Frontier:
-    """Stand-in for best_filter: a concave piecewise-linear h that counts its calls."""
-
-    def __init__(self, lo, kinks, slopes, noise=0.0):
-        self.bounds = [lo, *kinks]
-        self.slopes = slopes
-        self.noise = noise
-        self.calls = 0
-
-    def value(self, eps):
-        h = 0.7
-        for a, b, s in zip(self.bounds, self.bounds[1:] + [math.inf], self.slopes):
-            h += s * min(max(eps - a, 0.0), b - a)
-        return h + self.noise * math.sin(1e6 * eps)
-
-    def __call__(self, joint, eps):
-        self.calls += 1
-        return FilterSolution(self.value(eps), eps, None, (), eps)
-
-
-class TestTraceCurveSandwich:
-    """Sandwich tracing on synthetic fronts over the fig3 domain [0.6, 0.8]."""
-
-    SLOPES = [2.0, 1.3, 0.7, 0.4]
-
-    @pytest.mark.parametrize("kinks", [
-        [0.7],                     # on a grid point
-        [0.723, 0.727],            # two inside one grid step
-        [0.604],                   # first piece shorter than a grid step
-        [0.797],                   # last piece shorter than a grid step
-        [0.65 + 3e-8],             # 3e-8 from a grid point
-        [0.635, 0.68, 0.7512],     # four pieces
-    ])
-    @pytest.mark.parametrize("with_grid", [True, False])
-    def test_exact_kinks_few_calls(self, monkeypatch, kinks, with_grid):
-        joint = fig3_joint()
-        lo, hi = guess_prob(joint, Axis.ROWS), cond_guess_prob(joint, Axis.ROWS)
-        front = _Frontier(lo, kinks, self.SLOPES[:len(kinks) + 1])
-        grid = np.linspace(lo, hi, 21)
-        known = {float(e): front.value(float(e)) for e in grid} if with_grid else None
-        monkeypatch.setattr(solver, "best_filter", front)
-        curve = trace_curve(joint, known)
-        k = len(kinks) + 1
-        assert curve.k == k
-        for got, want in zip(curve.breakpoints[1:-1], kinks):
-            near_grid = np.abs(grid - want).min() < solver.BREAKPOINT_RESOLUTION
-            assert got == pytest.approx(want, abs=solver.BREAKPOINT_RESOLUTION if near_grid else 1e-12)
-        assert front.calls <= (2 * k if with_grid else 4 * k + 3)
-        if kinks == [0.7] and with_grid:
-            assert front.calls == 0
-
-    @pytest.mark.parametrize("kink, tol", [
-        (0.7123, solver.BREAKPOINT_RESOLUTION),  # on a grid point
-        (0.71230071, 1e-12),                     # between grid points
-    ])
-    def test_dense_grid_keeps_small_kink(self, monkeypatch, kink, tol):
-        # samples 2e-6 apart: a slope change of 0.01 moves each one by at most
-        # 1e-8 off the chord of its neighbours, well inside KINK_TOL
-        joint = fig3_joint()
-        lo, hi = guess_prob(joint, Axis.ROWS), cond_guess_prob(joint, Axis.ROWS)
-        front = _Frontier(lo, [kink], [1.0, 0.99])
-        known = {float(e): front.value(float(e)) for e in np.linspace(lo, hi, 100_001)}
-        monkeypatch.setattr(solver, "best_filter", front)
-        curve = trace_curve(joint, known)
-        assert curve.k == 2
-        assert curve.breakpoints[1] == pytest.approx(kink, abs=tol)
-        assert front.calls <= 1
-
-    @pytest.mark.parametrize("with_grid", [True, False])
-    def test_noisy_line_is_one_piece(self, monkeypatch, with_grid):
-        joint = fig3_joint()
-        lo, hi = guess_prob(joint, Axis.ROWS), cond_guess_prob(joint, Axis.ROWS)
-        front = _Frontier(lo, [], [1.4], noise=4e-8)
-        known = ({float(e): front.value(float(e)) for e in np.linspace(lo, hi, 21)}
-                 if with_grid else None)
-        monkeypatch.setattr(solver, "best_filter", front)
-        assert trace_curve(joint, known).k == 1
 
 
 class TestDeterminism:

@@ -261,6 +261,14 @@ class TestGapBounds:
             prev = lower
 
 
+#: n = 1 models: three block pool candidates, then a grid
+N1_MODELS = [(0.6609431762596368, 0.19237812747839328),
+             (0.5666036727615433, 0.1542356588458359),
+             (0.6627648382740602, 0.23509719894095696)]
+N1_MODELS += [(float(p), float(a)) for p in np.linspace(0.5, 0.85, 8)
+              for a in np.linspace(0.0, 0.45, 10) if 1.0 - a > p + 0.01]
+
+
 class TestThresholds:
     def test_n1_certified_at_left_endpoint(self):
         est = validity_threshold(VectorModel(1, **FIG3))
@@ -314,16 +322,16 @@ class TestThresholds:
             validity_threshold(VectorModel(2, **FIG3))
 
     def test_n1_is_p_exactly(self):
-        # at n = 1 the formula is the scalar frontier, one line over [p, abar];
-        # the first three models are block pool candidates whose heuristic
-        # threshold lies up to 0.0093 above p
-        models = [(0.6609431762596368, 0.19237812747839328),
-                  (0.5666036727615433, 0.1542356588458359),
-                  (0.6627648382740602, 0.23509719894095696)]
-        models += [(float(p), float(a)) for p in np.linspace(0.5, 0.85, 8)
-                   for a in np.linspace(0.0, 0.45, 10) if 1.0 - a > p + 0.01]
-        for p, alpha in models:
+        # at n = 1 the formula is the scalar frontier, one line over [p, abar]
+        for p, alpha in N1_MODELS:
             assert validity_threshold(VectorModel(1, p, alpha)) == (p, True)
+
+    def test_heuristic_n1_is_p(self):
+        # at n = 1 the block and memoryless formulas are one line; the first
+        # three models are block pool candidates on which roundoff in their
+        # comparison once put the heuristic threshold up to 0.0093 above p
+        for p, alpha in N1_MODELS:
+            assert heuristic_threshold(VectorModel(1, p, alpha)) == p
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_threshold_is_the_highs_kink(self, n):
