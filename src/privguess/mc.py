@@ -8,14 +8,18 @@ probabilities.
 Determinism contract: sampling consumes a PCG64 stream seeded explicitly,
 two uniforms per sample in a fixed order (first selects the (x, y) cell by
 inverse CDF over the row-major flattened joint, second selects z by inverse
-CDF over the filter row of y). The samples are then visited in order of
-their first uniform, each keeping its own second one; hit counts do not
-depend on the visiting order, so every count is the one a visit in draw
-order gives. Identical config therefore gives a bit-identical report within
-this implementation; the generator name is recorded in the report so reruns
-can verify they used the same algorithm.
-The MAP guessers are computed exactly from the composed joints, never
-estimated, with argmax ties broken by lowest index.
+CDF over the filter row of y). For a :class:`~privguess.vector.ZnChannel`
+the second uniform selects z by the closed form of that same inverse CDF
+(the all-ones y goes to all-zeros when the uniform is below gamma, every
+other y to itself), so the counts are those of its dense channel. The
+samples are then visited in order of their first uniform, each keeping its
+own second one; hit counts do not depend on the visiting order, so every
+count is the one a visit in draw order gives. Identical config therefore
+gives a bit-identical report within this implementation; the generator name
+is recorded in the report so reruns can verify they used the same algorithm.
+The MAP guessers are computed exactly from the composed joints (for a
+``ZnChannel``, from its two-column update and the Y marginal, with no 2^n x
+2^n matrix), never estimated, with argmax ties broken by lowest index.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError
 from .prob import Axis, Channel, JointDistribution, compose
-from .vector import VectorModel, ZnChannel
+from .vector import VectorModel, ZnChannel, _kron_power
 
 __all__ = ["SimConfig", "SimReport", "simulate", "vector_sim_config"]
 
@@ -35,12 +39,17 @@ RNG_ALGORITHM = "PCG64"
 
 @dataclass(frozen=True)
 class SimConfig:
-    """A seeded simulation of a joint pushed through a filter."""
+    """A seeded simulation of a joint pushed through a filter.
+
+    The filter is a dense :class:`Channel` or a :class:`ZnChannel`, which is
+    simulated through its structure, with no 2^n x 2^n matrix; both give the
+    same report for the same channel.
+    """
 
     seed: int
     samples: int
     joint: JointDistribution
-    filter: Channel
+    filter: Channel | ZnChannel
 
     def __post_init__(self):
         if not (isinstance(self.samples, int) and self.samples >= 1):
@@ -71,18 +80,17 @@ def vector_sim_config(seed: int, samples: int, model: VectorModel,
     """Config for a block model: ``filter_kind`` is ``memoryless`` or ``block``.
 
     ``memoryless`` applies the flip-to-zero channel with probability ``gamma``
-    independently per coordinate; ``block`` applies the all-ones-flipping
-    block channel with probability ``gamma``.
+    independently per coordinate, as a dense :class:`Channel`; ``block``
+    applies the all-ones-flipping block channel with probability ``gamma``,
+    as a :class:`ZnChannel`.
     """
+    if not 0.0 <= gamma <= 1.0:
+        raise ParameterError(f"gamma must be a probability, got {gamma!r}")
     joint = model.block_joint()
     if filter_kind == "memoryless":
-        f1 = np.array([[1.0, 0.0], [gamma, 1.0 - gamma]])
-        f = f1
-        for _ in range(model.n - 1):
-            f = np.kron(f, f1)
-        filt = Channel(f)
+        filt = Channel(_kron_power(np.array([[1.0, 0.0], [gamma, 1.0 - gamma]]), model.n))
     elif filter_kind == "block":
-        filt = ZnChannel(gamma=gamma, n=model.n).to_channel()
+        filt = ZnChannel(gamma=gamma, n=model.n)
     else:
         raise ParameterError(f"unknown filter kind {filter_kind!r}")
     return SimConfig(seed=seed, samples=samples, joint=joint, filter=filt)
@@ -91,12 +99,16 @@ def vector_sim_config(seed: int, samples: int, model: VectorModel,
 def simulate(config: SimConfig) -> SimReport:
     """Run the simulation; deterministic given the config."""
     joint = config.joint.matrix
-    filt = config.filter.matrix
+    filt = config.filter
     m, n = joint.shape
-    c = filt.shape[1]
 
-    x_map, analytic_x = _map_guess(compose(config.joint, config.filter, Axis.COLS).matrix)
-    y_map, analytic_y = _map_guess(config.joint.col_marginal[:, None] * filt)
+    if isinstance(filt, ZnChannel):
+        x_map, analytic_x = _map_guess(filt.compose(joint))
+        y_map, best_y = filt.map_guess(config.joint.col_marginal)
+        analytic_y = float(best_y.sum())
+    else:
+        x_map, analytic_x = _map_guess(compose(config.joint, filt, Axis.COLS).matrix)
+        y_map, analytic_y = _map_guess(config.joint.col_marginal[:, None] * filt.matrix)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     u = rng.random((config.samples, 2))
@@ -109,16 +121,7 @@ def simulate(config: SimConfig) -> SimReport:
     cdf_joint = np.cumsum(joint.ravel())
     idx = np.minimum(np.searchsorted(cdf_joint, u0, side="right"), m * n - 1)
     xs, ys = np.divmod(idx, n)
-
-    # group the samples by y once, then invert each filter row's CDF on its
-    # group; a stable sort of keys this narrow runs as a radix sort
-    cdf_rows = np.cumsum(filt, axis=1)
-    by_y = np.argsort(ys.astype(np.min_scalar_type(n - 1)), kind="stable")
-    groups = np.split(by_y, np.cumsum(np.bincount(ys, minlength=n))[:-1])
-    zs = np.empty(config.samples, dtype=np.int64)
-    for yv, group in enumerate(groups):
-        zv = np.searchsorted(cdf_rows[yv], u1[group], side="right")
-        zs[group] = np.minimum(zv, c - 1)
+    zs = filt.inverse_cdf(ys, u1) if isinstance(filt, ZnChannel) else _inverse_cdf(filt.matrix, ys, u1)
 
     hit_y = float(np.mean(y_map[zs] == ys))
     hit_x = float(np.mean(x_map[zs] == xs))
@@ -132,6 +135,23 @@ def simulate(config: SimConfig) -> SimReport:
         samples=config.samples,
         seed=config.seed,
     )
+
+
+def _inverse_cdf(filt: np.ndarray, ys: np.ndarray, u1: np.ndarray) -> np.ndarray:
+    """The output of row ``ys[i]`` of ``filt`` at uniform ``u1[i]``, for every i, by inverse CDF.
+
+    The samples are grouped by y once and each row's CDF is inverted on its
+    group; a stable sort of keys this narrow runs as a radix sort.
+    """
+    n, c = filt.shape
+    cdf_rows = np.cumsum(filt, axis=1)
+    by_y = np.argsort(ys.astype(np.min_scalar_type(n - 1)), kind="stable")
+    groups = np.split(by_y, np.cumsum(np.bincount(ys, minlength=n))[:-1])
+    zs = np.empty(ys.size, dtype=np.int64)
+    for yv, group in enumerate(groups):
+        zv = np.searchsorted(cdf_rows[yv], u1[group], side="right")
+        zs[group] = np.minimum(zv, c - 1)
+    return zs
 
 
 def _map_guess(p_z: np.ndarray) -> tuple[np.ndarray, float]:

@@ -46,6 +46,15 @@ formula is well defined wherever 1 - zeta_n q^n > 0) but flagged UNKNOWN.
 
 Powers like p**n underflow for very large n, so all formula paths go through
 logarithms; materializing the 2^n x 2^n product joint is capped at n = 10.
+
+The flip channel is never materialized outside the tests: :class:`ZnChannel`
+composes through its structure, by one two-column update of a joint
+(:meth:`ZnChannel.compose`) that :func:`compose_zn` and the Monte Carlo
+simulation of :mod:`privguess.mc` share, and gives the MAP guess of Y^n from
+the Y^n marginal with two entries changed. ``ZnChannel.to_channel()`` is the
+dense oracle the tests compare against. The product joint itself is still
+materialized by :meth:`VectorModel.block_joint`, for :func:`compose_zn`, the
+simulation and the n <= 3 LPs.
 """
 
 from __future__ import annotations
@@ -134,11 +143,24 @@ class VectorModel:
         """The 2^n x 2^n product joint, rows/columns in binary order."""
         if self.n > MAX_MATERIALIZED_N:
             raise CapacityError(f"n={self.n} exceeds materialization cap {MAX_MATERIALIZED_N}")
-        j1 = self.symbol_joint().matrix
-        j = j1
-        for _ in range(self.n - 1):
-            j = np.kron(j, j1)
-        return JointDistribution(j)
+        return JointDistribution(_kron_power(self.symbol_joint().matrix, self.n))
+
+
+def _kron_power(m1: np.ndarray, n: int) -> np.ndarray:
+    """``m1`` Kronecker-multiplied with itself n - 1 times, bit for bit as ``np.kron`` gives it.
+
+    Each level is one broadcast multiply into a preallocated array, whose
+    (row, row of m1, column, column of m1) axes flatten to the Kronecker
+    layout.
+    """
+    r1, c1 = m1.shape
+    out = m1
+    for _ in range(n - 1):
+        r, c = out.shape
+        nxt = np.empty((r, r1, c, c1))
+        np.multiply(out[:, None, :, None], m1[None, :, None, :], out=nxt)
+        out = nxt.reshape(r * r1, c * c1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -153,6 +175,51 @@ class ZnChannel:
             raise ParameterError(f"n must be a positive integer, got {self.n!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ParameterError(f"gamma must be a probability, got {self.gamma!r}")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(inputs, outputs), as :attr:`Channel.shape` of the dense matrix."""
+        return 2 ** self.n, 2 ** self.n
+
+    def compose(self, joint: np.ndarray) -> np.ndarray:
+        """The joint over (row variable, Z-block) of a joint over (row variable, Y-block).
+
+        Equal to ``joint @ self.to_channel().matrix`` with no 2^n x 2^n
+        channel: only the all-zeros output column gains mass (gamma times the
+        all-ones column) and only the all-ones column loses it, so ``joint``
+        is copied and those two columns are updated.
+        """
+        g = self.gamma
+        out = joint.copy()
+        out[:, 0] += g * out[:, -1]
+        out[:, -1] *= 1.0 - g
+        return out
+
+    def map_guess(self, p_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """MAP guess of the Y-block from each output, and each output's column
+        maximum of the (Y-block, Z-block) joint, from the Y-block marginal ``p_y``.
+
+        That joint is ``p_y`` on the diagonal except that the all-zeros output
+        column also holds gamma of the all-ones input's mass, so its column
+        maxima are ``p_y`` with two entries changed. Ties go to the lowest
+        index, and a column of zeros is guessed as 0 (the all-ones column
+        when gamma = 1).
+        """
+        g, last = self.gamma, p_y.size - 1
+        best = p_y.copy()
+        best[0], best[-1] = max(p_y[0], p_y[-1] * g), p_y[-1] * (1.0 - g)
+        guess = np.where(best > 0.0, np.arange(p_y.size), 0)
+        guess[0] = last if best[0] > p_y[0] else 0
+        return guess, best
+
+    def inverse_cdf(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The output for each input in ``y`` at uniform ``u``, by the inverse CDF of its row.
+
+        The all-ones input goes to all-zeros when u < gamma and every other
+        input to itself, which is what ``np.searchsorted(np.cumsum(row), u,
+        side="right")`` returns on the dense rows.
+        """
+        return np.where((y == 2 ** self.n - 1) & (u < self.gamma), 0, y)
 
     def to_channel(self) -> Channel:
         if self.n > MAX_MATERIALIZED_N:
@@ -422,21 +489,14 @@ def compose_zn(model: VectorModel, filt: ZnChannel) -> tuple[float, float]:
     (P_c of Y-block given Z-block, P_c of X-block given Z-block).
 
     Composes through the channel's structure rather than a dense product:
-    only the all-zeros output column gains mass (gamma times the all-ones
-    column) and only the all-ones column loses it, so the product joint is
-    copied and those two columns are updated, O(4^n) with no 2^n x 2^n
-    channel. The product joint itself is materialized, so n <= 10.
+    the privacy side is the two-column update of :meth:`ZnChannel.compose`,
+    the one :func:`privguess.mc.simulate` uses, O(4^n) with no 2^n x 2^n
+    channel, and the utility side comes from the Y-block marginal by
+    :meth:`ZnChannel.map_guess`. The product joint itself is materialized,
+    so n <= 10.
     """
     joint = model.block_joint()
     if filt.n != model.n:
         raise DimensionMismatchError(f"channel block length {filt.n} != model block length {model.n}")
-    g = filt.gamma
-    # the (Y-block, Z-block) joint is diagonal except that the all-zeros
-    # output column also holds gamma of the all-ones input's mass, so its
-    # column maxima are the Y-block marginal with two entries changed
-    best_y = joint.col_marginal
-    best_y[0], best_y[-1] = max(best_y[0], best_y[-1] * g), best_y[-1] * (1.0 - g)
-    p_xz = joint.matrix.copy()
-    p_xz[:, 0] += g * p_xz[:, -1]
-    p_xz[:, -1] *= 1.0 - g
-    return float(best_y.sum()), float(p_xz.max(axis=0).sum())
+    _, best_y = filt.map_guess(joint.col_marginal)
+    return float(best_y.sum()), float(filt.compose(joint.matrix).max(axis=0).sum())

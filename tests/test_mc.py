@@ -1,5 +1,8 @@
 """Monte Carlo validation: determinism and statistical consistency."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from conftest import fig3_joint
@@ -11,11 +14,13 @@ from privguess import (
     ParameterError,
     SimConfig,
     VectorModel,
+    ZnChannel,
     block_utility,
     simulate,
     vector_sim_config,
     zn_filter,
 )
+from privguess import mc
 
 Z025 = Channel(np.array([[1.0, 0.0], [0.25, 0.75]]))
 
@@ -65,6 +70,8 @@ class TestConfig:
         with pytest.raises(DimensionMismatchError):
             SimConfig(seed=1, samples=10, joint=fig3_joint(),
                       filter=Channel(np.eye(3)))
+        with pytest.raises(DimensionMismatchError):
+            SimConfig(seed=1, samples=10, joint=fig3_joint(), filter=ZnChannel(gamma=0.3, n=2))
 
 
 class TestDeterminism:
@@ -134,12 +141,74 @@ class TestVectorConfigs:
         assert abs(report.empirical_pc_y - report.analytic_pc_y) <= 4 * report.stderr_y
 
     def test_memoryless_filter_is_kronecker(self):
-        config = vector_sim_config(seed=11, samples=10, model=VectorModel(2, 0.6, 0.2),
-                                   filter_kind="memoryless", gamma=0.25)
-        f1 = np.array([[1.0, 0.0], [0.25, 0.75]])
-        np.testing.assert_allclose(config.filter.matrix, np.kron(f1, f1), atol=1e-15)
+        f1 = np.array([[1.0, 0.0], [0.3, 0.7]])
+        want = f1
+        for n in range(1, 6):
+            config = vector_sim_config(seed=11, samples=10, model=VectorModel(n, 0.6, 0.2),
+                                       filter_kind="memoryless", gamma=0.3)
+            assert np.array_equal(config.filter.matrix, want)
+            want = np.kron(want, f1)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
             vector_sim_config(seed=1, samples=10, model=VectorModel(2, 0.6, 0.2),
                               filter_kind="other", gamma=0.1)
+
+    @pytest.mark.parametrize("gamma", [1.5, -0.1, math.nan])
+    @pytest.mark.parametrize("kind", ["memoryless", "block"])
+    def test_gamma_outside_probability_rejected(self, kind, gamma):
+        with pytest.raises(ParameterError, match="gamma must be a probability"):
+            vector_sim_config(seed=1, samples=10, model=VectorModel(2, 0.6, 0.2),
+                              filter_kind=kind, gamma=gamma)
+
+
+class TestZnChannel:
+    """The block filter is simulated through its structure; its dense channel is the oracle."""
+
+    @pytest.mark.parametrize("p, alpha", [(0.6, 0.2), (0.5, 0.0), (0.7, 0.25)])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0, 0.123456789])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_dense_channel(self, n, gamma, p, alpha):
+        config = vector_sim_config(seed=7 * n + 1, samples=50_000, model=VectorModel(n, p, alpha),
+                                   filter_kind="block", gamma=gamma)
+        assert config.filter == ZnChannel(gamma=gamma, n=n)
+        got = simulate(config)
+        want = simulate(dataclasses.replace(config, filter=config.filter.to_channel()))
+        # analytic_pc_x is within 1 ulp: the dense path forms the all-zeros
+        # column in a BLAS product, whose kernel may fuse the multiply-add
+        assert abs(got.analytic_pc_x - want.analytic_pc_x) <= np.spacing(want.analytic_pc_x)
+        assert got == dataclasses.replace(want, analytic_pc_x=got.analytic_pc_x)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0, 0.123456789])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_structure_matches_dense_rows(self, n, gamma):
+        filt = ZnChannel(gamma=gamma, n=n)
+        w = filt.to_channel().matrix
+        size = 2 ** n
+        # uniforms at, just below and just above gamma, and at both ends of [0, 1)
+        u = np.array([0.0, np.nextafter(gamma, 0.0), gamma, np.nextafter(gamma, 1.0), 0.5,
+                      np.nextafter(1.0, 0.0)])
+        u = u[u < 1.0]
+        ys, us = np.repeat(np.arange(size), u.size), np.tile(u, size)
+        assert np.array_equal(filt.inverse_cdf(ys, us), mc._inverse_cdf(w, ys, us))
+        # Y marginals with a zero entry and with ties between the all-zeros
+        # and the flipped all-ones mass in the all-zeros output column
+        rng = np.random.default_rng(n)
+        for p_y in (rng.random(size), np.eye(1, size, size - 1)[0], np.full(size, 1.0)):
+            p_y = p_y / p_y.sum()
+            if gamma > 0.0:
+                p_y[0] = p_y[-1] * gamma
+            guess, best = filt.map_guess(p_y)
+            want_guess, want_sum = mc._map_guess(p_y[:, None] * w)
+            assert np.array_equal(guess, want_guess)
+            assert float(best.sum()) == want_sum
+
+    def test_block_path_builds_no_dense_matrix(self, monkeypatch):
+        def dense(*args):
+            raise AssertionError("dense 2^n x 2^n channel or product on the block path")
+
+        monkeypatch.setattr(ZnChannel, "to_channel", dense)
+        monkeypatch.setattr("privguess.mc.compose", dense)
+        config = vector_sim_config(seed=3, samples=1000, model=VectorModel(6, 0.6, 0.2),
+                                   filter_kind="block", gamma=0.3)
+        assert simulate(config).samples == 1000

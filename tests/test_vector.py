@@ -64,9 +64,15 @@ class TestModel:
             VectorModel(2, 0.85, 0.2)  # violates abar > p
 
     def test_block_joint_is_product(self):
-        m = VectorModel(2, 0.6, 0.2)
-        j1 = m.symbol_joint().matrix
-        np.testing.assert_allclose(m.block_joint().matrix, np.kron(j1, j1), atol=1e-15)
+        # bit for bit the chain of np.kron calls, the reference for the
+        # broadcast product
+        for n in range(1, 11):
+            m = VectorModel(n, 0.6, 0.2)
+            j1 = m.symbol_joint().matrix
+            want = j1
+            for _ in range(n - 1):
+                want = np.kron(want, j1)
+            assert np.array_equal(m.block_joint().matrix, want)
 
     def test_materialization_cap(self):
         with pytest.raises(CapacityError):
