@@ -46,6 +46,7 @@ from .solver import (
     GuessCurve,
     OrderBounds,
     best_filter,
+    curve_point,
     finite_order_gain_bounds,
     guessing_gain,
     trace_curve,
@@ -83,7 +84,7 @@ __all__ = [
     # linear programming
     "LinearProgram", "LpSolution", "LpStatus", "solve_lp",
     # frontier solver
-    "FilterSolution", "GuessCurve", "OrderBounds", "best_filter",
+    "FilterSolution", "GuessCurve", "OrderBounds", "best_filter", "curve_point",
     "guessing_gain", "finite_order_gain_bounds", "trace_curve",
     # binary closed forms
     "BiboParams", "BranchTag", "branch", "to_joint", "perfect_privacy_utility",

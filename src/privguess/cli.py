@@ -81,7 +81,7 @@ def _cmd_pc(args) -> int:
 
 
 def _scalar_tags(joint: JointDistribution):
-    """BiboParams for a conforming 2x2 joint, else None (tags the CSV rows)."""
+    """(BiboParams, branch) for a conforming 2x2 joint, else None (tags the CSV rows)."""
     if joint.shape != (2, 2):
         return None
     m = joint.matrix
@@ -93,9 +93,10 @@ def _scalar_tags(joint: JointDistribution):
         params = bibo.BiboParams(p=p, alpha=float(m[0, 1] / pbar), beta=float(m[1, 0] / p))
     except PrivguessError:
         return None
-    if bibo.branch(params) is bibo.BranchTag.DEGENERATE:
+    tag = bibo.branch(params)
+    if tag is bibo.BranchTag.DEGENERATE:
         return None
-    return params
+    return params, tag
 
 
 def _eps_range(args, lo: float, hi: float) -> tuple[float, float]:
@@ -115,19 +116,19 @@ def _cmd_hcurve(args) -> int:
     if args.points < 2:
         raise UsageError(f"--points must be at least 2, got {args.points}")
     lo, hi = _eps_range(args, guess_prob(joint, Axis.ROWS), cond_guess_prob(joint, Axis.ROWS))
-    params = _scalar_tags(joint)
+    tags = _scalar_tags(joint)
     print(CURVE_HEADER)
+    curve = solver.trace_curve(joint)
     for eps in np.linspace(lo, hi, args.points):
-        sol = solver.best_filter(joint, float(eps))
-        if params is not None:
-            _, tag = bibo.closed_form_utility(params, min(float(eps), params.pc_x_given_y))
+        sol = solver.curve_point(joint, curve, float(eps))
+        if tags is not None:
+            params, tag = tags
             gamma = bibo.optimal_filter(params, min(float(eps), params.pc_x_given_y))
             gval = gamma.matrix[1, 0] if tag is bibo.BranchTag.Z_BRANCH else gamma.matrix[0, 1]
             print(f"{_fmt(float(eps))},{_fmt(sol.utility)},{tag.value},{_fmt(float(gval))}")
         else:
             print(f"{_fmt(float(eps))},{_fmt(sol.utility)},lp,")
     if args.breakpoints:
-        curve = solver.trace_curve(joint)
         _json_out({
             "breakpoints": [_round12(b) for b in curve.breakpoints],
             "slopes": [_round12(s) for s in curve.slopes],

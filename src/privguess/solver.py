@@ -41,6 +41,7 @@ every slope as the cap row's dual price.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,6 +64,7 @@ __all__ = [
     "GuessCurve",
     "OrderBounds",
     "best_filter",
+    "curve_point",
     "guessing_gain",
     "finite_order_gain_bounds",
     "trace_curve",
@@ -93,13 +95,16 @@ class FilterSolution:
 class GuessCurve:
     """Piecewise-linear frontier: vertices, piece boundaries, per-piece slopes.
 
-    ``samples`` are the vertices (eps, h), one per breakpoint, in eps order;
-    each h is certified from a filter that attains it.
+    ``samples`` are the vertices (eps, h), one per breakpoint, in eps order.
+    ``filters`` holds, per vertex, the N x N filter that attains it when its
+    outputs are guessed by the identity map; each h is certified from it.
+    :func:`curve_point` reads the frontier between vertices off these.
     """
 
     samples: tuple[tuple[float, float], ...]
     breakpoints: tuple[float, ...]
     slopes: tuple[float, ...]
+    filters: tuple[Channel, ...]
 
     @property
     def k(self) -> int:
@@ -154,7 +159,7 @@ def _guess_lp(p: np.ndarray, maps: list[tuple[int, ...]], cap: float,
 
 @dataclass(frozen=True)
 class GuessMax:
-    """Result of :func:`lp_guess_max`; unpacks as ``(value, filter, map, price)``.
+    """Result of :func:`lp_guess_max`: optimal value, filter, guessing map and cap-row price.
 
     ``program`` and ``solution`` are the LP solved and its solve, whose final
     tableau a caller can continue from (:func:`lp.piece_starts`).
@@ -166,9 +171,6 @@ class GuessMax:
     price: float
     program: LinearProgram
     solution: LpSolution
-
-    def __iter__(self):
-        return iter((self.value, self.filter, self.map, self.price))
 
 
 def lp_guess_max(p: np.ndarray, cap: float, n_outputs: int,
@@ -220,6 +222,23 @@ def _certified(joint: JointDistribution, f: np.ndarray, cap: float,
     return filt, utility, privacy
 
 
+def _clamp(joint: JointDistribution, eps: float) -> tuple[float, float]:
+    """(P_c(X|Y), cap): ``eps`` clamped onto the frontier's domain [P_c(X), P_c(X|Y)].
+
+    ``eps`` below P_c(X) beyond 1e-9 is infeasible, and from 1e-12 below
+    P_c(X|Y) up the cap is P_c(X|Y) itself. A NaN is rejected.
+    """
+    if math.isnan(eps):
+        raise ParameterError(f"threshold eps must be a number, got {eps!r}")
+    pcx = guess_prob(joint, Axis.ROWS)
+    pcxy = cond_guess_prob(joint, Axis.ROWS)
+    if eps < pcx - 1e-9:
+        raise InfeasibleThresholdError(
+            f"threshold {eps!r} below the unconditional guessing probability {pcx!r}"
+        )
+    return pcxy, (pcxy if eps >= pcxy - 1e-12 else max(eps, pcx))
+
+
 def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
     """Solve the frontier problem at privacy threshold ``eps``.
 
@@ -228,20 +247,13 @@ def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
     filter is returned directly with utility 1 and the solution is flagged
     saturated. Y alphabets larger than ``MAX_ALPHABET`` are rejected.
     """
-    if math.isnan(eps):
-        raise ParameterError(f"threshold eps must be a number, got {eps!r}")
     p = joint.matrix
     n = p.shape[1]
     if n > MAX_ALPHABET:
         raise CapacityError(f"Y alphabet {n} exceeds enumeration cap {MAX_ALPHABET}")
-    pcx = guess_prob(joint, Axis.ROWS)
-    pcxy = cond_guess_prob(joint, Axis.ROWS)
-    if eps < pcx - 1e-9:
-        raise InfeasibleThresholdError(
-            f"threshold {eps!r} below the unconditional guessing probability {pcx!r}"
-        )
+    pcxy, cap = _clamp(joint, eps)
 
-    if eps >= pcxy - 1e-12:
+    if cap == pcxy:
         ident = Channel.identity(n, n + 1)
         utility, privacy = _evaluate(joint, ident)
         return FilterSolution(
@@ -249,11 +261,35 @@ def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
             y_guess_map=tuple(range(n)) + (0,), eps=eps, saturated=eps > pcxy,
         )
 
-    cap = max(eps, pcx)  # accept eps within tolerance below the left endpoint
-    value, f, gmap, _ = lp_guess_max(p, cap, n + 1, nondecreasing_maps(n + 1, n))
-    filt, utility, privacy = _certified(joint, f, cap, value)
+    res = lp_guess_max(p, cap, n + 1, nondecreasing_maps(n + 1, n))
+    filt, utility, privacy = _certified(joint, res.filter, cap, res.value)
     return FilterSolution(utility=utility, privacy=privacy, filter=filt,
-                          y_guess_map=gmap, eps=eps)
+                          y_guess_map=res.map, eps=eps)
+
+
+def curve_point(joint: JointDistribution, curve: GuessCurve, eps: float) -> FilterSolution:
+    """The frontier at ``eps``, read off ``curve``, the :func:`trace_curve` of ``joint``.
+
+    ``eps`` is checked and clamped as by :func:`best_filter`, so thresholds
+    within 1e-12 of P_c(X|Y) or above read the last vertex. On the piece
+    [a, b] holding the clamped ``eps``, the filter is the mixture
+    (1 - t) F_a + t F_b of its vertex filters, t = (eps - a) / (b - a).
+    Privacy is convex in the filter, so the mixture's is at most eps; the
+    identity-map utility is linear in it, so the mixture reaches the piece's
+    line. Its utility and privacy are recomputed and certified against that
+    line as :func:`best_filter`'s are against the LP, with no LP solved.
+    """
+    pcxy, cap = _clamp(joint, eps)
+    bps = curve.breakpoints
+    i = min(bisect.bisect_right(bps, cap), len(bps) - 1)
+    a, b = bps[i - 1], bps[i]
+    t = (cap - a) / (b - a) if cap < b else 1.0
+    mix = (1.0 - t) * curve.filters[i - 1].matrix + t * curve.filters[i].matrix
+    line = (1.0 - t) * curve.samples[i - 1][1] + t * curve.samples[i][1]
+    filt, utility, privacy = _certified(joint, mix, cap, line)
+    return FilterSolution(utility=utility, privacy=privacy, filter=filt,
+                          y_guess_map=tuple(range(joint.shape[1])), eps=eps,
+                          saturated=eps > pcxy)
 
 
 def guessing_gain(joint: JointDistribution, leak_bits: float) -> float:
@@ -312,9 +348,13 @@ def trace_curve(joint: JointDistribution) -> GuessCurve:
     ``FEAS_TOL`` of P_c(X) and is reported as P_c(X). Every kink on the way
     is a breakpoint, and each piece's slope is the cap row's price on it. A
     kink within ``FEAS_TOL`` of P_c(X|Y) is where h reaches 1 and turns
-    flat, P_c(X|Y) itself. The filter at every vertex passes the same
-    certificate as :func:`best_filter`'s, and h there is recomputed from it.
-    Y alphabets larger than ``MAX_ALPHABET`` are rejected.
+    flat, P_c(X|Y) itself. The vertex there is the identity filter, which
+    attains h = 1 exactly; every other vertex is the walk's basic point at
+    its kink. Each vertex filter passes the same certificate as
+    :func:`best_filter`'s, h there is recomputed from it, and the curve keeps
+    it. Where P_c(X|Y) - P_c(X) <= 1e-9, Y gives no guessing advantage and no
+    LP is solved: both breakpoints are vertices of the identity filter, with
+    h = 1 and slope 0. Y alphabets larger than ``MAX_ALPHABET`` are rejected.
     """
     p = joint.matrix
     n = p.shape[1]
@@ -323,25 +363,26 @@ def trace_curve(joint: JointDistribution) -> GuessCurve:
     pcx = guess_prob(joint, Axis.ROWS)
     pcxy = cond_guess_prob(joint, Axis.ROWS)
     if pcxy - pcx <= 1e-9:
-        # Y gives no guessing advantage: the domain collapses to a point
-        val = best_filter(joint, pcxy).utility
-        return GuessCurve(samples=((pcxy, val),), breakpoints=(pcx, pcxy), slopes=(0.0,))
+        # the domain collapses to a point, where the identity filter is optimal
+        caps, points, values, slopes = [pcx, pcxy], [np.eye(n)] * 2, [1.0, 1.0], [0.0]
+    else:
+        res = lp_guess_max(p, pcxy, n, [tuple(range(n))])
+        *kinks, end = piece_starts(res.program, res.solution, res.program.a_ub.shape[0] - 1)
+        if abs(end.rhs - pcx) > FEAS_TOL:
+            raise NumericalError(f"frontier walk ended at {end.rhs!r}, not at P_c(X) = {pcx!r}")
+        if kinks and kinks[0].rhs > pcxy - FEAS_TOL:
+            kinks = kinks[1:]
+        stops = [end, *reversed(kinks)]
+        caps = [s.rhs for s in stops] + [pcxy]
+        points = [s.point[:n * n].reshape(n, n) for s in stops] + [np.eye(n)]
+        values = [s.value for s in stops] + [1.0]
+        slopes = [s.slope for s in stops]
+        for a, b in itertools.pairwise(slopes):
+            if b - a > FEAS_TOL:
+                raise NumericalError(f"slope increased from {a} to {b}; frontier is not concave")
 
-    res = lp_guess_max(p, pcxy, n, [tuple(range(n))])
-    *kinks, end = piece_starts(res.program, res.solution, res.program.a_ub.shape[0] - 1)
-    if abs(end.rhs - pcx) > FEAS_TOL:
-        raise NumericalError(f"frontier walk ended at {end.rhs!r}, not at P_c(X) = {pcx!r}")
-    if kinks and kinks[0].rhs > pcxy - FEAS_TOL:
-        kinks = kinks[1:]
-    stops = [end, *reversed(kinks)]
-    samples = [(s.rhs, _certified(joint, s.point[:n * n].reshape(n, n), s.rhs, s.value)[1])
-               for s in stops]
-    samples.append((pcxy, _certified(joint, res.filter, pcxy, res.value)[1]))
-    samples[0] = (pcx, samples[0][1])
-    slopes = [s.slope for s in stops]
-    for a, b in itertools.pairwise(slopes):
-        if b - a > FEAS_TOL:
-            raise NumericalError(f"slope increased from {a} to {b}; frontier is not concave")
-
-    return GuessCurve(samples=tuple(samples), breakpoints=tuple(eps for eps, _ in samples),
-                      slopes=tuple(slopes))
+    filters, hs, _ = zip(*(_certified(joint, f, cap, value)
+                           for f, cap, value in zip(points, caps, values)))
+    breakpoints = (pcx, *caps[1:])
+    return GuessCurve(samples=tuple(zip(breakpoints, hs)), breakpoints=breakpoints,
+                      slopes=tuple(slopes), filters=filters)

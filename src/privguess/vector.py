@@ -436,7 +436,7 @@ def brute_force_block_utility(model: VectorModel, eps: float) -> float:
     eps = _check_eps(model, eps)
     joint = model.block_joint()
     size = 2 ** model.n
-    value, _, _, _ = lp_guess_max(joint.matrix, eps ** model.n, size, [tuple(range(size))])
+    value = lp_guess_max(joint.matrix, eps ** model.n, size, [tuple(range(size))]).value
     return value ** (1.0 / model.n)
 
 

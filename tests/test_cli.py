@@ -116,15 +116,42 @@ class TestHcurve:
         for r in rows:
             assert float(r[1]) == pytest.approx(float(r[0]), abs=1e-9)
 
-    def test_round_trip(self, capsys, fig3_file):
+    def test_round_trip(self, capsys, tmp_path):
+        # every grid value read off the traced curve is the frontier's own solve
+        from test_solver import MULTI_PIECE, seeded_trial
+
         from privguess import JointDistribution, best_filter
-        code, out, _ = run_cli(capsys, ["hcurve", "--joint", fig3_file, "--points", "9"])
+        for name, p in (("fig3", np.array(FIG3["joint"])),
+                        ("multi", MULTI_PIECE / MULTI_PIECE.sum()),
+                        ("trial71", seeded_trial(71)), ("trial105", seeded_trial(105))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"joint": p.tolist()}))
+            code, out, _ = run_cli(capsys, ["hcurve", "--joint", str(path), "--points", "9"])
+            assert code == 0
+            _, rows, _ = parse_curve(out)
+            joint = JointDistribution(p)
+            for r in rows:
+                again = best_filter(joint, float(r[0])).utility
+                assert abs(again - float(r[1])) <= 1e-9, (name, r)
+
+    def test_eps_max_above_domain_reads_one(self, capsys, fig3_file):
+        code, out, _ = run_cli(capsys, ["hcurve", "--joint", fig3_file,
+                                        "--eps-max", "0.9", "--points", "21"])
         assert code == 0
         _, rows, _ = parse_curve(out)
-        joint = JointDistribution(np.array(FIG3["joint"]))
-        for r in rows:
-            again = best_filter(joint, float(r[0])).utility
-            assert abs(again - float(r[1])) <= 1e-9
+        above = [r for r in rows if float(r[0]) >= 0.8]
+        assert len(above) == 7
+        assert all(float(r[1]) == 1.0 and r[3] == "0" for r in above)
+
+    def test_independent_joint(self, capsys, tmp_path):
+        path = tmp_path / "indep.json"
+        path.write_text(json.dumps({"joint": [[0.3, 0.2], [0.3, 0.2]]}))
+        code, out, _ = run_cli(capsys, ["hcurve", "--joint", str(path), "--points", "21",
+                                        "--breakpoints"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1:-1] == ["0.5,1,lp,"] * 21
+        assert json.loads(lines[-1]) == {"breakpoints": [0.5, 0.5], "slopes": [0.0], "K": 1}
 
     def test_eps_order_usage_error(self, capsys, fig3_file):
         code, _, err = run_cli(capsys, ["hcurve", "--joint", fig3_file,
@@ -143,36 +170,33 @@ class TestHcurve:
         code, _, err = run_cli(capsys, ["hcurve", "--joint", str(path)])
         assert code == 3
 
-    @pytest.fixture
-    def multi_piece(self, tmp_path, monkeypatch):
-        """A K >= 3 joint file, and the list of thresholds best_filter is called at."""
+    @pytest.mark.parametrize("extra", [[], ["--breakpoints"]], ids=["grid", "breakpoints"])
+    def test_one_lp_per_call(self, capsys, tmp_path, monkeypatch, extra):
+        # the grid is read off the traced curve: one LP, and no frontier solve per point
         from test_solver import MULTI_PIECE
         path = tmp_path / "multi.json"
         path.write_text(json.dumps({"joint": (MULTI_PIECE / MULTI_PIECE.sum()).tolist()}))
-        calls = []
-        real = solver.best_filter
+        solves, points = [], []
+        real_solve, real_point = solver.solve_lp, solver.best_filter
 
-        def counted(joint, eps):
-            calls.append(eps)
-            return real(joint, eps)
+        def counted_solve(prog):
+            solves.append(prog)
+            return real_solve(prog)
 
-        monkeypatch.setattr(solver, "best_filter", counted)
-        return str(path), calls
+        def counted_point(joint, eps):
+            points.append(eps)
+            return real_point(joint, eps)
 
-    def test_breakpoints_reuse_grid_solves(self, capsys, multi_piece):
-        path, calls = multi_piece
-        code, out, _ = run_cli(capsys, ["hcurve", "--joint", path, "--points", "21",
-                                        "--breakpoints"])
+        monkeypatch.setattr(solver, "solve_lp", counted_solve)
+        monkeypatch.setattr(solver, "best_filter", counted_point)
+        code, out, _ = run_cli(capsys, ["hcurve", "--joint", str(path), "--points", "21", *extra])
         assert code == 0
-        assert parse_curve(out)[2]["K"] >= 3
-        # the breakpoints come from one LP walk: best_filter runs on the grid only
-        assert len(calls) == 21
-
-    def test_grid_only_solves_grid(self, capsys, multi_piece):
-        path, calls = multi_piece
-        code, _, _ = run_cli(capsys, ["hcurve", "--joint", path, "--points", "21"])
-        assert code == 0
-        assert len(calls) == 21
+        _, rows, report = parse_curve(out)
+        assert len(rows) == 21
+        if extra:
+            assert report["K"] >= 3
+        assert len(solves) == 1
+        assert points == []
 
     def test_non_binary_rows_tagged_lp(self, capsys, tmp_path):
         path = tmp_path / "j33.json"

@@ -190,24 +190,25 @@ def per_map_lp(p: np.ndarray, gmap: tuple[int, ...], cap: float, n_outputs: int)
 
 def per_map_guess_max(p: np.ndarray, cap: float, n_outputs: int, maps):
     """Oracle for lp_guess_max: one LP, with its own phase 1, per guessing map."""
-    best_val, best, best_map = -1.0, None, None
+    best_val, best, best_map, best_prog = -1.0, None, None, None
     for gmap in maps:
-        sol = lp_module.solve_lp(per_map_lp(p, gmap, cap, n_outputs))
+        prog = per_map_lp(p, gmap, cap, n_outputs)
+        sol = lp_module.solve_lp(prog)
         if sol.status is not LpStatus.OPTIMAL:
             raise NumericalError(f"filter subproblem ended {sol.status.value} for map {gmap}")
         if sol.value > best_val:
-            best_val, best, best_map = sol.value, sol, gmap
+            best_val, best, best_map, best_prog = sol.value, sol, gmap, prog
     best_f = best.point[: p.shape[1] * n_outputs].reshape(p.shape[1], n_outputs)
-    return best_val, best_f, best_map, float(best.duals[-1])
+    return solver.GuessMax(best_val, best_f, best_map, float(best.duals[-1]), best_prog, best)
 
 
 def _outcome(fn, *args):
     """A guess-max result as exact bytes, or the exception it raised."""
     try:
-        value, f, gmap, price = fn(*args)
+        res = fn(*args)
     except NumericalError as exc:
         return type(exc), str(exc)
-    return value.hex(), f.tobytes(), gmap, price.hex()
+    return res.value.hex(), res.filter.tobytes(), res.map, res.price.hex()
 
 
 class TestFamilySolve:
@@ -446,6 +447,35 @@ class TestTraceCurve:
         assert curve.k >= 3
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("p", [
+        [[0.3, 0.2], [0.3, 0.2]],
+        [[0.3 + 5e-11, 0.2 - 5e-11], [0.3 - 5e-11, 0.2 + 5e-11]],  # P_c(X|Y) - P_c(X) = 1e-10
+    ], ids=["independent", "near"])
+    def test_degenerate_domain_has_both_vertices(self, monkeypatch, p):
+        def forbidden(*args):
+            raise AssertionError("the degenerate domain needs no LP")
+
+        monkeypatch.setattr(solver, "solve_lp", forbidden)
+        monkeypatch.setattr(solver, "best_filter", forbidden)
+        joint = JointDistribution(np.array(p))
+        curve = trace_curve(joint)
+        assert len(curve.samples) == len(curve.breakpoints) == len(curve.filters) == curve.k + 1
+        assert curve.breakpoints == (guess_prob(joint, Axis.ROWS), cond_guess_prob(joint, Axis.ROWS))
+        assert curve.slopes == (0.0,)
+        assert all(h == 1.0 for _, h in curve.samples)
+        for f in curve.filters:
+            np.testing.assert_array_equal(f.matrix, np.eye(2))
+
+    def test_vertex_filters_attain_the_vertices(self):
+        joint = JointDistribution(MULTI_PIECE / MULTI_PIECE.sum())
+        curve = trace_curve(joint)
+        assert len(curve.filters) == len(curve.samples)
+        for (eps, h), f in zip(curve.samples, curve.filters):
+            assert f.matrix.shape == (3, 3)
+            utility, privacy = solver._evaluate(joint, f)
+            assert utility == h
+            assert privacy <= eps + lp_module.FEAS_TOL
+
     def test_end_is_p_c_x_exactly(self):
         # the walk ends at 0.6 within roundoff; the breakpoint is P_c(X) itself
         curve = trace_curve(fig3_joint())
@@ -466,6 +496,40 @@ class TestTraceCurve:
             [0.4007665602698528, 0.01783889571890553],
         ]))
         assert trace_curve(joint).k == 1
+
+
+class TestCurvePoint:
+    @pytest.mark.parametrize("p", [MULTI_PIECE / MULTI_PIECE.sum(), np.array([[0.32, 0.08], [0.12, 0.48]])],
+                             ids=["multi", "fig3"])
+    def test_matches_best_filter(self, p):
+        joint = JointDistribution(p)
+        curve = trace_curve(joint)
+        grid = np.linspace(curve.breakpoints[0], curve.breakpoints[-1], 31)
+        for eps in [*grid, *curve.breakpoints]:
+            sol = solver.curve_point(joint, curve, float(eps))
+            assert sol.utility == pytest.approx(best_filter(joint, float(eps)).utility, abs=1e-9)
+            assert sol.privacy <= eps + lp_module.FEAS_TOL
+            assert sol.filter.matrix.shape == (p.shape[1], p.shape[1])
+            assert not sol.saturated
+
+    def test_domain_guards_as_best_filter(self):
+        joint = fig3_joint()
+        curve = trace_curve(joint)
+        with pytest.raises(InfeasibleThresholdError):
+            solver.curve_point(joint, curve, 0.6 - 2e-9)
+        with pytest.raises(ParameterError):
+            solver.curve_point(joint, curve, float("nan"))
+        low = solver.curve_point(joint, curve, 0.6 - 5e-10)
+        assert low.utility == pytest.approx(0.72, abs=1e-12)
+        high = solver.curve_point(joint, curve, 0.95)
+        assert high.saturated and high.eps == 0.95
+        assert high.utility == pytest.approx(1.0, abs=1e-12)
+
+    def test_foreign_curve_fails_its_certificate(self):
+        curve = trace_curve(JointDistribution(MULTI_PIECE / MULTI_PIECE.sum()))
+        other = JointDistribution(seeded_trial(71)[:3, :3] / seeded_trial(71)[:3, :3].sum())
+        with pytest.raises(NumericalError, match="certificate"):
+            solver.curve_point(other, curve, cond_guess_prob(other, Axis.ROWS) - 0.01)
 
 
 def seeded_trial(trial: int) -> np.ndarray:

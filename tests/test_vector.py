@@ -44,7 +44,7 @@ def all_maps_block_utility(model, eps):
     """Per-symbol optimum over 2^n-output filters, maximized over every guessing map."""
     size = 2 ** model.n
     maps = itertools.product(range(size), repeat=size)
-    value, _, _, _ = lp_guess_max(model.block_joint().matrix, eps ** model.n, size, maps)
+    value = lp_guess_max(model.block_joint().matrix, eps ** model.n, size, maps).value
     return value ** (1.0 / model.n)
 
 
