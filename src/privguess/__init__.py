@@ -49,6 +49,7 @@ from .solver import (
     curve_point,
     finite_order_gain_bounds,
     guessing_gain,
+    read_curve,
     trace_curve,
 )
 from .vector import (
@@ -85,7 +86,7 @@ __all__ = [
     "LinearProgram", "LpSolution", "LpStatus", "solve_lp",
     # frontier solver
     "FilterSolution", "GuessCurve", "OrderBounds", "best_filter", "curve_point",
-    "guessing_gain", "finite_order_gain_bounds", "trace_curve",
+    "guessing_gain", "finite_order_gain_bounds", "read_curve", "trace_curve",
     # binary closed forms
     "BiboParams", "BranchTag", "branch", "to_joint", "perfect_privacy_utility",
     "nontrivial_utility", "closed_form_utility", "optimal_filter",

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage or parse error, 3 domain invariant violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -119,15 +120,15 @@ def _cmd_hcurve(args) -> int:
     tags = _scalar_tags(joint)
     print(CURVE_HEADER)
     curve = solver.trace_curve(joint)
-    for eps in np.linspace(lo, hi, args.points):
-        sol = solver.curve_point(joint, curve, float(eps))
-        if tags is not None:
-            params, tag = tags
-            gamma = bibo.optimal_filter(params, min(float(eps), params.pc_x_given_y))
-            gval = gamma.matrix[1, 0] if tag is bibo.BranchTag.Z_BRANCH else gamma.matrix[0, 1]
-            print(f"{_fmt(float(eps))},{_fmt(sol.utility)},{tag.value},{_fmt(float(gval))}")
-        else:
-            print(f"{_fmt(float(eps))},{_fmt(sol.utility)},lp,")
+    for grid, hs, _ in solver.read_curve(joint, curve, np.linspace(lo, hi, args.points)):
+        for eps, h in zip(grid.tolist(), hs.tolist()):
+            if tags is not None:
+                params, tag = tags
+                gamma = bibo.optimal_filter(params, min(eps, params.pc_x_given_y))
+                gval = gamma.matrix[1, 0] if tag is bibo.BranchTag.Z_BRANCH else gamma.matrix[0, 1]
+                print(f"{_fmt(eps)},{_fmt(h)},{tag.value},{_fmt(float(gval))}")
+            else:
+                print(f"{_fmt(eps)},{_fmt(h)},lp,")
     if args.breakpoints:
         _json_out({
             "breakpoints": [_round12(b) for b in curve.breakpoints],
@@ -231,7 +232,9 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="privguess",
         description="Guessing-probability privacy filters and tradeoff curves.",

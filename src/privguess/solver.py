@@ -41,11 +41,10 @@ every slope as the cap row's dual price.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -55,9 +54,19 @@ from .errors import (
     InvalidOrderError,
     NumericalError,
     ParameterError,
+    PrivguessError,
 )
 from .lp import FEAS_TOL, LinearProgram, LpSolution, LpStatus, piece_starts, solve_lp
-from .prob import Axis, Channel, JointDistribution, compose, cond_guess_prob, guess_prob, renyi_entropy
+from .prob import (
+    MASS_TOL,
+    Axis,
+    Channel,
+    JointDistribution,
+    compose,
+    cond_guess_prob,
+    guess_prob,
+    renyi_entropy,
+)
 
 __all__ = [
     "FilterSolution",
@@ -67,6 +76,7 @@ __all__ = [
     "curve_point",
     "guessing_gain",
     "finite_order_gain_bounds",
+    "read_curve",
     "trace_curve",
 ]
 
@@ -98,7 +108,8 @@ class GuessCurve:
     ``samples`` are the vertices (eps, h), one per breakpoint, in eps order.
     ``filters`` holds, per vertex, the N x N filter that attains it when its
     outputs are guessed by the identity map; each h is certified from it.
-    :func:`curve_point` reads the frontier between vertices off these.
+    :func:`read_curve` and :func:`curve_point` read the frontier between
+    vertices off these.
     """
 
     samples: tuple[tuple[float, float], ...]
@@ -194,49 +205,116 @@ def lp_guess_max(p: np.ndarray, cap: float, n_outputs: int,
     return GuessMax(sol.value, best_f, maps[sol.winner], float(sol.duals[-1]), prog, sol)
 
 
-def _evaluate(joint: JointDistribution, filt: Channel) -> tuple[float, float]:
-    """(utility, privacy) of a filter, recomputed from scratch."""
-    privacy = cond_guess_prob(compose(joint, filt, Axis.COLS), Axis.ROWS)
-    p_yz = JointDistribution(joint.col_marginal[:, None] * filt.matrix)
-    utility = cond_guess_prob(p_yz, Axis.ROWS)
-    return utility, privacy
+class _Checked(NamedTuple):
+    """The leading filters of a (G, N, C) stack that pass every check, and their values.
+
+    ``error`` is the error of the first filter that fails, None if none
+    does; the arrays stop just before it.
+    """
+
+    filters: np.ndarray
+    utility: np.ndarray
+    privacy: np.ndarray
+    error: PrivguessError | None = None
+
+    def passed(self) -> "_Checked":
+        """This result, or the first failing filter's error raised."""
+        if self.error is not None:
+            raise self.error
+        return self
 
 
-def _certified(joint: JointDistribution, f: np.ndarray, cap: float,
-               value: float) -> tuple[Channel, float, float]:
-    """Filter F of an LP optimum ``value`` at ``cap``, with its recomputed (utility, privacy).
+def _prob_error(joint: JointDistribution, f: np.ndarray) -> PrivguessError:
+    """The error the prob primitives raise on filter ``f``, which failed their checks in a batch."""
+    try:
+        compose(joint, Channel(f), Axis.COLS)
+        JointDistribution(joint.col_marginal[:, None] * f)
+    except PrivguessError as exc:
+        return exc
+    return NumericalError("batched filter checks disagree with the probability primitives")
 
-    The LP certifies rows only to lp.FEAS_TOL, looser than Channel's mass
-    check: they are projected onto the simplex, and the filter must then
-    keep privacy within ``FEAS_TOL`` of ``cap`` and attain ``value`` within
-    ``FEAS_TOL``, or :class:`NumericalError` is raised.
+
+def _is_joint(m: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack: JointDistribution's checks (finite, nonnegative, mass 1 within MASS_TOL)."""
+    total = m.reshape(len(m), m.shape[-2] * m.shape[-1]).sum(axis=-1)
+    return (np.isfinite(m).all(axis=(-2, -1)) & ~(m < 0.0).any(axis=(-2, -1))
+            & ~(np.abs(total - 1.0) > MASS_TOL))
+
+
+def _evaluate(joint: JointDistribution, f: np.ndarray) -> _Checked:
+    """(utility, privacy) of each filter in a (G, N, C) stack, recomputed from scratch.
+
+    Each value is the one :func:`prob.cond_guess_prob` gives on the composed
+    joint, bit for bit, from the same float operations in the same order:
+    the product P F (or P_Y F), each column's max, then their sum. Each
+    filter must pass the checks those primitives make: it is a
+    :class:`Channel` (finite, nonnegative, rows summing to 1 within
+    ``MASS_TOL``), and both composed joints pass :class:`JointDistribution`'s
+    checks. The first filter that fails stops the result; it is rebuilt
+    through the primitives, and the error they raise is returned.
+    """
+    p_xz = joint.matrix @ f
+    p_yz = joint.col_marginal[:, None] * f
+    rows = f.sum(axis=-1)
+    valid = (np.isfinite(f).all(axis=(-2, -1)) & ~(f < 0.0).any(axis=(-2, -1))
+             & ~(np.abs(rows - 1.0).max(axis=-1) > MASS_TOL) & _is_joint(p_xz) & _is_joint(p_yz))
+    privacy = p_xz.max(axis=-2).sum(axis=-1)
+    utility = p_yz.max(axis=-2).sum(axis=-1)
+    if valid.all():
+        return _Checked(f, utility, privacy)
+    k = int(valid.argmin())
+    return _Checked(f[:k], utility[:k], privacy[:k], _prob_error(joint, f[k]))
+
+
+def _certified(joint: JointDistribution, f: np.ndarray, caps: np.ndarray,
+               values: np.ndarray) -> _Checked:
+    """Filters F of LP or line optima ``values`` at ``caps``, with their recomputed (utility, privacy).
+
+    ``f`` is a (G, N, C) stack with one cap and one value per filter. The LP
+    certifies rows only to lp.FEAS_TOL, looser than Channel's mass check:
+    they are projected onto the simplex, and each filter must then pass
+    :func:`_evaluate`'s checks, keep privacy within ``FEAS_TOL`` of its cap
+    and attain its value within ``FEAS_TOL``. The first filter that does not
+    stops the result with its error, a :class:`NumericalError` for the last
+    two checks; ``.passed()`` raises it.
     """
     f = np.maximum(f, 0.0)
-    filt = Channel(f / f.sum(axis=1, keepdims=True))
-    utility, privacy = _evaluate(joint, filt)
-    if privacy > cap + FEAS_TOL or abs(utility - value) > FEAS_TOL:
-        raise NumericalError(
-            f"filter certificate failed: privacy {privacy} vs cap {cap}, "
-            f"utility {utility} vs LP value {value}"
-        )
-    return filt, utility, privacy
+    f = f / f.sum(axis=-1, keepdims=True)
+    out = _evaluate(joint, f)
+    g = len(out.utility)
+    off = (out.privacy > caps[:g] + FEAS_TOL) | (np.abs(out.utility - values[:g]) > FEAS_TOL)
+    if not off.any():
+        return out
+    k = int(off.argmax())
+    return _Checked(f[:k], out.utility[:k], out.privacy[:k], NumericalError(
+        f"filter certificate failed: privacy {float(out.privacy[k])} vs cap {float(caps[k])}, "
+        f"utility {float(out.utility[k])} vs LP value {float(values[k])}"
+    ))
 
 
-def _clamp(joint: JointDistribution, eps: float) -> tuple[float, float]:
-    """(P_c(X|Y), cap): ``eps`` clamped onto the frontier's domain [P_c(X), P_c(X|Y)].
+def _clamp(joint: JointDistribution, eps: np.ndarray) -> tuple[float, np.ndarray, PrivguessError | None]:
+    """(P_c(X|Y), caps, error): each ``eps`` clamped onto the frontier's domain [P_c(X), P_c(X|Y)].
 
-    ``eps`` below P_c(X) beyond 1e-9 is infeasible, and from 1e-12 below
-    P_c(X|Y) up the cap is P_c(X|Y) itself. A NaN is rejected.
+    ``eps`` below P_c(X) beyond 1e-9 is infeasible, and a NaN is rejected;
+    ``caps`` covers the thresholds before the first such one, and ``error``
+    is its error (None if there is none). From 1e-12 below P_c(X|Y) up the
+    cap is P_c(X|Y) itself.
     """
-    if math.isnan(eps):
-        raise ParameterError(f"threshold eps must be a number, got {eps!r}")
     pcx = guess_prob(joint, Axis.ROWS)
     pcxy = cond_guess_prob(joint, Axis.ROWS)
-    if eps < pcx - 1e-9:
-        raise InfeasibleThresholdError(
-            f"threshold {eps!r} below the unconditional guessing probability {pcx!r}"
-        )
-    return pcxy, (pcxy if eps >= pcxy - 1e-12 else max(eps, pcx))
+    bad = np.isnan(eps) | (eps < pcx - 1e-9)
+    error = None
+    if bad.any():
+        k = int(bad.argmax())
+        first = eps[k].item()
+        if math.isnan(first):
+            error = ParameterError(f"threshold eps must be a number, got {first!r}")
+        else:
+            error = InfeasibleThresholdError(
+                f"threshold {first!r} below the unconditional guessing probability {pcx!r}"
+            )
+        eps = eps[:k]
+    return pcxy, np.where(eps >= pcxy - 1e-12, pcxy, np.maximum(eps, pcx)), error
 
 
 def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
@@ -251,45 +329,83 @@ def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
     n = p.shape[1]
     if n > MAX_ALPHABET:
         raise CapacityError(f"Y alphabet {n} exceeds enumeration cap {MAX_ALPHABET}")
-    pcxy, cap = _clamp(joint, eps)
+    pcxy, caps, error = _clamp(joint, np.array([eps]))
+    if error is not None:
+        raise error
 
-    if cap == pcxy:
-        ident = Channel.identity(n, n + 1)
-        utility, privacy = _evaluate(joint, ident)
+    if caps[0] == pcxy:
+        ident = _evaluate(joint, np.eye(n, n + 1)[None]).passed()
         return FilterSolution(
-            utility=utility, privacy=privacy, filter=ident,
-            y_guess_map=tuple(range(n)) + (0,), eps=eps, saturated=eps > pcxy,
+            utility=float(ident.utility[0]), privacy=float(ident.privacy[0]),
+            filter=Channel(ident.filters[0]), y_guess_map=tuple(range(n)) + (0,), eps=eps,
+            saturated=eps > pcxy,
         )
 
-    res = lp_guess_max(p, cap, n + 1, nondecreasing_maps(n + 1, n))
-    filt, utility, privacy = _certified(joint, res.filter, cap, res.value)
-    return FilterSolution(utility=utility, privacy=privacy, filter=filt,
-                          y_guess_map=res.map, eps=eps)
+    res = lp_guess_max(p, float(caps[0]), n + 1, nondecreasing_maps(n + 1, n))
+    out = _certified(joint, res.filter[None], caps, np.array([res.value])).passed()
+    return FilterSolution(utility=float(out.utility[0]), privacy=float(out.privacy[0]),
+                          filter=Channel(out.filters[0]), y_guess_map=res.map, eps=eps)
+
+
+#: entries of the P F stack held at once while reading a grid: a block of
+#: GRID_ENTRIES // (M N) points, so memory grows with neither the grid nor X
+GRID_ENTRIES = 1 << 15
+
+
+def _read(joint: JointDistribution, curve: GuessCurve, eps: np.ndarray) -> _Checked:
+    """The frontier at each ``eps``, read off ``curve`` in one batch; see :func:`read_curve`."""
+    _, caps, error = _clamp(joint, eps)
+    bps = np.array(curve.breakpoints)
+    i = np.minimum(np.searchsorted(bps, caps, side="right"), len(bps) - 1)
+    a, b = bps[i - 1], bps[i]
+    # t is 1 from the top of a piece on, so a zero-width piece is never divided by
+    t = np.divide(caps - a, b - a, out=np.ones_like(caps), where=caps < b)
+    vertices = np.stack([f.matrix for f in curve.filters])
+    hs = np.array([h for _, h in curve.samples])
+    s = t[:, None, None]
+    mix = (1.0 - s) * vertices[i - 1] + s * vertices[i]
+    line = (1.0 - t) * hs[i - 1] + t * hs[i]
+    out = _certified(joint, mix, caps, line)
+    return out if out.error is not None else out._replace(error=error)
+
+
+def read_curve(joint: JointDistribution, curve: GuessCurve,
+               eps: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The frontier on a grid of thresholds, read off ``curve``, the :func:`trace_curve` of ``joint``.
+
+    Yields (eps, utility, privacy) arrays for consecutive blocks of ``eps``,
+    each of ``GRID_ENTRIES // (M N)`` points but the last. Each ``eps`` is
+    checked and clamped as by :func:`best_filter`, so thresholds within
+    1e-12 of P_c(X|Y) or above read the last vertex. On the piece [a, b]
+    holding the clamped ``eps`` (found by one ``np.searchsorted`` on the
+    breakpoints), the filter is the mixture (1 - t) F_a + t F_b of its
+    vertex filters, t = (eps - a) / (b - a). Privacy is convex in the
+    filter, so the mixture's is at most eps; the identity-map utility is
+    linear in it, so the mixture reaches the piece's line. Each block's
+    mixtures pass one batched certificate (:func:`_certified`) against
+    those lines, with no LP solved. At the first point that fails a check,
+    the points before it are yielded and its error is raised.
+    """
+    eps = np.asarray(eps, dtype=np.float64)
+    step = max(1, GRID_ENTRIES // joint.matrix.size)
+    for start in range(0, len(eps), step):
+        block = eps[start:start + step]
+        out = _read(joint, curve, block)
+        yield block[:len(out.utility)], out.utility, out.privacy
+        out.passed()
 
 
 def curve_point(joint: JointDistribution, curve: GuessCurve, eps: float) -> FilterSolution:
-    """The frontier at ``eps``, read off ``curve``, the :func:`trace_curve` of ``joint``.
+    """The frontier at ``eps``, read off ``curve``: the one-threshold case of :func:`read_curve`.
 
-    ``eps`` is checked and clamped as by :func:`best_filter`, so thresholds
-    within 1e-12 of P_c(X|Y) or above read the last vertex. On the piece
-    [a, b] holding the clamped ``eps``, the filter is the mixture
-    (1 - t) F_a + t F_b of its vertex filters, t = (eps - a) / (b - a).
-    Privacy is convex in the filter, so the mixture's is at most eps; the
-    identity-map utility is linear in it, so the mixture reaches the piece's
-    line. Its utility and privacy are recomputed and certified against that
-    line as :func:`best_filter`'s are against the LP, with no LP solved.
+    Checks, clamping, the mixture of vertex filters and its certificate are
+    those of :func:`read_curve`; the result also carries the mixture.
     """
-    pcxy, cap = _clamp(joint, eps)
-    bps = curve.breakpoints
-    i = min(bisect.bisect_right(bps, cap), len(bps) - 1)
-    a, b = bps[i - 1], bps[i]
-    t = (cap - a) / (b - a) if cap < b else 1.0
-    mix = (1.0 - t) * curve.filters[i - 1].matrix + t * curve.filters[i].matrix
-    line = (1.0 - t) * curve.samples[i - 1][1] + t * curve.samples[i][1]
-    filt, utility, privacy = _certified(joint, mix, cap, line)
-    return FilterSolution(utility=utility, privacy=privacy, filter=filt,
+    out = _read(joint, curve, np.array([eps])).passed()
+    return FilterSolution(utility=float(out.utility[0]), privacy=float(out.privacy[0]),
+                          filter=Channel(out.filters[0]),
                           y_guess_map=tuple(range(joint.shape[1])), eps=eps,
-                          saturated=eps > pcxy)
+                          saturated=eps > cond_guess_prob(joint, Axis.ROWS))
 
 
 def guessing_gain(joint: JointDistribution, leak_bits: float) -> float:
@@ -381,8 +497,8 @@ def trace_curve(joint: JointDistribution) -> GuessCurve:
             if b - a > FEAS_TOL:
                 raise NumericalError(f"slope increased from {a} to {b}; frontier is not concave")
 
-    filters, hs, _ = zip(*(_certified(joint, f, cap, value)
-                           for f, cap, value in zip(points, caps, values)))
+    out = _certified(joint, np.stack(points), np.array(caps), np.array(values)).passed()
     breakpoints = (pcx, *caps[1:])
-    return GuessCurve(samples=tuple(zip(breakpoints, hs)), breakpoints=breakpoints,
-                      slopes=tuple(slopes), filters=filters)
+    return GuessCurve(samples=tuple(zip(breakpoints, out.utility.tolist())),
+                      breakpoints=breakpoints, slopes=tuple(slopes),
+                      filters=tuple(Channel(f) for f in out.filters))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import privguess
-from privguess import solver
+from privguess import cli, solver
 from privguess.cli import main
 
 FIG3 = {"joint": [[0.32, 0.08], [0.12, 0.48]]}
@@ -207,6 +207,177 @@ class TestHcurve:
         assert code == 0
         _, rows, _ = parse_curve(out)
         assert all(r[2] == "lp" and r[3] == "" for r in rows)
+
+
+#: ``hcurve --points 21 --breakpoints`` exit code and stdout, byte for byte, per
+#: joint of ``golden_joint``; the values are certified, so a change here is a
+#: change of output
+GOLDEN_HCURVE = {
+    "fig3": (0, """\
+epsilon,h,branch,filter_gamma
+0.6,0.72,z,0.5
+0.61,0.734,z,0.475
+0.62,0.748,z,0.45
+0.63,0.762,z,0.425
+0.64,0.776,z,0.4
+0.65,0.79,z,0.375
+0.66,0.804,z,0.35
+0.67,0.818,z,0.325
+0.68,0.832,z,0.3
+0.69,0.846,z,0.275
+0.7,0.86,z,0.25
+0.71,0.874,z,0.225
+0.72,0.888,z,0.2
+0.73,0.902,z,0.175
+0.74,0.916,z,0.15
+0.75,0.93,z,0.125
+0.76,0.944,z,0.1
+0.77,0.958,z,0.075
+0.78,0.972,z,0.05
+0.79,0.986,z,0.025
+0.8,1,z,0
+{"breakpoints": [0.6, 0.8], "slopes": [1.4], "K": 1}
+"""),
+    "multi": (0, """\
+epsilon,h,branch,filter_gamma
+0.364560073646,0.600414920107,lp,
+0.369540686195,0.632243246257,lp,
+0.374521298745,0.664071572407,lp,
+0.379501911295,0.694905665283,lp,
+0.384482523845,0.724607955522,lp,
+0.389463136395,0.75431024576,lp,
+0.394443748944,0.778335084511,lp,
+0.399424361494,0.79416829276,lp,
+0.404404974044,0.810001501009,lp,
+0.409385586594,0.825834709259,lp,
+0.414366199144,0.841667917508,lp,
+0.419346811693,0.857501125757,lp,
+0.424327424243,0.873334334006,lp,
+0.429308036793,0.889167542255,lp,
+0.434288649343,0.905000750505,lp,
+0.439269261893,0.920833958754,lp,
+0.444249874442,0.936667167003,lp,
+0.449230486992,0.952500375252,lp,
+0.454211099542,0.968333583502,lp,
+0.459191712092,0.984166791751,lp,
+0.464172324642,1,lp,
+{"breakpoints": [0.364560073646, 0.377172745218, 0.392404883924, 0.464172324642], "slopes": [6.39044411337, 5.96358177669, 3.17896806686], "K": 3}
+"""),
+    "trial71": (0, """\
+epsilon,h,branch,filter_gamma
+0.346632637182,0.685330668561,lp,
+0.359710449665,0.701899010577,lp,
+0.372788262148,0.718467352594,lp,
+0.385866074631,0.73503569461,lp,
+0.398943887115,0.751604036627,lp,
+0.412021699598,0.768172378643,lp,
+0.425099512081,0.78474072066,lp,
+0.438177324564,0.801309062676,lp,
+0.451255137047,0.817089850639,lp,
+0.46433294953,0.832362369058,lp,
+0.477410762014,0.847634187721,lp,
+0.490488574497,0.862870768949,lp,
+0.50356638698,0.878107350177,lp,
+0.516644199463,0.893343931405,lp,
+0.529722011946,0.908580512633,lp,
+0.542799824429,0.923817093861,lp,
+0.555877636912,0.939053675088,lp,
+0.568955449396,0.954290256316,lp,
+0.582033261879,0.969526837544,lp,
+0.595111074362,0.984763418772,lp,
+0.608188886845,1,lp,
+{"breakpoints": [0.346632637182, 0.443306922297, 0.477156115415, 0.608188886845], "slopes": [1.26690469357, 1.16781903998, 1.16507108873], "K": 3}
+"""),
+    "trial105": (0, """\
+epsilon,h,branch,filter_gamma
+0.349742092019,0.722501777765,lp,
+0.356169030856,0.738047213451,lp,
+0.362595969692,0.752031595189,lp,
+0.369022908529,0.766015667549,lp,
+0.375449847366,0.779999739909,lp,
+0.381876786203,0.793983812269,lp,
+0.38830372504,0.807967884629,lp,
+0.394730663876,0.82195195699,lp,
+0.401157602713,0.83593602935,lp,
+0.40758454155,0.84992010171,lp,
+0.414011480387,0.86390417407,lp,
+0.420438419224,0.87788824643,lp,
+0.42686535806,0.891872318791,lp,
+0.433292296897,0.905856391151,lp,
+0.439719235734,0.919840463511,lp,
+0.446146174571,0.933824535871,lp,
+0.452573113407,0.947421162553,lp,
+0.459000052244,0.960565871915,lp,
+0.465426991081,0.973710581276,lp,
+0.471853929918,0.986855290638,lp,
+0.478280868755,1,lp,
+{"breakpoints": [0.349742092019, 0.351300493697, 0.356075040441, 0.357913330067, 0.449606471224, 0.478280868755], "slopes": [3.16859621908, 2.17883803597, 2.17603008668, 2.1758527217, 2.04525197697], "K": 5}
+"""),
+    "near": (0, """\
+epsilon,h,branch,filter_gamma
+0.5,1,lp,
+0.500000000005,1,lp,
+0.50000000001,1,lp,
+0.500000000015,1,lp,
+0.50000000002,1,lp,
+0.500000000025,1,lp,
+0.50000000003,1,lp,
+0.500000000035,1,lp,
+0.50000000004,1,lp,
+0.500000000045,1,lp,
+0.50000000005,1,lp,
+0.500000000055,1,lp,
+0.50000000006,1,lp,
+0.500000000065,1,lp,
+0.50000000007,1,lp,
+0.500000000075,1,lp,
+0.50000000008,1,lp,
+0.500000000085,1,lp,
+0.50000000009,1,lp,
+0.500000000095,1,lp,
+0.5000000001,1,lp,
+{"breakpoints": [0.5, 0.5000000001], "slopes": [0.0], "K": 1}
+"""),
+    "wide": (3, """\
+epsilon,h,branch,filter_gamma
+"""),
+}
+
+
+def golden_joint(name):
+    """Joints of GOLDEN_HCURVE: trials 71 and 105 have kinks with small slope changes,
+    "near" has P_c(X|Y) - P_c(X) = 1e-10 and "wide" a Y alphabet above the cap."""
+    from test_solver import MULTI_PIECE, seeded_trial
+    return {
+        "fig3": FIG3["joint"],
+        "multi": (MULTI_PIECE / MULTI_PIECE.sum()).tolist(),
+        "trial71": seeded_trial(71).tolist(),
+        "trial105": seeded_trial(105).tolist(),
+        "near": [[0.3 + 5e-11, 0.2 - 5e-11], [0.3 - 5e-11, 0.2 + 5e-11]],
+        "wide": [[1.0 / 14] * 7] * 2,
+    }[name]
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_HCURVE))
+def test_hcurve_golden_bytes(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"joint": golden_joint(name)}))
+    code, out, _ = run_cli(capsys, ["hcurve", "--joint", str(path), "--points", "21", "--breakpoints"])
+    assert (code, out) == GOLDEN_HCURVE[name]
+
+
+def test_parser_is_reused_across_calls(capsys, fig3_file):
+    argv = ["hcurve", "--joint", fig3_file, "--points", "21", "--breakpoints"]
+    code, first, _ = run_cli(capsys, argv)
+    assert (code, first) == GOLDEN_HCURVE["fig3"]
+    code, out, err = run_cli(capsys, ["hcurve", "--joint", fig3_file, "--points", "1"])
+    assert (code, out) == (2, "") and "--points" in err
+    code, out, err = run_cli(capsys, ["hcurve", "--points", "21"])
+    assert (code, out) == (2, "") and "--joint" in err
+    code, out, _ = run_cli(capsys, ["--help"])
+    assert code == 0 and "hcurve" in out
+    assert run_cli(capsys, argv) == (0, first, "")
+    assert cli._build_parser() is cli._build_parser()
 
 
 class TestBibo:

@@ -12,10 +12,12 @@ from test_bibo import binary_filter_grid_max
 from privguess import (
     Axis,
     CapacityError,
+    Channel,
     InfeasibleThresholdError,
     JointDistribution,
     NumericalError,
     ParameterError,
+    PrivguessError,
     best_filter,
     closed_form_utility,
     compose,
@@ -472,9 +474,9 @@ class TestTraceCurve:
         assert len(curve.filters) == len(curve.samples)
         for (eps, h), f in zip(curve.samples, curve.filters):
             assert f.matrix.shape == (3, 3)
-            utility, privacy = solver._evaluate(joint, f)
-            assert utility == h
-            assert privacy <= eps + lp_module.FEAS_TOL
+            out = solver._evaluate(joint, f.matrix[None]).passed()
+            assert out.utility[0] == h
+            assert out.privacy[0] <= eps + lp_module.FEAS_TOL
 
     def test_end_is_p_c_x_exactly(self):
         # the walk ends at 0.6 within roundoff; the breakpoint is P_c(X) itself
@@ -530,6 +532,141 @@ class TestCurvePoint:
         other = JointDistribution(seeded_trial(71)[:3, :3] / seeded_trial(71)[:3, :3].sum())
         with pytest.raises(NumericalError, match="certificate"):
             solver.curve_point(other, curve, cond_guess_prob(other, Axis.ROWS) - 0.01)
+
+
+def read_all(joint, curve, grid):
+    """(eps, utility, privacy) of the whole grid from read_curve, and the error it raised (or None)."""
+    parts, error = [], None
+    try:
+        parts.extend(solver.read_curve(joint, curve, grid))
+    except PrivguessError as exc:
+        error = exc
+    eps, hs, privs = (np.concatenate([part[i] for part in parts]) if parts else np.empty(0)
+                      for i in range(3))
+    return eps, hs, privs, error
+
+
+class TestBatchedChecks:
+    @pytest.mark.parametrize("row, scale, mass", [
+        ([float("nan"), 0.5, 0.5], 1.0, 1.0),
+        ([-1e-3, 0.5, 0.501], 1.0, 1.0),
+        ([0.2, 0.3, 0.5], 1.0 + 2e-9, 1.0),         # row sum beyond MASS_TOL
+        ([0.2, 0.3, 0.5], 1.0 + 9e-10, 1.0 + 9e-10),  # a channel, but the composed mass is not 1
+    ], ids=["nan", "negative", "row-sum", "composed-mass"])
+    def test_first_failing_filter_raises_the_primitives_error(self, row, scale, mass):
+        joint = JointDistribution(MULTI_PIECE / MULTI_PIECE.sum() * mass)
+        good = np.full((3, 3), 1.0 / 3.0)
+        bad = good.copy()
+        bad[1] = np.array(row) * scale
+        with pytest.raises(PrivguessError) as want:
+            compose(joint, Channel(bad), Axis.COLS)
+            JointDistribution(joint.col_marginal[:, None] * bad)
+        out = solver._evaluate(joint, np.stack([good, bad, good]))
+        assert type(out.error) is type(want.value) and str(out.error) == str(want.value)
+        assert len(out.filters) == len(out.utility) == len(out.privacy) == 1
+        assert out.privacy[0] == cond_guess_prob(compose(joint, Channel(good), Axis.COLS), Axis.ROWS)
+
+
+class TestReadCurve:
+    def test_values_are_per_point_recomputations(self):
+        # the batched certificate equals the probability primitives bit for bit
+        for trial in range(120):
+            p = seeded_trial(trial)
+            joint = JointDistribution(p)
+            curve = trace_curve(joint)
+            grid = np.linspace(guess_prob(joint, Axis.ROWS) - 5e-10,
+                               cond_guess_prob(joint, Axis.ROWS) + 0.01, 15)
+            eps, hs, privs, error = read_all(joint, curve, grid)
+            assert error is None
+            np.testing.assert_array_equal(eps, grid)
+            p_y = JointDistribution(np.diag(joint.col_marginal))
+            for e, h, priv in zip(grid.tolist(), hs.tolist(), privs.tolist()):
+                filt = solver.curve_point(joint, curve, e).filter
+                assert h == cond_guess_prob(compose(p_y, filt, Axis.COLS), Axis.ROWS), (trial, e)
+                assert priv == cond_guess_prob(compose(joint, filt, Axis.COLS), Axis.ROWS), (trial, e)
+
+    def test_values_match_highs(self):
+        pytest.importorskip("scipy")
+        for trial in range(120):
+            p = seeded_trial(trial)
+            joint = JointDistribution(p)
+            curve = trace_curve(joint)
+            grid = np.linspace(curve.breakpoints[0], curve.breakpoints[-1], 5)[1:]
+            _, hs, _, error = read_all(joint, curve, grid)
+            assert error is None
+            for e, h in zip(grid.tolist(), hs.tolist()):
+                assert abs(h - highs_frontier(p, e)) <= 1e-9, (trial, e)
+
+    def test_blocks_do_not_change_values(self, monkeypatch):
+        joint = JointDistribution(MULTI_PIECE / MULTI_PIECE.sum())
+        curve = trace_curve(joint)
+        grid = np.linspace(curve.breakpoints[0], 0.5, 21)
+        whole = read_all(joint, curve, grid)
+        monkeypatch.setattr(solver, "GRID_ENTRIES", 2 * joint.matrix.size)
+        assert [len(eps) for eps, _, _ in solver.read_curve(joint, curve, grid)] == [2] * 10 + [1]
+        blocked = read_all(joint, curve, grid)
+        for a, b in zip(whole[:3], blocked[:3]):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("entries", [None, 9], ids=["one-block", "point-blocks"])
+    def test_one_failing_point_stops_the_grid_there(self, monkeypatch, entries):
+        joint = JointDistribution(MULTI_PIECE / MULTI_PIECE.sum())
+        curve = trace_curve(joint)
+        assert curve.k == 3
+        # a foreign curve: vertex 2 moved 1e-6 off the frontier; on a grid of the
+        # breakpoints and one point inside the first piece, only the point at
+        # breakpoint 2 mixes that vertex in with a nonzero weight
+        samples = list(curve.samples)
+        samples[2] = (samples[2][0], samples[2][1] + 1e-6)
+        foreign = dataclasses.replace(curve, samples=tuple(samples))
+        b = curve.breakpoints
+        grid = np.array([b[0], (b[0] + b[1]) / 2, b[1], b[2], b[3]])
+        if entries is not None:
+            monkeypatch.setattr(solver, "GRID_ENTRIES", entries)
+        eps, hs, _, error = read_all(joint, foreign, grid)
+        with pytest.raises(NumericalError, match="certificate") as want:
+            solver.curve_point(joint, foreign, float(grid[3]))
+        assert type(error) is NumericalError and str(error) == str(want.value)
+        np.testing.assert_array_equal(eps, grid[:3])
+        assert hs.tolist() == [solver.curve_point(joint, curve, e).utility for e in grid[:3].tolist()]
+        assert solver.curve_point(joint, foreign, float(grid[4])).utility == curve.samples[3][1]
+        # a bad threshold after the failing point does not take its place
+        assert type(read_all(joint, foreign, np.append(grid, np.nan))[3]) is NumericalError
+
+    @pytest.mark.parametrize("bad, kind", [
+        (float("nan"), ParameterError),
+        (0.6 - 2e-9, InfeasibleThresholdError),
+    ], ids=["nan", "below"])
+    def test_bad_threshold_stops_the_grid_there(self, bad, kind):
+        joint = fig3_joint()
+        curve = trace_curve(joint)
+        grid = np.array([0.6 - 5e-10, 0.7, bad, 0.75])
+        eps, hs, _, error = read_all(joint, curve, grid)
+        with pytest.raises(kind) as want:
+            solver.curve_point(joint, curve, bad)
+        assert type(error) is type(want.value) and str(error) == str(want.value)
+        np.testing.assert_array_equal(eps, grid[:2])
+        assert hs.tolist() == [solver.curve_point(joint, curve, e).utility for e in grid[:2].tolist()]
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        import tracemalloc
+        joint = JointDistribution(MULTI_PIECE / MULTI_PIECE.sum())
+        curve = trace_curve(joint)
+        n = 200_001
+        tracemalloc.start()
+        try:
+            grid = np.linspace(curve.breakpoints[0], 0.5, n)
+            out = np.empty((2, n))
+            start = 0
+            for eps, hs, privs in solver.read_curve(joint, curve, grid):
+                out[:, start:start + len(eps)] = hs, privs
+                start += len(eps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert start == n
+        # one unblocked (n, 3, 3) stack of filters alone would be 14.4 MB
+        assert peak - grid.nbytes - out.nbytes < 4e6
 
 
 def seeded_trial(trial: int) -> np.ndarray:
