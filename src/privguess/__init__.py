@@ -11,6 +11,8 @@ from .bibo import (
     BranchTag,
     branch,
     closed_form_utility,
+    crossover,
+    from_joint,
     nontrivial_utility,
     optimal_filter,
     perfect_privacy_utility,
@@ -88,8 +90,8 @@ __all__ = [
     "FilterSolution", "GuessCurve", "OrderBounds", "best_filter", "curve_point",
     "guessing_gain", "finite_order_gain_bounds", "read_curve", "trace_curve",
     # binary closed forms
-    "BiboParams", "BranchTag", "branch", "to_joint", "perfect_privacy_utility",
-    "nontrivial_utility", "closed_form_utility", "optimal_filter",
+    "BiboParams", "BranchTag", "branch", "to_joint", "from_joint", "perfect_privacy_utility",
+    "nontrivial_utility", "closed_form_utility", "crossover", "optimal_filter",
     # block vectors
     "VectorModel", "ZnChannel", "Validity", "BlockUtility", "ThresholdEstimate",
     "memoryless_utility", "block_utility", "block_utility_detail", "zn_filter",

@@ -28,14 +28,16 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateChannelError, ParameterError
-from .prob import Channel, JointDistribution
+from .errors import DegenerateChannelError, ParameterError, PrivguessError
+from .prob import RANGE_TOL, Channel, JointDistribution
 
 __all__ = [
     "BiboParams",
     "BranchTag",
     "branch",
     "to_joint",
+    "from_joint",
+    "crossover",
     "perfect_privacy_utility",
     "nontrivial_utility",
     "closed_form_utility",
@@ -44,9 +46,6 @@ __all__ = [
 
 #: formula denominators below this raise a degeneracy error
 DENOM_TOL = 1e-12
-
-#: slack accepted on the eps range check
-RANGE_TOL = 1e-9
 
 
 class BranchTag(Enum):
@@ -112,7 +111,25 @@ def to_joint(params: BiboParams) -> JointDistribution:
     ]))
 
 
-def _require_nondegenerate(params: BiboParams) -> BranchTag:
+def from_joint(joint: JointDistribution) -> BiboParams | None:
+    """The parameters of a 2x2 joint laid out as by :func:`to_joint`, or None
+    unless they are :class:`BiboParams` that the closed forms below accept."""
+    if joint.shape != (2, 2):
+        return None
+    p = float(joint.matrix[1].sum())
+    if not 0.5 <= p < 1.0:  # BiboParams' range for p, which keeps both divisions finite
+        return None
+    (_, alpha), (beta, _) = joint.matrix.tolist()
+    try:
+        params = BiboParams(p, alpha / (1.0 - p), beta / p)
+        _branch_denominator(params)
+    except PrivguessError:
+        return None
+    return params
+
+
+def _branch_denominator(params: BiboParams) -> tuple[BranchTag, float]:
+    """The achieving branch and the denominator of its zeta; raises on the degenerate regime."""
     tag = branch(params)
     if tag is BranchTag.DEGENERATE:
         raise DegenerateChannelError(
@@ -124,7 +141,7 @@ def _require_nondegenerate(params: BiboParams) -> BranchTag:
     denom = (1.0 - b) * p - a * pbar if tag is BranchTag.Z_BRANCH else (1.0 - a) * pbar - b * p
     if denom < DENOM_TOL:
         raise DegenerateChannelError(f"branch denominator {denom!r} below {DENOM_TOL}")
-    return tag
+    return tag, denom
 
 
 def perfect_privacy_utility(params: BiboParams) -> float:
@@ -139,24 +156,17 @@ def perfect_privacy_utility(params: BiboParams) -> float:
 
 def nontrivial_utility(params: BiboParams) -> bool:
     """True when perfect privacy still allows guessing Y better than its marginal."""
-    tag = _require_nondegenerate(params)
-    return tag is BranchTag.Z_BRANCH and params.p > 0.5
+    return _branch_denominator(params)[0] is BranchTag.Z_BRANCH and params.p > 0.5
 
 
-def _zeta_at(params: BiboParams, eps: float, tag: BranchTag) -> float:
-    p, a, b = params.p, params.alpha, params.beta
-    pbar = 1.0 - p
-    num = (1.0 - a) * pbar + (1.0 - b) * p - eps
-    if tag is BranchTag.Z_BRANCH:
-        return num / ((1.0 - b) * p - a * pbar)
-    return num / ((1.0 - a) * pbar - b * p)
-
-
-def _check_eps(params: BiboParams, eps: float) -> float:
-    lo, hi = params.p, params.pc_x_given_y
-    if not lo - RANGE_TOL <= eps <= hi + RANGE_TOL:
-        raise ParameterError(f"eps {eps!r} outside the frontier domain [{lo}, {hi}]")
-    return min(max(eps, lo), hi)
+def _zeta_at(params: BiboParams, eps, denom: float) -> np.ndarray:
+    """zeta(eps) with its branch's ``denom`` at each eps, checked and clamped onto [p, P_c(X|Y)]."""
+    eps = np.asarray(eps, dtype=np.float64)
+    p, hi, a, b = params.p, params.pc_x_given_y, params.alpha, params.beta
+    bad = ~((p - RANGE_TOL <= eps) & (eps <= hi + RANGE_TOL))
+    if bad.any():
+        raise ParameterError(f"eps {eps[bad][0].item()!r} outside the frontier domain [{p}, {hi}]")
+    return ((1.0 - a) * (1.0 - p) + (1.0 - b) * p - np.clip(eps, p, hi)) / denom
 
 
 def closed_form_utility(params: BiboParams, eps: float) -> tuple[float, BranchTag]:
@@ -166,12 +176,17 @@ def closed_form_utility(params: BiboParams, eps: float) -> tuple[float, BranchTa
     equals the perfect-privacy utility at the left endpoint and 1 at the
     right endpoint.
     """
-    tag = _require_nondegenerate(params)
-    eps = _check_eps(params, eps)
-    zeta = _zeta_at(params, eps, tag)
+    tag, denom = _branch_denominator(params)
+    zeta = float(_zeta_at(params, eps, denom))
     if tag is BranchTag.Z_BRANCH:
         return 1.0 - zeta * params.q, tag
     return 1.0 - zeta * (1.0 - params.q), tag
+
+
+def crossover(params: BiboParams, eps) -> np.ndarray:
+    """The flip probability of :func:`optimal_filter` (zeta or zetatilde, clipped to [0, 1])
+    at each threshold of the array ``eps``, each checked as by :func:`closed_form_utility`."""
+    return np.clip(_zeta_at(params, eps, _branch_denominator(params)[1]), 0.0, 1.0)
 
 
 def optimal_filter(params: BiboParams, eps: float) -> Channel:
@@ -186,10 +201,7 @@ def optimal_filter(params: BiboParams, eps: float) -> Channel:
     channel with crossover zeta(eps)/2 is equally optimal; only the reverse-Z
     filter is returned here.
     """
-    tag = _require_nondegenerate(params)
-    eps = _check_eps(params, eps)
-    zeta = _zeta_at(params, eps, tag)
-    zeta = min(max(zeta, 0.0), 1.0)
-    if tag is BranchTag.Z_BRANCH:
+    zeta = float(crossover(params, eps))
+    if branch(params) is BranchTag.Z_BRANCH:
         return Channel(np.array([[1.0, 0.0], [zeta, 1.0 - zeta]]))
     return Channel(np.array([[1.0 - zeta, zeta], [0.0, 1.0]]))

@@ -81,25 +81,6 @@ def _cmd_pc(args) -> int:
     return EXIT_OK
 
 
-def _scalar_tags(joint: JointDistribution):
-    """(BiboParams, branch) for a conforming 2x2 joint, else None (tags the CSV rows)."""
-    if joint.shape != (2, 2):
-        return None
-    m = joint.matrix
-    p = float(m[1].sum())
-    pbar = 1.0 - p
-    if p <= 0.0 or pbar <= 0.0:
-        return None
-    try:
-        params = bibo.BiboParams(p=p, alpha=float(m[0, 1] / pbar), beta=float(m[1, 0] / p))
-    except PrivguessError:
-        return None
-    tag = bibo.branch(params)
-    if tag is bibo.BranchTag.DEGENERATE:
-        return None
-    return params, tag
-
-
 def _eps_range(args, lo: float, hi: float) -> tuple[float, float]:
     """The grid ends: --eps-min and --eps-max where given, ``lo`` and ``hi`` otherwise."""
     for flag, value in (("--eps-min", args.eps_min), ("--eps-max", args.eps_max)):
@@ -117,18 +98,15 @@ def _cmd_hcurve(args) -> int:
     if args.points < 2:
         raise UsageError(f"--points must be at least 2, got {args.points}")
     lo, hi = _eps_range(args, guess_prob(joint, Axis.ROWS), cond_guess_prob(joint, Axis.ROWS))
-    tags = _scalar_tags(joint)
+    params = bibo.from_joint(joint)  # 2x2 rows are tagged with the closed form's filter
+    tag = "lp" if params is None else bibo.branch(params).value
     print(CURVE_HEADER)
     curve = solver.trace_curve(joint)
     for grid, hs, _ in solver.read_curve(joint, curve, np.linspace(lo, hi, args.points)):
-        for eps, h in zip(grid.tolist(), hs.tolist()):
-            if tags is not None:
-                params, tag = tags
-                gamma = bibo.optimal_filter(params, min(eps, params.pc_x_given_y))
-                gval = gamma.matrix[1, 0] if tag is bibo.BranchTag.Z_BRANCH else gamma.matrix[0, 1]
-                print(f"{_fmt(eps)},{_fmt(h)},{tag.value},{_fmt(float(gval))}")
-            else:
-                print(f"{_fmt(eps)},{_fmt(h)},lp,")
+        gammas = [""] * len(grid) if params is None else [
+            _fmt(g) for g in bibo.crossover(params, np.minimum(grid, params.pc_x_given_y)).tolist()]
+        for eps, h, gamma in zip(grid.tolist(), hs.tolist(), gammas):
+            print(f"{_fmt(eps)},{_fmt(h)},{tag},{gamma}")
     if args.breakpoints:
         _json_out({
             "breakpoints": [_round12(b) for b in curve.breakpoints],
@@ -150,11 +128,10 @@ def _cmd_bibo(args) -> int:
     if args.eps is not None:
         value, tag = bibo.closed_form_utility(params, args.eps)
         filt = bibo.optimal_filter(params, args.eps)
-        zeta = filt.matrix[1, 0] if tag is bibo.BranchTag.Z_BRANCH else filt.matrix[0, 1]
         out.update({
             "h": _round12(value),
             "branch": tag.value,
-            "zeta": _round12(float(zeta)),
+            "zeta": _round12(float(bibo.crossover(params, args.eps))),
             "filter": [[_round12(float(v)) for v in row] for row in filt.matrix],
         })
     _json_out(out)

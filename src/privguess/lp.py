@@ -49,7 +49,7 @@ when it is built, the NumPy ``_simplex_py`` otherwise
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -237,12 +237,7 @@ def solve_lp(prog: LinearProgram) -> LpSolution:
         if worst > FEAS_TOL:
             raise NumericalError(f"reduced cost {worst} above {FEAS_TOL} at claimed optimum")
 
-        x_full = np.zeros(n_real)
-        x_full[bk] = tk[:m, -1]
-        point = x_full[:n]
-        _certify(prog, point)
-        point = np.maximum(point, 0.0)  # clip roundoff-negative basics
-        value = float(c @ point)
+        value, point = _vertex(prog, prog.b_ub, c, tk, bk)
         if best is None or value > best[0]:
             # a slack's reduced profit is minus its row's price
             best = (value, point, -tk[m, n:n_real], k, tk, bk)
@@ -290,7 +285,8 @@ def piece_starts(prog: LinearProgram, sol: LpSolution, row: int) -> Iterator[Pie
     feasible range, where no column can enter.
 
     The point of the basis at each yielded rhs passes the same certificate
-    as an optimum of :func:`solve_lp`, and ``value`` is recomputed from it.
+    as an optimum of :func:`solve_lp`, against the walk's rhs, and
+    ``value`` is recomputed from it.
     Raises :class:`NumericalError` if a certificate fails, if no basic
     variable limits a step (the rhs would fall without end, which a cap on
     probabilities cannot) or if the walk takes more pivots than a phase of
@@ -303,12 +299,7 @@ def piece_starts(prog: LinearProgram, sol: LpSolution, row: int) -> Iterator[Pie
     objective = prog.objective.reshape(-1, n)[sol.winner]
 
     def vertex(slope: float, price_below: float) -> PieceStart:
-        x_full = np.zeros(t.shape[1] - 1)
-        x_full[basis] = t[:m, -1]
-        point = x_full[:n]
-        _certify(replace(prog, b_ub=b_ub), point)
-        point = np.maximum(point, 0.0)
-        return PieceStart(float(b_ub[row]), float(objective @ point), point, slope, price_below)
+        return PieceStart(float(b_ub[row]), *_vertex(prog, b_ub, objective, t, basis), slope, price_below)
 
     slope = price = float(-t[m, s])
     kink = None  # the latest kink, until a basis moves more than FEAS_TOL below it
@@ -354,8 +345,17 @@ def _purge_artificials(t: np.ndarray, basis: np.ndarray, n_real: int) -> list[in
     return keep
 
 
-def _certify(prog: LinearProgram, x: np.ndarray) -> None:
-    """Feasibility certificate for a claimed-optimal point."""
+def _vertex(prog: LinearProgram, b_ub: np.ndarray, c: np.ndarray, t: np.ndarray,
+            basis: np.ndarray) -> tuple[float, np.ndarray]:
+    """(value under ``c``, point) of the basic solution of tableau ``t``, certified feasible.
+
+    The certificate checks the point against ``prog`` with ``b_ub`` as the
+    inequality rhs, each constraint within ``FEAS_TOL``; the point's
+    roundoff-negative components are then clipped to 0.
+    """
+    x_full = np.zeros(t.shape[1] - 1)
+    x_full[basis] = t[:basis.shape[0], -1]
+    x = x_full[:prog.n_vars]
     if np.any(x < -FEAS_TOL):
         raise NumericalError("negative component in simplex solution")
     if prog.a_eq.shape[0]:
@@ -363,6 +363,8 @@ def _certify(prog: LinearProgram, x: np.ndarray) -> None:
         if res > FEAS_TOL:
             raise NumericalError(f"equality residual {res} exceeds {FEAS_TOL}")
     if prog.a_ub.shape[0]:
-        res = float((prog.a_ub @ x - prog.b_ub).max())
+        res = float((prog.a_ub @ x - b_ub).max())
         if res > FEAS_TOL:
             raise NumericalError(f"inequality violation {res} exceeds {FEAS_TOL}")
+    x = np.maximum(x, 0.0)
+    return float(c @ x), x

@@ -47,6 +47,9 @@ __all__ = [
 #: validation tolerance on probability mass
 MASS_TOL = 1e-9
 
+#: slack on a privacy threshold's domain: eps this far outside it is clamped onto it
+RANGE_TOL = 1e-9
+
 #: orders within this distance above 1 use the Shannon branch
 _ORDER_ONE_BAND = 1e-6
 

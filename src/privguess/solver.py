@@ -56,9 +56,10 @@ from .errors import (
     ParameterError,
     PrivguessError,
 )
-from .lp import FEAS_TOL, LinearProgram, LpSolution, LpStatus, piece_starts, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LpSolution, LpStatus, PieceStart, piece_starts, solve_lp
 from .prob import (
     MASS_TOL,
+    RANGE_TOL,
     Axis,
     Channel,
     JointDistribution,
@@ -173,7 +174,7 @@ class GuessMax:
     """Result of :func:`lp_guess_max`: optimal value, filter, guessing map and cap-row price.
 
     ``program`` and ``solution`` are the LP solved and its solve, whose final
-    tableau a caller can continue from (:func:`lp.piece_starts`).
+    tableau :meth:`walk` continues from.
     """
 
     value: float
@@ -182,6 +183,10 @@ class GuessMax:
     price: float
     program: LinearProgram
     solution: LpSolution
+
+    def walk(self) -> Iterator[PieceStart]:
+        """:func:`lp.piece_starts` on the privacy-cap row: the kinks as the cap falls from ``program``'s."""
+        return piece_starts(self.program, self.solution, len(self.program.b_ub) - 1)
 
 
 def lp_guess_max(p: np.ndarray, cap: float, n_outputs: int,
@@ -295,14 +300,14 @@ def _certified(joint: JointDistribution, f: np.ndarray, caps: np.ndarray,
 def _clamp(joint: JointDistribution, eps: np.ndarray) -> tuple[float, np.ndarray, PrivguessError | None]:
     """(P_c(X|Y), caps, error): each ``eps`` clamped onto the frontier's domain [P_c(X), P_c(X|Y)].
 
-    ``eps`` below P_c(X) beyond 1e-9 is infeasible, and a NaN is rejected;
-    ``caps`` covers the thresholds before the first such one, and ``error``
-    is its error (None if there is none). From 1e-12 below P_c(X|Y) up the
-    cap is P_c(X|Y) itself.
+    ``eps`` below P_c(X) beyond ``RANGE_TOL`` is infeasible, and a NaN is
+    rejected; ``caps`` covers the thresholds before the first such one, and
+    ``error`` is its error (None if there is none). From 1e-12 below
+    P_c(X|Y) up the cap is P_c(X|Y) itself.
     """
     pcx = guess_prob(joint, Axis.ROWS)
     pcxy = cond_guess_prob(joint, Axis.ROWS)
-    bad = np.isnan(eps) | (eps < pcx - 1e-9)
+    bad = np.isnan(eps) | (eps < pcx - RANGE_TOL)
     error = None
     if bad.any():
         k = int(bad.argmax())
@@ -320,10 +325,10 @@ def _clamp(joint: JointDistribution, eps: np.ndarray) -> tuple[float, np.ndarray
 def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
     """Solve the frontier problem at privacy threshold ``eps``.
 
-    ``eps`` below the unconditional guessing probability of X (beyond 1e-9)
-    is infeasible; above the conditional guessing probability the identity
-    filter is returned directly with utility 1 and the solution is flagged
-    saturated. Y alphabets larger than ``MAX_ALPHABET`` are rejected.
+    ``eps`` below the unconditional guessing probability of X (beyond
+    ``RANGE_TOL``) is infeasible; above the conditional guessing probability
+    the identity filter is returned directly with utility 1 and the solution
+    is flagged saturated. Y alphabets larger than ``MAX_ALPHABET`` are rejected.
     """
     p = joint.matrix
     n = p.shape[1]
@@ -459,8 +464,8 @@ def trace_curve(joint: JointDistribution) -> GuessCurve:
     """The frontier's breakpoints, slopes and vertices, from one LP.
 
     One identity-map LP with N outputs (see the module docstring) is solved
-    at eps = P_c(X|Y), and :func:`lp.piece_starts` walks its cap down from
-    there to the end of the feasible range, which must lie within
+    at eps = P_c(X|Y), and its walk (:meth:`GuessMax.walk`) lowers its cap
+    from there to the end of the feasible range, which must lie within
     ``FEAS_TOL`` of P_c(X) and is reported as P_c(X). Every kink on the way
     is a breakpoint, and each piece's slope is the cap row's price on it. A
     kink within ``FEAS_TOL`` of P_c(X|Y) is where h reaches 1 and turns
@@ -468,9 +473,9 @@ def trace_curve(joint: JointDistribution) -> GuessCurve:
     attains h = 1 exactly; every other vertex is the walk's basic point at
     its kink. Each vertex filter passes the same certificate as
     :func:`best_filter`'s, h there is recomputed from it, and the curve keeps
-    it. Where P_c(X|Y) - P_c(X) <= 1e-9, Y gives no guessing advantage and no
-    LP is solved: both breakpoints are vertices of the identity filter, with
-    h = 1 and slope 0. Y alphabets larger than ``MAX_ALPHABET`` are rejected.
+    it. Where P_c(X|Y) - P_c(X) <= ``RANGE_TOL``, Y gives no guessing
+    advantage and no LP is solved: both breakpoints are vertices of the
+    identity filter, with h = 1 and slope 0. Y alphabets larger than ``MAX_ALPHABET`` are rejected.
     """
     p = joint.matrix
     n = p.shape[1]
@@ -478,12 +483,11 @@ def trace_curve(joint: JointDistribution) -> GuessCurve:
         raise CapacityError(f"Y alphabet {n} exceeds enumeration cap {MAX_ALPHABET}")
     pcx = guess_prob(joint, Axis.ROWS)
     pcxy = cond_guess_prob(joint, Axis.ROWS)
-    if pcxy - pcx <= 1e-9:
+    if pcxy - pcx <= RANGE_TOL:
         # the domain collapses to a point, where the identity filter is optimal
         caps, points, values, slopes = [pcx, pcxy], [np.eye(n)] * 2, [1.0, 1.0], [0.0]
     else:
-        res = lp_guess_max(p, pcxy, n, [tuple(range(n))])
-        *kinks, end = piece_starts(res.program, res.solution, res.program.a_ub.shape[0] - 1)
+        *kinks, end = lp_guess_max(p, pcxy, n, [tuple(range(n))]).walk()
         if abs(end.rhs - pcx) > FEAS_TOL:
             raise NumericalError(f"frontier walk ended at {end.rhs!r}, not at P_c(X) = {pcx!r}")
         if kinks and kinks[0].rhs > pcxy - FEAS_TOL:

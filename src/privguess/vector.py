@@ -67,8 +67,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, NumericalError, ParameterError
-from .lp import FEAS_TOL, piece_starts
-from .prob import Channel, JointDistribution
+from .lp import FEAS_TOL
+from .prob import RANGE_TOL, Channel, JointDistribution
 from .solver import lp_guess_max
 
 __all__ = [
@@ -93,8 +93,6 @@ MAX_MATERIALIZED_N = 10
 #: largest n for which LP certification is attempted; at n = 4 the dense
 #: simplex exhausts its pivot budget on the 272-variable LP
 MAX_CERTIFIED_N = 3
-
-RANGE_TOL = 1e-9
 
 
 class Validity(Enum):
@@ -451,11 +449,11 @@ def validity_threshold(model: VectorModel) -> ThresholdEstimate:
     attains L from the certificate threshold up, so one LP is solved at t0
     halfway between that threshold and abar, in cap terms, on the last
     piece. Its value must equal L(t0) and its cap-row price L's slope, both
-    within ``FEAS_TOL``. From there :func:`lp.piece_starts` lowers the cap by
-    primal ratio tests and dual simplex pivots on that LP's final tableau,
-    and its first stop is the threshold: the kink where the cap price rises
-    above its value on the piece, or the left end of the domain, where the
-    threshold is p. The point of the basis there must be feasible and
+    within ``FEAS_TOL``. From there its walk (:meth:`solver.GuessMax.walk`)
+    lowers the cap by primal ratio tests and dual simplex pivots on that
+    LP's final tableau, and its first stop is the threshold: the kink where
+    the cap price rises above its value on the piece, or the left end of the
+    domain, where the threshold is p. The point of the basis there must be feasible and
     attain L within ``FEAS_TOL``; concavity then puts V on L from there up.
     A failed check raises :class:`NumericalError`. n >= 4: the cheap
     heuristic threshold, flagged uncertified.
@@ -475,7 +473,7 @@ def validity_threshold(model: VectorModel) -> ThresholdEstimate:
             f"LP at cap {t0!r} is off the formula's line: value {res.value!r} against "
             f"{line!r}, cap price {res.price!r} against slope {slope!r}"
         )
-    kink = next(piece_starts(res.program, res.solution, res.program.a_ub.shape[0] - 1))
+    kink = next(res.walk())
     line = 1.0 - (top - kink.rhs) * slope
     if not abs(kink.value - line) <= FEAS_TOL:
         raise NumericalError(f"LP value {kink.value!r} at cap {kink.rhs!r} is off the formula's line {line!r}")

@@ -9,11 +9,14 @@ from privguess import (
     BiboParams,
     BranchTag,
     DegenerateChannelError,
+    JointDistribution,
     ParameterError,
     branch,
     closed_form_utility,
     compose,
     cond_guess_prob,
+    crossover,
+    from_joint,
     nontrivial_utility,
     optimal_filter,
     perfect_privacy_utility,
@@ -53,6 +56,72 @@ class TestToJoint:
         np.testing.assert_allclose(
             to_joint(BiboParams(0.5, 0.2, 0.1)).matrix,
             [[0.4, 0.1], [0.05, 0.45]], atol=1e-15)
+
+
+class TestFromJoint:
+    def test_round_trip(self):
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            params = random_bibo(rng)
+            got = from_joint(to_joint(params))
+            assert got is not None
+            for name in ("p", "alpha", "beta"):
+                assert getattr(got, name) == pytest.approx(getattr(params, name), abs=1e-12)
+
+    @pytest.mark.parametrize("matrix", [
+        [[0.2, 0.1, 0.1], [0.2, 0.2, 0.2]],  # not 2x2
+        [[0.3, 0.3], [0.2, 0.2]],  # p = 0.4 below 1/2
+        [[0.5, 0.5], [0.0, 0.0]],  # p = 0
+        [[0.0, 0.0], [0.6, 0.4]],  # p = 1
+        [[0.2, 0.3], [0.1, 0.4]],  # alpha = 0.6 above 1/2
+        [[0.05, 0.05], [0.45, 0.45]],  # degenerate: abar pbar <= beta p
+    ])
+    def test_rejects_what_the_closed_forms_reject(self, matrix):
+        assert from_joint(JointDistribution(np.array(matrix))) is None
+
+    def test_rejects_near_degenerate_denominator(self):
+        # not DEGENERATE by branch(), but the branch denominator is below DENOM_TOL
+        params = BiboParams(0.5, 0.5 - 1e-13, 0.5 - 2e-13)
+        assert branch(params) is not BranchTag.DEGENERATE
+        with pytest.raises(DegenerateChannelError, match="branch denominator"):
+            closed_form_utility(params, 0.5)
+        assert from_joint(to_joint(params)) is None
+
+
+def zeta_reference(params: BiboParams, eps: float) -> float:
+    """The flip probability at one eps in Python floats: the scalar reference for crossover."""
+    p, a, b = params.p, params.alpha, params.beta
+    pbar = 1.0 - p
+    eps = min(max(eps, p), params.pc_x_given_y)
+    num = (1.0 - a) * pbar + (1.0 - b) * p - eps
+    z = branch(params) is BranchTag.Z_BRANCH
+    return min(max(num / ((1.0 - b) * p - a * pbar if z else (1.0 - a) * pbar - b * p), 0.0), 1.0)
+
+
+class TestCrossover:
+    def test_matches_the_scalar_reference_and_the_filter(self):
+        # the Z filter flips 1 -> 0, the reverse-Z filter 0 -> 1
+        rng = np.random.default_rng(47)
+        params_list = [BiboParams(0.6, 0.2, 0.2), BiboParams(0.5, 0.2, 0.1)]
+        params_list += [random_bibo(rng) for _ in range(20)]
+        for params in params_list:
+            grid = np.linspace(params.p - 5e-10, params.pc_x_given_y + 5e-10, 13)
+            got = crossover(params, grid)
+            assert got.shape == grid.shape
+            want = [zeta_reference(params, e) for e in grid.tolist()]
+            assert got.tolist() == want
+            entry = (1, 0) if branch(params) is BranchTag.Z_BRANCH else (0, 1)
+            assert [optimal_filter(params, e).matrix[entry] for e in grid.tolist()] == want
+            assert float(crossover(params, grid[3])) == want[3]
+
+    def test_rejects_eps_outside_the_domain(self):
+        params = BiboParams(0.6, 0.2, 0.2)
+        with pytest.raises(ParameterError, match="eps 0.9 outside"):
+            crossover(params, np.array([0.7, 0.9, 0.95]))
+        with pytest.raises(ParameterError, match="eps nan outside"):
+            crossover(params, np.nan)
+        with pytest.raises(DegenerateChannelError):
+            crossover(BiboParams(0.9, 0.45, 0.45), 0.9)
 
 
 class TestBranch:

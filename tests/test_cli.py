@@ -208,6 +208,20 @@ class TestHcurve:
         _, rows, _ = parse_curve(out)
         assert all(r[2] == "lp" and r[3] == "" for r in rows)
 
+    def test_near_degenerate_binary_rows_tagged_lp(self, capsys, tmp_path):
+        # P_c(X|Y) - P_c(X) is positive but below the closed forms' DENOM_TOL:
+        # bibo rejects the parameters, so the rows come from the LP alone
+        params = privguess.BiboParams(0.5, 0.5 - 1e-13, 0.5 - 2e-13)
+        path = tmp_path / "neardeg.json"
+        path.write_text(json.dumps({"joint": privguess.to_joint(params).matrix.tolist()}))
+        code, out, err = run_cli(capsys, ["hcurve", "--joint", str(path), "--points", "3"])
+        assert (code, err) == (0, "")
+        _, rows, _ = parse_curve(out)
+        assert len(rows) == 3 and all(r[2] == "lp" and r[3] == "" for r in rows)
+        code, _, err = run_cli(capsys, ["bibo", "--p", "0.5", "--alpha", repr(0.5 - 1e-13),
+                                        "--beta", repr(0.5 - 2e-13), "--eps", "0.5"])
+        assert code == 3 and "branch denominator" in err
+
 
 #: ``hcurve --points 21 --breakpoints`` exit code and stdout, byte for byte, per
 #: joint of ``golden_joint``; the values are certified, so a change here is a
@@ -338,6 +352,31 @@ epsilon,h,branch,filter_gamma
 0.5000000001,1,lp,
 {"breakpoints": [0.5, 0.5000000001], "slopes": [0.0], "K": 1}
 """),
+    "revz": (0, """\
+epsilon,h,branch,filter_gamma
+0.572660755788,0.7136713663,reverse-z,1
+0.582202513065,0.727987797985,reverse-z,0.95
+0.591744270342,0.74230422967,reverse-z,0.9
+0.601286027619,0.756620661355,reverse-z,0.85
+0.610827784897,0.77093709304,reverse-z,0.8
+0.620369542174,0.785253524725,reverse-z,0.75
+0.629911299451,0.79956995641,reverse-z,0.7
+0.639453056729,0.813886388095,reverse-z,0.65
+0.648994814006,0.82820281978,reverse-z,0.6
+0.658536571283,0.842519251465,reverse-z,0.55
+0.668078328561,0.85683568315,reverse-z,0.5
+0.677620085838,0.871152114835,reverse-z,0.45
+0.687161843115,0.88546854652,reverse-z,0.4
+0.696703600392,0.899784978205,reverse-z,0.35
+0.70624535767,0.91410140989,reverse-z,0.3
+0.715787114947,0.928417841575,reverse-z,0.25
+0.725328872224,0.94273427326,reverse-z,0.2
+0.734870629502,0.957050704945,reverse-z,0.15
+0.744412386779,0.97136713663,reverse-z,0.1
+0.753954144056,0.985683568315,reverse-z,0.05
+0.763495901333,1,reverse-z,0
+{"breakpoints": [0.572660755788, 0.763495901333], "slopes": [1.50039780608], "K": 1}
+"""),
     "wide": (3, """\
 epsilon,h,branch,filter_gamma
 """),
@@ -346,7 +385,8 @@ epsilon,h,branch,filter_gamma
 
 def golden_joint(name):
     """Joints of GOLDEN_HCURVE: trials 71 and 105 have kinks with small slope changes,
-    "near" has P_c(X|Y) - P_c(X) = 1e-10 and "wide" a Y alphabet above the cap."""
+    "near" has P_c(X|Y) - P_c(X) = 1e-10, "revz" is on the reverse-Z branch with
+    non-round parameters and "wide" has a Y alphabet above the cap."""
     from test_solver import MULTI_PIECE, seeded_trial
     return {
         "fig3": FIG3["joint"],
@@ -354,6 +394,8 @@ def golden_joint(name):
         "trial71": seeded_trial(71).tolist(),
         "trial105": seeded_trial(105).tolist(),
         "near": [[0.3 + 5e-11, 0.2 - 5e-11], [0.3 - 5e-11, 0.2 + 5e-11]],
+        "revz": [[0.23858188962266413, 0.18875735458971277],
+                 [0.04774674407690988, 0.5249140117107133]],
         "wide": [[1.0 / 14] * 7] * 2,
     }[name]
 

@@ -413,6 +413,35 @@ class TestPieceStart:
                 assert a.rhs - b.rhs > lp_module.FEAS_TOL
         assert kinks >= 10 and ends >= 20
 
+    @pytest.mark.parametrize("case", ["capped", "frontier"])
+    def test_walk_builds_no_program(self, monkeypatch, case):
+        # each stop is certified against the walk's own rhs array, not a
+        # LinearProgram rebuilt around it
+        if case == "capped":
+            prog, row = capped(2.5), 2
+        else:
+            from test_solver import MULTI_PIECE
+            p = MULTI_PIECE / MULTI_PIECE.sum()
+            prog = _guess_lp(p, [(0, 1, 2)], float(p.max(axis=0).sum()), 3)
+            row = prog.a_ub.shape[0] - 1
+        sol = solve_lp(prog)
+        built = []
+        post_init = LinearProgram.__post_init__
+        monkeypatch.setattr(LinearProgram, "__post_init__",
+                            lambda self: built.append(1) or post_init(self))
+        starts = list(lp_module.piece_starts(prog, sol, row))
+        assert len(starts) >= 3 and built == []
+
+    def test_stop_certificate_uses_the_given_rhs(self):
+        # the optimum (1, 1/2) of capped(1.5) violates x1 + x2 <= 1 by 1/2
+        prog = capped(1.5)
+        sol = solve_lp(prog)
+        value, point = lp_module._vertex(prog, prog.b_ub, prog.objective, sol.tableau, sol.basis)
+        assert value == 1.25
+        np.testing.assert_array_equal(point, [1.0, 0.5])
+        with pytest.raises(NumericalError, match="inequality violation 0.5"):
+            lp_module._vertex(prog, np.array([1.0, 1.0, 1.0]), prog.objective, sol.tableau, sol.basis)
+
     def test_unlimited_walk_raises(self):
         # max -x - y s.t. x + y >= 1: the rhs -1 of -x - y <= -1 can fall forever
         prog = lp([-1.0, -1.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0])
