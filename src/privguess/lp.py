@@ -19,6 +19,12 @@ it raises :class:`NumericalError` rather than ever mislabeling a point
 OPTIMAL. Optimal points are basic feasible solutions, i.e. vertices of the
 polytope.
 
+A caller that knows a feasible basis, such as an optimal one written down
+in closed form, may pass it as a starting basis. The standard-form tableau
+is then pivoted into that basis row by row, certified primal feasible, and
+phase 2 runs from it with no phase 1; from an optimal basis it takes no
+pivot. Its optimum passes the same certificates as any other.
+
 An optimal solution also carries the dual prices of the inequality rows:
 the rate at which the optimal value grows with each row's right-hand side
 (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, section 5.2).
@@ -132,7 +138,8 @@ class LpSolution:
     ``winner`` is the objective row the solution belongs to: the first row
     with the largest optimum, the row found unbounded, or 0 when the
     constraints are infeasible. ``iterations`` counts phase 1 once and the
-    phase 2 of every row solved.
+    phase 2 of every row solved; the pivots that set up a starting basis
+    are not counted.
 
     ``tableau`` and ``basis`` are the winning row's final phase 2 tableau
     (constraint rows, then the reduced-profit row; columns are the variables,
@@ -151,8 +158,8 @@ class LpSolution:
     basis: np.ndarray | None = None
 
 
-def solve_lp(prog: LinearProgram) -> LpSolution:
-    """Solve ``prog`` with the two-phase dense simplex.
+def solve_lp(prog: LinearProgram, basis: np.ndarray | None = None) -> LpSolution:
+    """Solve ``prog`` with the two-phase dense simplex, or phase 2 alone from ``basis``.
 
     Both phases run on one tableau ``[A | slacks | artificials | rhs]``;
     phase 2 continues on it once the artificial columns are dropped. For a
@@ -162,55 +169,28 @@ def solve_lp(prog: LinearProgram) -> LpSolution:
     Each phase may take ``100 * (rows + columns) + 1000`` pivots. Raises
     :class:`NumericalError` if that budget is exhausted or a row's final
     point fails its certificate.
+
+    ``basis``, if given, is a starting basis: for each constraint row,
+    equalities first, the column basic in it (a variable, or ``n_vars + i``
+    for the slack of ``a_ub`` row i). The tableau is pivoted into it row by
+    row, and a zero pivot entry or a basic variable below ``-FEAS_TOL``
+    raises :class:`NumericalError`. Phase 1 is skipped, and phase 2 runs
+    from there under the same budget and certificates.
     """
     n = prog.n_vars
     objectives = prog.objective.reshape(-1, n)
     me, mi = prog.a_eq.shape[0], prog.a_ub.shape[0]
-    m = me + mi
     n_real = n + mi  # original variables plus slacks
-    max_iter = 100 * (m + n_real) + 1000
+    max_iter = 100 * (me + mi + n_real) + 1000
 
-    b = np.concatenate([prog.b_eq, prog.b_ub])
-    neg = b < 0.0
-    # initial basis: slack where its coefficient stayed +1, artificial elsewhere
-    art_rows = np.nonzero(np.concatenate([np.ones(me, dtype=bool), neg[me:]]))[0]
-    n_art = art_rows.shape[0]
-    basis = np.empty(m, dtype=np.int64)
-    basis[me:] = np.arange(n, n_real)
-    basis[art_rows] = n_real + np.arange(n_art)
-
-    # one tableau for both phases: standard form [A | slacks] with rows
-    # negated where the rhs was negative, then artificials, then the rhs
-    t = np.zeros((m + 1, n_real + n_art + 1))
-    a = t[:m, :n_real]
-    a[:me, :n] = prog.a_eq
-    a[me:, :n] = prog.a_ub
-    a[me:, n:] = np.eye(mi)
-    a[neg] *= -1.0
-    b = np.abs(b)
-    t[:m, -1] = b
-
-    iters = 0
-    if n_art:
-        t[art_rows, n_real + np.arange(n_art)] = 1.0
-        t[m, :n_real] = a[art_rows].sum(axis=0)
-        t[m, -1] = b[art_rows].sum()
-
-        status, it1 = run_simplex(t, basis, n_real, PIVOT_TOL, max_iter)
-        iters += it1
-        if status == STATUS_BUDGET:
-            raise NumericalError(f"phase-1 pivot budget ({max_iter}) exhausted")
-        if status == STATUS_UNBOUNDED:  # cannot happen: phase-1 objective is bounded by 0
-            raise NumericalError("phase-1 reported unbounded")
-        if t[m, -1] > FEAS_TOL:
+    if basis is not None:
+        t, basis = _start(prog, basis)
+        iters = 0
+    else:
+        t, basis, iters = _phase1(prog, max_iter)
+        if t is None:
             return LpSolution(LpStatus.INFEASIBLE, None, None, iters)
-        keep = _purge_artificials(t, basis, n_real)
-        # rhs into the first artificial column, then slice off the artificials
-        # and the redundant rows (one contiguous copy, as the kernel needs)
-        t[:, n_real] = t[:, -1]
-        t = t[keep + [m], :n_real + 1]
-        basis = basis[keep]
-        m = len(keep)
+    m = basis.shape[0]  # phase 1 drops redundant rows
 
     best = None  # (value, point, duals, row, tableau, basis) of the first best row so far
     last = objectives.shape[0] - 1
@@ -330,6 +310,89 @@ def piece_starts(prog: LinearProgram, sol: LpSolution, row: int) -> Iterator[Pie
         if kink is None and price > slope + FEAS_TOL:
             kink = vertex(slope, price)
     raise NumericalError(f"right-hand side walk of row {row} exhausted its pivot budget")
+
+
+def _tableau(prog: LinearProgram, n_art: int) -> np.ndarray:
+    """Zero tableau ``[A | slacks | n_art artificials | rhs]`` plus an objective row, standard form filled in."""
+    n, me, mi = prog.n_vars, prog.a_eq.shape[0], prog.a_ub.shape[0]
+    t = np.zeros((me + mi + 1, n + mi + n_art + 1))
+    t[:me, :n] = prog.a_eq
+    t[me:-1, :n] = prog.a_ub
+    t[me:-1, n:n + mi] = np.eye(mi)
+    t[:-1, -1] = np.concatenate([prog.b_eq, prog.b_ub])
+    return t
+
+
+def _phase1(prog: LinearProgram, max_iter: int) -> tuple[np.ndarray | None, np.ndarray, int]:
+    """(tableau, basis, iterations) of phase 1 from the slack basis; tableau None if infeasible.
+
+    Slack columns of inequality rows with nonnegative rhs start basic; the
+    other rows (equalities, and inequalities negated for their negative rhs)
+    get artificials, which phase 1 drives to zero. The returned tableau and
+    basis have the artificials and redundant rows sliced off.
+    """
+    n, me, mi = prog.n_vars, prog.a_eq.shape[0], prog.a_ub.shape[0]
+    m, n_real = me + mi, n + mi
+    neg = np.concatenate([prog.b_eq, prog.b_ub]) < 0.0
+    # initial basis: slack where its coefficient stayed +1, artificial elsewhere
+    art_rows = np.nonzero(np.concatenate([np.ones(me, dtype=bool), neg[me:]]))[0]
+    n_art = art_rows.shape[0]
+    basis = np.empty(m, dtype=np.int64)
+    basis[me:] = np.arange(n, n_real)
+    basis[art_rows] = n_real + np.arange(n_art)
+
+    # one tableau for both phases: standard form with rows negated where the
+    # rhs was negative, then artificials, then the rhs
+    t = _tableau(prog, n_art)
+    t[:m, :n_real][neg] *= -1.0
+    t[:m, -1] = np.abs(t[:m, -1])
+    if not n_art:
+        return t, basis, 0
+    t[art_rows, n_real + np.arange(n_art)] = 1.0
+    t[m, :n_real] = t[art_rows, :n_real].sum(axis=0)
+    t[m, -1] = t[art_rows, -1].sum()
+
+    status, iters = run_simplex(t, basis, n_real, PIVOT_TOL, max_iter)
+    if status == STATUS_BUDGET:
+        raise NumericalError(f"phase-1 pivot budget ({max_iter}) exhausted")
+    if status == STATUS_UNBOUNDED:  # cannot happen: phase-1 objective is bounded by 0
+        raise NumericalError("phase-1 reported unbounded")
+    if t[m, -1] > FEAS_TOL:
+        return None, basis, iters
+    keep = _purge_artificials(t, basis, n_real)
+    # rhs into the first artificial column, then slice off the artificials
+    # and the redundant rows (one contiguous copy, as the kernel needs)
+    t[:, n_real] = t[:, -1]
+    t = t[keep + [m], :n_real + 1]
+    return t, basis[keep], iters
+
+
+def _start(prog: LinearProgram, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tableau, basis) of ``prog`` in the basis ``start``, certified primal feasible.
+
+    The standard-form tableau starts with each inequality row's slack basic;
+    each row whose starting column differs is then pivoted on that column,
+    in row order, with :func:`pivot`. Raises :class:`DimensionMismatchError`
+    if ``start`` does not name one column per row, and
+    :class:`NumericalError` if a pivot entry is within ``PIVOT_TOL`` of 0
+    (the columns are singular in that order) or a basic variable is below
+    ``-FEAS_TOL`` (the basis is not primal feasible).
+    """
+    n, me, mi = prog.n_vars, prog.a_eq.shape[0], prog.a_ub.shape[0]
+    start = np.asarray(start, dtype=np.int64)
+    if start.shape != (me + mi,) or np.any((start < 0) | (start >= n + mi)):
+        raise DimensionMismatchError(f"a start basis needs one column in [0, {n + mi}) per row")
+    t = _tableau(prog, 0)
+    basis = np.concatenate([np.full(me, -1), np.arange(n, n + mi)])
+    for r in np.nonzero(basis != start)[0].tolist():
+        j = int(start[r])
+        if abs(t[r, j]) <= PIVOT_TOL:
+            raise NumericalError(f"start basis: column {j} has no pivot in row {r}")
+        pivot(t, basis, r, j)
+    low = float(t[:-1, -1].min()) if me + mi else 0.0
+    if low < -FEAS_TOL:
+        raise NumericalError(f"start basis is not primal feasible: a basic variable is {low}")
+    return t, basis
 
 
 def _purge_artificials(t: np.ndarray, basis: np.ndarray, n_real: int) -> list[int]:

@@ -34,7 +34,10 @@ frontier is concave and piecewise linear in eps, and one LP traces all of
 it: an N-output filter whose outputs are guessed by the identity map is
 optimal (replacing each output by the MAP guess of Y from it keeps
 P_c(Y|Z) and, by data processing, cannot raise P_c(X|Z)), so eps is the
-right-hand side of that LP's cap row. Walking it down through the LP's
+right-hand side of that LP's cap row. The walk starts at the identity
+vertex: at eps = P_c(X|Y) the identity filter Z = Y attains h = 1, and its
+optimal basis is written down in closed form (:func:`identity_top`), so
+no simplex phase runs. Walking the cap down from there through the LP's
 basis changes (:func:`lp.piece_starts`) gives every breakpoint exactly and
 every slope as the cap row's dual price.
 """
@@ -208,6 +211,30 @@ def lp_guess_max(p: np.ndarray, cap: float, n_outputs: int,
         raise NumericalError(f"filter subproblem ended {sol.status.value} for map {maps[sol.winner]}")
     best_f = sol.point[: p.shape[1] * n_outputs].reshape(p.shape[1], n_outputs)
     return GuessMax(sol.value, best_f, maps[sol.winner], float(sol.duals[-1]), prog, sol)
+
+
+def identity_top(p: np.ndarray) -> GuessMax:
+    """The identity-map LP with N outputs at its top cap P_c(X|Y), solved from its optimal basis.
+
+    At that cap the identity filter Z = Y attains utility 1, and the LP is
+    optimal, with no pivot, in the basis written down here: F[y, y] basic
+    in equality row y; t_z basic in the bound row of (x*(z), z), x*(z) the
+    lowest argmax of column z of ``p``; every other bound row and the cap
+    row keep their slacks, the cap row's degenerate at 0. Only F[y, y] has
+    a profit, so the reduced profits are 0 on the slacks and -P_Y(y) on
+    F[y, z != y]. The cap is the sum of ``p``'s column maxima, as
+    :func:`prob.cond_guess_prob` gives it, and ``solve_lp`` runs no phase 1
+    and no phase 2 pivot from this basis.
+    """
+    m, n = p.shape
+    nf = n * n
+    basis = nf + np.arange(n + m * n + 1)  # from row n on, each inequality row's slack
+    basis[:n] = np.arange(n) * (n + 1)
+    basis[n + p.argmax(axis=0) * n + np.arange(n)] = nf + np.arange(n)
+    ident = tuple(range(n))
+    prog = _guess_lp(p, [ident], float(p.max(axis=0).sum()), n)
+    sol = solve_lp(prog, basis)
+    return GuessMax(sol.value, sol.point[:nf].reshape(n, n), ident, float(sol.duals[-1]), prog, sol)
 
 
 class _Checked(NamedTuple):
@@ -461,15 +488,16 @@ def finite_order_gain_bounds(joint: JointDistribution, nu: float, mu: float,
 
 
 def trace_curve(joint: JointDistribution) -> GuessCurve:
-    """The frontier's breakpoints, slopes and vertices, from one LP.
+    """The frontier's breakpoints, slopes and vertices, from one LP walked down from the identity vertex.
 
-    One identity-map LP with N outputs (see the module docstring) is solved
-    at eps = P_c(X|Y), and its walk (:meth:`GuessMax.walk`) lowers its cap
-    from there to the end of the feasible range, which must lie within
-    ``FEAS_TOL`` of P_c(X) and is reported as P_c(X). Every kink on the way
-    is a breakpoint, and each piece's slope is the cap row's price on it. A
-    kink within ``FEAS_TOL`` of P_c(X|Y) is where h reaches 1 and turns
-    flat, P_c(X|Y) itself. The vertex there is the identity filter, which
+    The walk (:meth:`GuessMax.walk`) starts at the identity vertex, the
+    identity-map LP with N outputs (see the module docstring) at eps =
+    P_c(X|Y) in the optimal basis of :func:`identity_top`, with no simplex
+    pivot. It lowers the cap from there to the end of the feasible range,
+    which must lie within ``FEAS_TOL`` of P_c(X) and is reported as
+    P_c(X). Every kink on the way is a breakpoint, and each piece's slope
+    is the cap row's price on it. A kink within ``FEAS_TOL`` of P_c(X|Y) is
+    where h reaches 1 and turns flat, P_c(X|Y) itself. The vertex there is the identity filter, which
     attains h = 1 exactly; every other vertex is the walk's basic point at
     its kink. Each vertex filter passes the same certificate as
     :func:`best_filter`'s, h there is recomputed from it, and the curve keeps
@@ -487,7 +515,7 @@ def trace_curve(joint: JointDistribution) -> GuessCurve:
         # the domain collapses to a point, where the identity filter is optimal
         caps, points, values, slopes = [pcx, pcxy], [np.eye(n)] * 2, [1.0, 1.0], [0.0]
     else:
-        *kinks, end = lp_guess_max(p, pcxy, n, [tuple(range(n))]).walk()
+        *kinks, end = identity_top(p).walk()
         if abs(end.rhs - pcx) > FEAS_TOL:
             raise NumericalError(f"frontier walk ended at {end.rhs!r}, not at P_c(X) = {pcx!r}")
         if kinks and kinks[0].rhs > pcxy - FEAS_TOL:

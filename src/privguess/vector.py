@@ -32,9 +32,11 @@ it down three ways, in increasing strength:
    output column);
 3. for n <= 3, a *certified* threshold: the left end of the last linear
    piece of the exact optimum over all filters, found by parametric
-   right-hand-side programming from one LP on that piece. A primal ratio
-   test on the privacy-cap row's slack column finds the exact cap where a
-   basic variable reaches 0, and a dual simplex pivot continues from there,
+   right-hand-side programming on one LP, walked from the top. At the top
+   cap abar**n the identity filter is optimal in a basis written down in
+   closed form, so no simplex phase runs. A primal ratio test on the
+   privacy-cap row's slack column finds the exact cap where a basic
+   variable reaches 0, and a dual simplex pivot continues from there,
    until the cap's dual price leaves the formula's slope. Replacing each
    filter output by the MAP guess of Y^n from it keeps P_c(Y^n|Z^n) and,
    by data processing, cannot raise P_c(X^n|Z^n); so the optimum is
@@ -69,7 +71,7 @@ import numpy as np
 from .errors import CapacityError, DimensionMismatchError, NumericalError, ParameterError
 from .lp import FEAS_TOL
 from .prob import RANGE_TOL, Channel, JointDistribution
-from .solver import lp_guess_max
+from .solver import identity_top, lp_guess_max
 
 __all__ = [
     "VectorModel",
@@ -90,8 +92,9 @@ __all__ = [
 #: largest n for which the 2^n x 2^n joint is materialized
 MAX_MATERIALIZED_N = 10
 
-#: largest n for which LP certification is attempted; at n = 4 the dense
-#: simplex exhausts its pivot budget on the 272-variable LP
+#: largest n for which LP certification is attempted; at n = 4 the two-phase
+#: dense simplex of brute_force_block_utility fails on the 272-variable LP
+#: (pivot budget or certificate), though the walk from the top does not
 MAX_CERTIFIED_N = 3
 
 
@@ -445,38 +448,39 @@ def validity_threshold(model: VectorModel) -> ThresholdEstimate:
     optimum V(t) (the block utility to the n-th power, one identity-map LP
     as in :func:`brute_force_block_utility`) is concave and piecewise
     linear, and the formula is the line L(t) = 1 - (abar**n - t) q**n / D
-    that V follows from the threshold up to abar**n. The flip channel
-    attains L from the certificate threshold up, so one LP is solved at t0
-    halfway between that threshold and abar, in cap terms, on the last
-    piece. Its value must equal L(t0) and its cap-row price L's slope, both
-    within ``FEAS_TOL``. From there its walk (:meth:`solver.GuessMax.walk`)
-    lowers the cap by primal ratio tests and dual simplex pivots on that
-    LP's final tableau, and its first stop is the threshold: the kink where
-    the cap price rises above its value on the piece, or the left end of the
-    domain, where the threshold is p. The point of the basis there must be feasible and
-    attain L within ``FEAS_TOL``; concavity then puts V on L from there up.
-    A failed check raises :class:`NumericalError`. n >= 4: the cheap
-    heuristic threshold, flagged uncertified.
+    that V follows from the threshold up to abar**n. The walk starts at the
+    top, abar**n = P_c(X^n|Y^n), from the identity filter's optimal basis
+    (:func:`solver.identity_top`), and lowers the cap by primal ratio tests
+    and dual simplex pivots (:meth:`solver.GuessMax.walk`). Its first stop
+    must be the kink at abar**n, where h turns flat, with L's slope below
+    it. Its next stop is the threshold: the kink where the cap price rises
+    above L's slope, or the left end of the domain, where the threshold is
+    p. The point of the basis there must be feasible and attain L, and the
+    piece above it must have L's slope. All within ``FEAS_TOL``; V(top) =
+    1 = L(top) and concavity then put V on L over the whole piece. A failed
+    check raises :class:`NumericalError`. n >= 4: the cheap heuristic
+    threshold, flagged uncertified.
     """
     n = model.n
     if n > MAX_CERTIFIED_N:
         return ThresholdEstimate(heuristic_threshold(model), False)
 
-    size = 2 ** n
     top = model.abar ** n
     slope = math.exp(n * math.log(model.q) - _log_denom(model))  # of the line L
-    t0 = 0.5 * (certificate_threshold(model) ** n + top)
-    res = lp_guess_max(model.block_joint().matrix, t0, size, [tuple(range(size))])
-    line = 1.0 - (top - t0) * slope
-    if not (abs(res.value - line) <= FEAS_TOL and abs(res.price - slope) <= FEAS_TOL):
+    walk = identity_top(model.block_joint().matrix).walk()
+    kink = next(walk)
+    if not (abs(kink.rhs - top) <= FEAS_TOL and abs(kink.price_below - slope) <= FEAS_TOL):
         raise NumericalError(
-            f"LP at cap {t0!r} is off the formula's line: value {res.value!r} against "
-            f"{line!r}, cap price {res.price!r} against slope {slope!r}"
+            f"walk's first stop is not the formula's kink at the top {top!r}: cap {kink.rhs!r}, "
+            f"price below {kink.price_below!r} against slope {slope!r}"
         )
-    kink = next(res.walk())
+    kink = next(walk)
     line = 1.0 - (top - kink.rhs) * slope
-    if not abs(kink.value - line) <= FEAS_TOL:
-        raise NumericalError(f"LP value {kink.value!r} at cap {kink.rhs!r} is off the formula's line {line!r}")
+    if not (abs(kink.value - line) <= FEAS_TOL and abs(kink.slope - slope) <= FEAS_TOL):
+        raise NumericalError(
+            f"LP at cap {kink.rhs!r} is off the formula's line: value {kink.value!r} against "
+            f"{line!r}, slope {kink.slope!r} against {slope!r}"
+        )
     if math.isinf(kink.price_below):
         return ThresholdEstimate(model.p, True)
     return ThresholdEstimate(min(max(kink.rhs ** (1.0 / n), model.p), model.abar), True)

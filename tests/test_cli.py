@@ -179,9 +179,9 @@ class TestHcurve:
         solves, points = [], []
         real_solve, real_point = solver.solve_lp, solver.best_filter
 
-        def counted_solve(prog):
-            solves.append(prog)
-            return real_solve(prog)
+        def counted_solve(prog, basis=None):
+            solves.append(real_solve(prog, basis))
+            return solves[-1]
 
         def counted_point(joint, eps):
             points.append(eps)
@@ -195,7 +195,8 @@ class TestHcurve:
         assert len(rows) == 21
         if extra:
             assert report["K"] >= 3
-        assert len(solves) == 1
+        # the walk starts at the identity vertex: no simplex pivot
+        assert [sol.iterations for sol in solves] == [0]
         assert points == []
 
     def test_non_binary_rows_tagged_lp(self, capsys, tmp_path):
@@ -300,13 +301,13 @@ epsilon,h,branch,filter_gamma
 0.582033261879,0.969526837544,lp,
 0.595111074362,0.984763418772,lp,
 0.608188886845,1,lp,
-{"breakpoints": [0.346632637182, 0.443306922297, 0.477156115415, 0.608188886845], "slopes": [1.26690469357, 1.16781903998, 1.16507108873], "K": 3}
+{"breakpoints": [0.346632637182, 0.443306922297, 0.477156115415, 0.608188886845], "slopes": [1.26690469357, 1.16781903998, 1.16507108872], "K": 3}
 """),
     "trial105": (0, """\
 epsilon,h,branch,filter_gamma
 0.349742092019,0.722501777765,lp,
 0.356169030856,0.738047213451,lp,
-0.362595969692,0.752031595189,lp,
+0.362595969692,0.752031595188,lp,
 0.369022908529,0.766015667549,lp,
 0.375449847366,0.779999739909,lp,
 0.381876786203,0.793983812269,lp,

@@ -447,3 +447,45 @@ class TestPieceStart:
         prog = lp([-1.0, -1.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0])
         with pytest.raises(NumericalError, match="no basic variable limits"):
             list(lp_module.piece_starts(prog, solve_lp(prog), 0))
+
+
+class TestStartBasis:
+    # capped(1.5) has columns x1, x2, then the slacks of x1 <= 1, x2 <= 1 and
+    # x1 + x2 <= 1.5; its optimum (1, 1/2) has x1, the slack of x2 <= 1 and x2 basic
+    def test_optimal_start_runs_no_pivot(self):
+        prog = capped(1.5)
+        sol = solve_lp(prog, np.array([0, 3, 1]))
+        assert sol.status is LpStatus.OPTIMAL and sol.iterations == 0
+        np.testing.assert_array_equal(sol.point, [1.0, 0.5])
+        assert sol.value == 1.25
+        np.testing.assert_array_equal(sol.duals, solve_lp(prog).duals)
+
+    def test_feasible_start_runs_phase_2(self):
+        # the slack basis is where phase 2 starts when there is no phase 1
+        prog = capped(1.5)
+        want = solve_lp(prog)
+        sol = solve_lp(prog, np.array([2, 3, 4]))
+        assert sol.iterations == want.iterations > 0
+        np.testing.assert_array_equal(sol.tableau, want.tableau)
+
+    def test_equality_rows_start_from_the_basis(self):
+        # max x1 s.t. x1 + x2 = 1, x1 <= 1/2: x2 basic in the equality row is feasible
+        prog = lp([1.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ub=[[1.0, 0.0]], b_ub=[0.5])
+        sol = solve_lp(prog, np.array([1, 2]))
+        np.testing.assert_array_equal(sol.point, [0.5, 0.5])
+        assert sol.iterations == 1
+
+    def test_start_that_is_not_primal_feasible_raises(self):
+        # at b = 0.5, x1 = 1 leaves x1 + x2 <= 0.5 a slack of -0.5
+        with pytest.raises(NumericalError, match="not primal feasible: a basic variable is -0.5"):
+            solve_lp(capped(0.5), np.array([0, 3, 4]))
+
+    def test_singular_start_raises(self):
+        # x1 twice: once basic in row 0, its column has no entry left in row 1
+        with pytest.raises(NumericalError, match="column 0 has no pivot in row 1"):
+            solve_lp(capped(1.5), np.array([0, 0, 4]))
+
+    @pytest.mark.parametrize("basis", [[0, 3], [0, 3, 5], [-1, 3, 4]])
+    def test_start_needs_one_column_per_row(self, basis):
+        with pytest.raises(DimensionMismatchError, match="start basis"):
+            solve_lp(capped(1.5), np.array(basis))

@@ -368,6 +368,112 @@ MULTI_PIECE = np.array([
 ])
 
 
+#: joints of the ``frontier`` pool (perfbench/workloads.py) on which trace_curve
+#: raised NumericalError while it reached the top vertex by phase 1 and phase 2,
+#: as (pool eps, joint)
+FRONTIER_TRACE_FAILURES = {
+    "s4x4/40": (0.3668910197178829, [
+        [0.045538785371381375, 0.09210839392868293, 0.022417122091226944, 8.671385805951791e-08],
+        [0.17372780562168066, 0.004981660230371341, 0.0030175691621443655, 0.0033910041077258556],
+        [0.08073478553036337, 0.07672891921300237, 5.8365949355044916e-05, 0.18501046658502196],
+        [0.08167435033274095, 0.17588454654641897, 0.0031424857870712857, 0.05158365282895465],
+    ]),
+    "s4x4/105": (0.5102563355798561, [
+        [0.004117943896902955, 8.831915255223304e-11, 0.000924923915744195, 0.002880209750395186],
+        [0.20918896573555668, 0.21333881640736943, 0.06268350228583622, 0.0008998456337292294],
+        [0.16656720016713353, 0.0014423663934665077, 0.12490456852514589, 0.0551993304553761],
+        [0.12815259371783932, 0.029684832911505202, 1.4899678301283203e-05, 4.3737918085783227e-10],
+    ]),
+    "s4x4/205": (0.5639282465726285, [
+        [0.26573157704729455, 0.003026031186669293, 7.766685147123358e-07, 0.11330591690452362],
+        [0.05275420149411839, 0.015080085273095737, 0.26515204254512215, 0.045900959881327266],
+        [2.0635004457123543e-06, 0.0031020407908065642, 0.0003781487487253863, 8.632136964620167e-08],
+        [0.05880223958537071, 1.5170255742492477e-07, 0.02350244490071714, 0.15326123344934173],
+    ]),
+    "s4x4/212": (0.5137034246809494, [
+        [9.9276507412865e-09, 0.18441795688956203, 0.029552240254462795, 0.03808069887399746],
+        [0.053337159117836645, 0.0019375256239926304, 0.05086872143671252, 0.15116848719021925],
+        [0.012693501775606273, 0.0273120155491705, 0.06302353287868476, 0.15809882659429023],
+        [0.15839723394752073, 0.0013019878356227517, 0.0575816399791105, 0.012228462125560367],
+    ]),
+    "s5x4/246": (0.4400557747351219, [
+        [3.8847501182688757e-10, 0.008910147018683895, 0.01189704894766078, 0.030476647980543715],
+        [0.13473044005616183, 1.3809277608547786e-05, 0.0031708898458762927, 0.04598829166017193],
+        [0.1414625419942497, 0.11570379523781138, 0.06901187535763002, 0.016685966326731357],
+        [0.08206110015954154, 0.007952587743089845, 0.06827774169198807, 0.07695618135803445],
+        [0.02091175743783926, 0.022393221235669915, 0.13910609496709736, 0.004289861315135139],
+    ]),
+    "s5x5/23": (0.38404981004670546, [
+        [0.14152813963087965, 1.5741985949301291e-09, 0.051475837864953584, 0.03303123855425699, 0.09234000492597806],
+        [0.03456653416001036, 0.013999961691510123, 0.07895563514315027, 0.03661998755740708, 0.047225748060423775],
+        [5.013245206475551e-10, 0.024327402816500462, 0.050831319625067165, 0.0005255635356094891, 0.07916484942772757],
+        [0.0016399153495099941, 0.00011438315466325004, 0.033795040639932133, 0.03150147213122809, 0.010276334222367307],
+        [0.03441442188597177, 0.00014919442908637638, 0.018498738402387412, 0.019159549685086808, 0.16585872503076923],
+    ]),
+    "s5x5/106": (0.42506964855251217, [
+        [0.11632207415659757, 0.10511689210318179, 6.566874174171807e-10, 0.003570546660466628, 0.06469449402856964],
+        [0.04665458526187715, 0.05418537820547467, 0.07533269668425382, 0.00034131451528495084, 0.009736304343986762],
+        [0.011960690222103054, 0.0605263242551867, 0.00462961231147287, 0.00017324301468757812, 0.07737202216885763],
+        [0.0005839856897451496, 0.1140037513984858, 0.034914888272076706, 7.726078117215979e-06, 0.0027854028208533525],
+        [0.0005552554643479072, 0.06922591925015266, 0.0532905558982379, 0.09046368446915348, 0.003552652070141492],
+    ]),
+    "s5x5/107": (0.4257866085061548, [
+        [3.4835546584706705e-09, 0.16774143566436459, 0.0008802964087270495, 0.12458116757757534, 2.2288324146104588e-05],
+        [0.014252567429299612, 0.10290038192783103, 0.02850335312033559, 0.008378165890919, 0.17228946144610222],
+        [0.045134497616566495, 0.12297226903504026, 0.015946641295361025, 0.003430009801332946, 0.049113606075325306],
+        [0.05370482083250889, 0.0005395164279070531, 0.025587152698563095, 0.02164902294488921, 0.02050924924513651],
+        [6.3814865046006785e-06, 0.00409383435462137, 0.013142724168575579, 0.003471748486835544, 0.0011494042579767506],
+    ]),
+    "s5x5/115": (0.5268426990755205, [
+        [0.025645555146050717, 0.001382807710766737, 0.0008719446283279028, 5.821266346304763e-11, 0.023387349101332357],
+        [2.1144320696148427e-08, 0.01180680260989152, 0.033164570101212404, 0.03001741117405402, 0.004902617615315885],
+        [0.04063682808019887, 0.001802458095911421, 0.02067578748592125, 0.15541084536818867, 0.05428323731612389],
+        [3.513303173101809e-07, 0.14206584411267006, 0.13283687112006318, 0.19364505216793007, 0.018219549970511485],
+        [0.053736114593684235, 0.005450110395749776, 0.0030960993115191453, 0.04406814672594052, 0.0028936246357852457],
+    ]),
+    "s5x5/141": (0.38284924493206307, [
+        [0.01027900578871831, 6.692018898491006e-09, 0.06647179356365363, 0.024799278439729806, 0.12284522064272406],
+        [0.010340149416902396, 0.04196546919042202, 0.09361947095394875, 1.4827188657181358e-07, 0.07580175114855855],
+        [0.12190168232816226, 0.0512098926356839, 0.10655690704821118, 7.584608077927146e-06, 7.723634545206586e-07],
+        [0.00016569556974507546, 0.000924982346048236, 0.004464394258064481, 0.13685605731077505, 1.1920507455003838e-06],
+        [0.0016891759186482246, 0.00028829565638379664, 0.055916580207496513, 0.07086474432499121, 0.0030297492649490553],
+    ]),
+    "s5x5/168": (0.5119309004730512, [
+        [0.12517769185159697, 0.009273854910307624, 0.031110089177374733, 8.982249861020526e-09, 0.008722654107711744],
+        [2.3903394233423175e-06, 0.0232897274241275, 0.1448662378694059, 0.1175000657432339, 0.09020147254061357],
+        [0.06874934870587229, 0.0003122079474148445, 0.003579457368003859, 0.0006483516470751003, 3.3259431003732155e-07],
+        [0.0007414634761171582, 0.01571720794712801, 0.001472920262766017, 0.006725833214325364, 0.003406656760813042],
+        [0.05955320017929771, 0.03816653163632784, 0.11307664620126107, 0.006954976027652732, 0.1307506730855899],
+    ]),
+    "s5x5/181": (0.3196793006262727, [
+        [0.08251389427137128, 0.10184465070946347, 7.696078153785737e-06, 0.03051533349417458, 0.003398637611505476],
+        [0.00987923200150597, 0.016304615929306064, 0.046921051481426716, 0.029076480284574296, 1.7588429228795472e-07],
+        [0.0564983940220885, 0.00617851970761657, 0.0018524274308565083, 0.10508193211185929, 0.06447962760746523],
+        [0.08360683917629884, 0.009613776695363327, 0.04883632192586726, 0.1006961616251989, 0.014316237311118571],
+        [0.1153942194087656, 0.02499113707651402, 0.012443881971201668, 8.004994476249365e-08, 0.03554867613406709],
+    ]),
+}
+
+#: joints that test the identity filter's basis: a zero column, a zero row,
+#: column maxima tied between rows, duplicate columns, 1e-12 entries, all of them
+HARD_JOINTS = {
+    "zero-column": [r[:2] + [0.0] + r[2:] for r in MULTI_PIECE.tolist()],
+    "zero-row": MULTI_PIECE[:1].tolist() + [[0.0, 0.0, 0.0]] + MULTI_PIECE[1:].tolist(),
+    "tied-maxima": [[0.20227599, 0.13931494, 0.05475106], [0.11196181, 0.07872831, 0.12258139],
+                    [0.20227599, 0.13931494, 0.05081395]],
+    "duplicate-columns": [r + r[1:2] for r in MULTI_PIECE.tolist()],
+    "tiny-entries": [[0.12810241, 1e-12, 0.05475106], [1e-12, 0.07872831, 0.12258139],
+                     [0.20227599, 0.11147013, 1e-12]],
+    "all": [[0.2, 0.13931494, 0.0, 0.13931494, 1e-12], [0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.11196181, 0.07872831, 0.0, 0.07872831, 0.12258139], [0.2, 1e-12, 0.0, 1e-12, 0.05081395]],
+}
+
+
+def hard_joint(name: str) -> np.ndarray:
+    p = np.array(HARD_JOINTS[name])
+    return p / p.sum()
+
+
 class TestTraceCurve:
     def test_fig3_single_piece(self):
         curve = trace_curve(fig3_joint())
@@ -436,9 +542,9 @@ class TestTraceCurve:
         real = solver.solve_lp
         calls = []
 
-        def counted(prog):
-            calls.append(prog)
-            return real(prog)
+        def counted(prog, basis=None):
+            calls.append(real(prog, basis))
+            return calls[-1]
 
         def forbidden(joint, eps):
             raise AssertionError("trace_curve called best_filter")
@@ -447,7 +553,8 @@ class TestTraceCurve:
         monkeypatch.setattr(solver, "best_filter", forbidden)
         curve = trace_curve(JointDistribution(MULTI_PIECE / MULTI_PIECE.sum()))
         assert curve.k >= 3
-        assert len(calls) == 1
+        # one LP, solved at the identity vertex with no simplex pivot
+        assert [sol.iterations for sol in calls] == [0]
 
     @pytest.mark.parametrize("p", [
         [[0.3, 0.2], [0.3, 0.2]],
@@ -488,6 +595,32 @@ class TestTraceCurve:
         with pytest.raises(CapacityError):
             trace_curve(JointDistribution(np.full((2, 7), 1.0 / 14)))
 
+    @pytest.mark.parametrize("name", list(FRONTIER_TRACE_FAILURES))
+    def test_pool_joints_that_raised_match_highs(self, name):
+        pytest.importorskip("scipy")
+        eps, p = FRONTIER_TRACE_FAILURES[name]
+        p = np.array(p)
+        joint = JointDistribution(p)
+        curve = trace_curve(joint)
+        assert abs(solver.curve_point(joint, curve, eps).utility - highs_frontier(p, eps)) <= 1e-9
+
+    @pytest.mark.parametrize("name", list(HARD_JOINTS))
+    def test_hard_joints_match_highs(self, name):
+        # HiGHS accepts points within its 1e-10 feasibility tolerance: on the
+        # joints with 1e-12 entries its rows are 9e-12 off, or its filter
+        # leaks 8.9e-13 above eps, and its value reads 1.3e-12 to 2.4e-12
+        # above the walk's, whose filters meet eps exactly
+        pytest.importorskip("scipy")
+        p = hard_joint(name)
+        joint = JointDistribution(p)
+        curve = trace_curve(joint)
+        grid = np.linspace(curve.breakpoints[0], curve.breakpoints[-1], 21)
+        eps, hs, privs, error = read_all(joint, curve, grid)
+        assert error is None
+        for e, h, priv in zip(eps.tolist(), hs.tolist(), privs.tolist()):
+            assert priv <= e + 1e-15, (name, e)
+            assert abs(h - highs_frontier(p, e)) <= 1e-11, (name, e)
+
     def test_skewed_joint_with_shortfall_is_one_piece(self):
         # best_filter reads 3.5-3.9e-8 below HiGHS at every eps below P_c(X|Y)
         # while the saturated endpoint is exact, which a tracer sampling
@@ -498,6 +631,25 @@ class TestTraceCurve:
             [0.4007665602698528, 0.01783889571890553],
         ]))
         assert trace_curve(joint).k == 1
+
+
+class TestIdentityTop:
+    @pytest.mark.parametrize("case", [f"trial{t}" for t in range(0, 120, 7)] + list(HARD_JOINTS))
+    def test_basis_is_optimal_as_written(self, case):
+        # at cap P_c(X|Y) the identity filter's basis needs no pivot; only
+        # F[y, y] has a profit, so the reduced profits are exact
+        p = seeded_trial(int(case[5:])) if case.startswith("trial") else hard_joint(case)
+        n = p.shape[1]
+        res = solver.identity_top(p)
+        assert res.solution.iterations == 0
+        assert res.program.b_ub[-1] == cond_guess_prob(JointDistribution(p), Axis.ROWS)
+        np.testing.assert_array_equal(res.filter, np.eye(n))
+        assert res.value == pytest.approx(1.0, abs=1e-15)
+        assert res.price == 0.0
+        profits = res.solution.tableau[-1, :-1]
+        p_y = p.sum(axis=0)
+        np.testing.assert_array_equal(profits[:n * n].reshape(n, n), -p_y[:, None] * (1.0 - np.eye(n)))
+        np.testing.assert_array_equal(profits[n * n:], 0.0)
 
 
 class TestCurvePoint:
@@ -586,16 +738,19 @@ class TestReadCurve:
                 assert priv == cond_guess_prob(compose(joint, filt, Axis.COLS), Axis.ROWS), (trial, e)
 
     def test_values_match_highs(self):
+        # the walk from the identity vertex carries little roundoff: values
+        # within 1e-13 of HiGHS, and the end vertex leaks nothing above P_c(X)
         pytest.importorskip("scipy")
         for trial in range(120):
             p = seeded_trial(trial)
             joint = JointDistribution(p)
             curve = trace_curve(joint)
-            grid = np.linspace(curve.breakpoints[0], curve.breakpoints[-1], 5)[1:]
-            _, hs, _, error = read_all(joint, curve, grid)
+            grid = np.linspace(curve.breakpoints[0], curve.breakpoints[-1], 21)
+            _, hs, privs, error = read_all(joint, curve, grid)
             assert error is None
+            assert privs[0] <= guess_prob(joint, Axis.ROWS) + 1e-14, trial
             for e, h in zip(grid.tolist(), hs.tolist()):
-                assert abs(h - highs_frontier(p, e)) <= 1e-9, (trial, e)
+                assert abs(h - highs_frontier(p, e)) <= 1e-13, (trial, e)
 
     def test_blocks_do_not_change_values(self, monkeypatch):
         joint = JointDistribution(MULTI_PIECE / MULTI_PIECE.sum())

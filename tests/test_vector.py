@@ -1,6 +1,5 @@
 """Block-vector frontiers: formulas, filters, gap bounds, certification."""
 
-import dataclasses
 import itertools
 import math
 
@@ -301,29 +300,57 @@ class TestThresholds:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_one_lp_per_call(self, n, monkeypatch):
-        # one LP on the last piece; the walk to its left end pivots on that
-        # LP's tableau and solves no other
+        # one LP, at the top from the identity filter's basis with no simplex
+        # pivot; the walk to the threshold pivots on its tableau and solves no other
         solves = []
         real = solver.solve_lp
 
-        def counting(prog):
-            solves.append(prog)
-            return real(prog)
+        def counting(prog, basis=None):
+            solves.append(real(prog, basis))
+            return solves[-1]
 
         monkeypatch.setattr(solver, "solve_lp", counting)
         validity_threshold(VectorModel(n, **FIG3))
-        assert len(solves) == 1
+        assert [sol.iterations for sol in solves] == [0]
+
+    @staticmethod
+    def off_walk(monkeypatch, edit):
+        """Make every walk yield ``edit(stops)`` in place of its stops."""
+        real = solver.GuessMax.walk
+        monkeypatch.setattr(solver.GuessMax, "walk", lambda self: edit(real(self)))
 
     @pytest.mark.parametrize("price", [0.0, math.nan])
     def test_start_off_the_formula_raises(self, price, monkeypatch):
-        # a cap price at the start that is not the formula's slope, or none:
-        # the start is not on the last piece, and no walk from it is certified
-        real = vector.lp_guess_max
+        # the piece below the top has a slope that is not the formula's, or none:
+        # the walk is not on L, and no threshold from it is certified
+        def edit(stops):
+            top = next(stops)
+            yield top._replace(price_below=price)
+            yield from stops
 
-        def priced(*args):
-            return dataclasses.replace(real(*args), price=price)
+        self.off_walk(monkeypatch, edit)
+        with pytest.raises(NumericalError, match="first stop is not the formula's kink"):
+            validity_threshold(VectorModel(2, **FIG3))
 
-        monkeypatch.setattr(vector, "lp_guess_max", priced)
+    def test_first_stop_below_the_top_raises(self, monkeypatch):
+        # a walk that starts below the top: its first stop is the threshold itself
+        def edit(stops):
+            next(stops)
+            yield from stops
+
+        self.off_walk(monkeypatch, edit)
+        with pytest.raises(NumericalError, match="first stop is not the formula's kink"):
+            validity_threshold(VectorModel(2, **FIG3))
+
+    @pytest.mark.parametrize("field", ["value", "slope"])
+    def test_threshold_off_the_line_raises(self, field, monkeypatch):
+        # the second stop 1e-6 off L in value, or its piece off L's slope
+        def edit(stops):
+            yield next(stops)
+            kink = next(stops)
+            yield kink._replace(**{field: getattr(kink, field) - 1e-6})
+
+        self.off_walk(monkeypatch, edit)
         with pytest.raises(NumericalError, match="off the formula's line"):
             validity_threshold(VectorModel(2, **FIG3))
 
