@@ -17,9 +17,12 @@ own second one; hit counts do not depend on the visiting order, so every
 count is the one a visit in draw order gives. Identical config therefore
 gives a bit-identical report within this implementation; the generator name
 is recorded in the report so reruns can verify they used the same algorithm.
-The MAP guessers are computed exactly from the composed joints (for a
-``ZnChannel``, from its two-column update and the Y marginal, with no 2^n x
-2^n matrix), never estimated, with argmax ties broken by lowest index.
+The MAP guessers are computed exactly from the composed joints, never
+estimated, with argmax ties broken by lowest index. For a ``ZnChannel`` they
+are read off the joint itself and the two columns the channel updates, and
+off the Y marginal, with no 2^n x 2^n channel and no copy of the joint; a
+block model's config holds the model's own product joint, built once per
+model.
 """
 
 from __future__ import annotations
@@ -86,13 +89,13 @@ def vector_sim_config(seed: int, samples: int, model: VectorModel,
     """
     if not 0.0 <= gamma <= 1.0:
         raise ParameterError(f"gamma must be a probability, got {gamma!r}")
+    if filter_kind not in ("memoryless", "block"):
+        raise ParameterError(f"unknown filter kind {filter_kind!r}")
     joint = model.block_joint()
     if filter_kind == "memoryless":
         filt = Channel(_kron_power(np.array([[1.0, 0.0], [gamma, 1.0 - gamma]]), model.n))
-    elif filter_kind == "block":
-        filt = ZnChannel(gamma=gamma, n=model.n)
     else:
-        raise ParameterError(f"unknown filter kind {filter_kind!r}")
+        filt = ZnChannel(gamma=gamma, n=model.n)
     return SimConfig(seed=seed, samples=samples, joint=joint, filter=filt)
 
 
@@ -103,9 +106,9 @@ def simulate(config: SimConfig) -> SimReport:
     m, n = joint.shape
 
     if isinstance(filt, ZnChannel):
-        x_map, analytic_x = _map_guess(filt.compose(joint))
+        x_map, best_x = filt.composed_map_guess(joint)
         y_map, best_y = filt.map_guess(config.joint.col_marginal)
-        analytic_y = float(best_y.sum())
+        analytic_x, analytic_y = float(best_x.sum()), float(best_y.sum())
     else:
         x_map, analytic_x = _map_guess(compose(config.joint, filt, Axis.COLS).matrix)
         y_map, analytic_y = _map_guess(config.joint.col_marginal[:, None] * filt.matrix)

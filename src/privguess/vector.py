@@ -50,13 +50,17 @@ Powers like p**n underflow for very large n, so all formula paths go through
 logarithms; materializing the 2^n x 2^n product joint is capped at n = 10.
 
 The flip channel is never materialized outside the tests: :class:`ZnChannel`
-composes through its structure, by one two-column update of a joint
-(:meth:`ZnChannel.compose`) that :func:`compose_zn` and the Monte Carlo
-simulation of :mod:`privguess.mc` share, and gives the MAP guess of Y^n from
-the Y^n marginal with two entries changed. ``ZnChannel.to_channel()`` is the
-dense oracle the tests compare against. The product joint itself is still
-materialized by :meth:`VectorModel.block_joint`, for :func:`compose_zn`, the
-simulation and the n <= 3 LPs.
+composes through its structure. Composing it with a joint changes only two
+columns, so :meth:`ZnChannel.composed_map_guess` reads the composed joint's
+MAP guesses and column maxima off the joint itself and those two updated
+columns, with no copy of the joint; :func:`compose_zn` and the Monte Carlo
+simulation of :mod:`privguess.mc` share it. :meth:`ZnChannel.map_guess` gives
+the MAP guess of Y^n from the Y^n marginal with two entries changed.
+``ZnChannel.to_channel()`` is the dense oracle the tests compare against. The
+product joint itself is materialized by :meth:`VectorModel.block_joint`, once
+per model instance, and that one immutable joint serves :func:`compose_zn`,
+the simulation config of :func:`privguess.mc.vector_sim_config` and the n <= 3
+LPs.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -141,25 +146,36 @@ class VectorModel:
         ]))
 
     def block_joint(self) -> JointDistribution:
-        """The 2^n x 2^n product joint, rows/columns in binary order."""
+        """The 2^n x 2^n product joint, rows/columns in binary order.
+
+        Built on the first call and kept on the instance, so every call on
+        one model returns the same immutable joint.
+        """
         if self.n > MAX_MATERIALIZED_N:
             raise CapacityError(f"n={self.n} exceeds materialization cap {MAX_MATERIALIZED_N}")
+        return self._block_joint
+
+    @cached_property
+    def _block_joint(self) -> JointDistribution:
         return JointDistribution(_kron_power(self.symbol_joint().matrix, self.n))
 
 
 def _kron_power(m1: np.ndarray, n: int) -> np.ndarray:
     """``m1`` Kronecker-multiplied with itself n - 1 times, bit for bit as ``np.kron`` gives it.
 
-    Each level is one broadcast multiply into a preallocated array, whose
-    (row, row of m1, column, column of m1) axes flatten to the Kronecker
-    layout.
+    Each level is preallocated with (row, row of m1, column, column of m1)
+    axes, which flatten to the Kronecker layout, and filled by one strided
+    multiply of the previous level per entry of ``m1``, so that the long
+    column axis of the previous level is the innermost loop.
     """
     r1, c1 = m1.shape
     out = m1
     for _ in range(n - 1):
         r, c = out.shape
         nxt = np.empty((r, r1, c, c1))
-        np.multiply(out[:, None, :, None], m1[None, :, None, :], out=nxt)
+        for a in range(r1):
+            for b in range(c1):
+                np.multiply(out, m1[a, b], out=nxt[:, a, :, b])
         out = nxt.reshape(r * r1, c * c1)
     return out
 
@@ -182,19 +198,26 @@ class ZnChannel:
         """(inputs, outputs), as :attr:`Channel.shape` of the dense matrix."""
         return 2 ** self.n, 2 ** self.n
 
-    def compose(self, joint: np.ndarray) -> np.ndarray:
-        """The joint over (row variable, Z-block) of a joint over (row variable, Y-block).
+    def composed_map_guess(self, joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """MAP guess of the row variable from each output, and each output's
+        column maximum, of the joint over (row variable, Z-block) that this
+        channel makes of ``joint``, a joint over (row variable, Y-block).
 
-        Equal to ``joint @ self.to_channel().matrix`` with no 2^n x 2^n
-        channel: only the all-zeros output column gains mass (gamma times the
-        all-ones column) and only the all-ones column loses it, so ``joint``
-        is copied and those two columns are updated.
+        That joint is ``joint @ self.to_channel().matrix``, and only two of its
+        columns differ from ``joint``'s: the all-zeros output column gains
+        gamma times the all-ones column, and the all-ones column keeps 1 -
+        gamma of it. So the column maxima and guesses are read off ``joint``
+        itself and those two updated columns, with no copy of ``joint``. The
+        guess is the first row that attains the column maximum, so ties go to
+        the lowest index.
         """
         g = self.gamma
-        out = joint.copy()
-        out[:, 0] += g * out[:, -1]
-        out[:, -1] *= 1.0 - g
-        return out
+        best = joint.max(axis=0)
+        guess = (joint == best).argmax(axis=0)
+        for col, column in ((0, joint[:, 0] + g * joint[:, -1]), (-1, joint[:, -1] * (1.0 - g))):
+            best[col] = column.max()
+            guess[col] = (column == best[col]).argmax()
+        return guess, best
 
     def map_guess(self, p_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """MAP guess of the Y-block from each output, and each output's column
@@ -491,14 +514,15 @@ def compose_zn(model: VectorModel, filt: ZnChannel) -> tuple[float, float]:
     (P_c of Y-block given Z-block, P_c of X-block given Z-block).
 
     Composes through the channel's structure rather than a dense product:
-    the privacy side is the two-column update of :meth:`ZnChannel.compose`,
-    the one :func:`privguess.mc.simulate` uses, O(4^n) with no 2^n x 2^n
-    channel, and the utility side comes from the Y-block marginal by
-    :meth:`ZnChannel.map_guess`. The product joint itself is materialized,
-    so n <= 10.
+    the privacy side is read by :meth:`ZnChannel.composed_map_guess`, the
+    one :func:`privguess.mc.simulate` uses, off the model's product joint
+    and its two updated columns with no copy of that joint, and the utility
+    side comes from the Y-block marginal by :meth:`ZnChannel.map_guess`.
+    The product joint itself is materialized, once per model, so n <= 10.
     """
-    joint = model.block_joint()
     if filt.n != model.n:
         raise DimensionMismatchError(f"channel block length {filt.n} != model block length {model.n}")
+    joint = model.block_joint()
     _, best_y = filt.map_guess(joint.col_marginal)
-    return float(best_y.sum()), float(filt.compose(joint.matrix).max(axis=0).sum())
+    _, best_x = filt.composed_map_guess(joint.matrix)
+    return float(best_y.sum()), float(best_x.sum())

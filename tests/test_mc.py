@@ -153,6 +153,10 @@ class TestVectorConfigs:
         with pytest.raises(ParameterError):
             vector_sim_config(seed=1, samples=10, model=VectorModel(2, 0.6, 0.2),
                               filter_kind="other", gamma=0.1)
+        # the kind is checked before the product joint is built, so a model
+        # past the materialization cap reports the kind
+        with pytest.raises(ParameterError, match="unknown filter kind"):
+            vector_sim_config(1, 10, VectorModel(11, 0.6, 0.2), "bogus", 0.3)
 
     @pytest.mark.parametrize("gamma", [1.5, -0.1, math.nan])
     @pytest.mark.parametrize("kind", ["memoryless", "block"])
@@ -202,6 +206,23 @@ class TestZnChannel:
             want_guess, want_sum = mc._map_guess(p_y[:, None] * w)
             assert np.array_equal(guess, want_guess)
             assert float(best.sum()) == want_sum
+
+    @pytest.mark.parametrize("p, alpha, gamma", [(0.6, 0.2, 0.0), (0.6, 0.2, 0.3), (0.6, 0.2, 1.0),
+                                                  (0.5, 0.0, 1.0)])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_composed_map_guess_matches_updated_copy(self, n, p, alpha, gamma):
+        # (0.5, 0.0) at gamma = 1 is the tie case: the product joint is
+        # diagonal, so the all-zeros output column holds two equal maxima
+        # (rows 0 and 2^n - 1) and the all-ones output column is all zeros
+        joint = VectorModel(n, p, alpha).block_joint().matrix
+        guess, best = ZnChannel(gamma=gamma, n=n).composed_map_guess(joint)
+        composed = joint.copy()
+        composed[:, 0] += gamma * composed[:, -1]
+        composed[:, -1] *= 1.0 - gamma
+        want_guess, want_sum = mc._map_guess(composed)
+        assert np.array_equal(guess, want_guess)
+        assert np.array_equal(best, composed.max(axis=0))
+        assert float(best.sum()) == want_sum
 
     def test_block_path_builds_no_dense_matrix(self, monkeypatch):
         def dense(*args):

@@ -1,7 +1,9 @@
 """Block-vector frontiers: formulas, filters, gap bounds, certification."""
 
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +30,9 @@ from privguess import (
     heuristic_threshold,
     memoryless_utility,
     optimal_filter,
+    simulate,
     validity_threshold,
+    vector_sim_config,
     zn_filter,
 )
 from privguess import solver, vector
@@ -64,18 +68,70 @@ class TestModel:
 
     def test_block_joint_is_product(self):
         # bit for bit the chain of np.kron calls, the reference for the
-        # broadcast product
+        # strided products; the memoryless filter's factor goes through the
+        # same kernel
+        def kron_chain(m1, n):
+            want = m1
+            for _ in range(n - 1):
+                want = np.kron(want, m1)
+            return want
+
         for n in range(1, 11):
             m = VectorModel(n, 0.6, 0.2)
-            j1 = m.symbol_joint().matrix
-            want = j1
-            for _ in range(n - 1):
-                want = np.kron(want, j1)
-            assert np.array_equal(m.block_joint().matrix, want)
+            assert np.array_equal(m.block_joint().matrix, kron_chain(m.symbol_joint().matrix, n))
+            for g in (0.0, 0.3, 0.123456789, 1.0):
+                f1 = np.array([[1.0, 0.0], [g, 1.0 - g]])
+                assert np.array_equal(vector._kron_power(f1, n), kron_chain(f1, n))
 
     def test_materialization_cap(self):
         with pytest.raises(CapacityError):
             VectorModel(11, 0.6, 0.2).block_joint()
+
+
+class TestBlockJointMemo:
+    """The product joint is built once per model instance and shared by every caller."""
+
+    def test_second_call_returns_the_same_joint(self):
+        model = VectorModel(4, **FIG3)
+        assert model.block_joint() is model.block_joint()
+
+    def test_one_product_per_model_across_callers(self, monkeypatch):
+        calls = []
+        kron_power = vector._kron_power
+
+        def counted(m1, n):
+            calls.append(n)
+            return kron_power(m1, n)
+
+        monkeypatch.setattr(vector, "_kron_power", counted)
+        model = VectorModel(10, **FIG3)
+        config = vector_sim_config(seed=1, samples=1000, model=model, filter_kind="block", gamma=0.3)
+        simulate(config)
+        compose_zn(model, ZnChannel(gamma=0.3, n=10))
+        assert config.joint is model.block_joint()
+        assert calls == [10]
+
+    def test_cap_raises_on_every_call(self):
+        model = VectorModel(11, **FIG3)
+        for _ in range(3):
+            with pytest.raises(CapacityError):
+                model.block_joint()
+
+    def test_value_semantics_unchanged(self):
+        built, fresh = VectorModel(3, **FIG3), VectorModel(3, **FIG3)
+        before = (hash(built), repr(built))
+        built.block_joint()
+        assert (hash(built), repr(built)) == before == (hash(fresh), repr(fresh))
+        assert built == fresh
+
+    def test_replace_builds_its_own_joint(self):
+        model = VectorModel(3, **FIG3)
+        joint = model.block_joint()
+        same = dataclasses.replace(model)
+        other = dataclasses.replace(model, p=0.65)
+        assert same.block_joint() is not joint
+        assert np.array_equal(same.block_joint().matrix, joint.matrix)
+        assert np.array_equal(other.block_joint().matrix, VectorModel(3, 0.65, 0.2).block_joint().matrix)
 
 
 class TestMemoryless:
@@ -221,6 +277,24 @@ class TestZnFilter:
             compose_zn(VectorModel(3, **FIG3), ZnChannel(gamma=0.3, n=2))
         with pytest.raises(DimensionMismatchError):
             compose_zn(VectorModel(2, **FIG3), ZnChannel(gamma=0.3, n=3))
+        # the lengths are compared before the product joint is built, so a
+        # model past the materialization cap reports the mismatch
+        with pytest.raises(DimensionMismatchError):
+            compose_zn(VectorModel(11, **FIG3), ZnChannel(gamma=0.3, n=2))
+
+    def test_compose_zn_reads_the_joint_without_copying_it(self):
+        # the composed joint's column maxima come from the joint and two
+        # updated columns, so once the joint exists a call allocates far
+        # less than one more 2^n x 2^n array
+        model = VectorModel(10, **FIG3)
+        size = model.block_joint().matrix.nbytes
+        tracemalloc.start()
+        try:
+            compose_zn(model, ZnChannel(gamma=0.3, n=10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size
 
 
 class TestGapBounds:
