@@ -8,15 +8,20 @@ probabilities.
 Determinism contract: sampling consumes a PCG64 stream seeded explicitly,
 two uniforms per sample in a fixed order (first selects the (x, y) cell by
 inverse CDF over the row-major flattened joint, second selects z by inverse
-CDF over the filter row of y). For a :class:`~privguess.vector.ZnChannel`
-the second uniform selects z by the closed form of that same inverse CDF
-(the all-ones y goes to all-zeros when the uniform is below gamma, every
-other y to itself), so the counts are those of its dense channel. The
-samples are then visited in order of their first uniform, each keeping its
-own second one; hit counts do not depend on the visiting order, so every
-count is the one a visit in draw order gives. Identical config therefore
-gives a bit-identical report within this implementation; the generator name
-is recorded in the report so reruns can verify they used the same algorithm.
+CDF over the filter row of y). Each empirical value is an exact integer hit
+count divided by the sample count, and a count does not depend on the order
+samples are visited in, so the samples are visited in whatever order is
+cheapest and every count is the one a visit in draw order gives. A dense
+filter's z needs each sample's pair of uniforms, so its samples are visited
+in order of their first uniform, each keeping its own second one. For a
+:class:`~privguess.vector.ZnChannel` the second uniform matters only
+through the flip bit ``u1 < gamma`` (the closed form of the same inverse
+CDF: the all-ones y goes to all-zeros when the bit is set, every other y to
+itself), so the samples are split on that bit and each half's first
+uniforms are sorted on their own; its counts are those of its dense
+channel. Identical config therefore gives a bit-identical report within
+this implementation; the generator name is recorded in the report so
+reruns can verify they used the same algorithm.
 The MAP guessers are computed exactly from the composed joints, never
 estimated, with argmax ties broken by lowest index. For a ``ZnChannel`` they
 are read off the joint itself and the two columns the channel updates, and
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError
-from .prob import Axis, Channel, JointDistribution, compose
+from .prob import Axis, Channel, JointDistribution, _positive_int, compose
 from .vector import VectorModel, ZnChannel, _kron_power
 
 __all__ = ["SimConfig", "SimReport", "simulate", "vector_sim_config"]
@@ -55,8 +60,7 @@ class SimConfig:
     filter: Channel | ZnChannel
 
     def __post_init__(self):
-        if not (isinstance(self.samples, int) and self.samples >= 1):
-            raise ParameterError(f"samples must be a positive integer, got {self.samples!r}")
+        object.__setattr__(self, "samples", _positive_int("samples", self.samples))
         if self.filter.shape[0] != self.joint.shape[1]:
             raise DimensionMismatchError(
                 f"filter rows {self.filter.shape[0]} != Y alphabet {self.joint.shape[1]}"
@@ -103,7 +107,6 @@ def simulate(config: SimConfig) -> SimReport:
     """Run the simulation; deterministic given the config."""
     joint = config.joint.matrix
     filt = config.filter
-    m, n = joint.shape
 
     if isinstance(filt, ZnChannel):
         x_map, best_x = filt.composed_map_guess(joint)
@@ -114,20 +117,8 @@ def simulate(config: SimConfig) -> SimReport:
         y_map, analytic_y = _map_guess(config.joint.col_marginal[:, None] * filt.matrix)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    u = rng.random((config.samples, 2))
-
-    # hit counts do not depend on the order samples are visited in, so visit
-    # them in order of their first uniform (keeping each sample's pair): the
-    # inverse-CDF search then walks sorted keys
-    order = np.argsort(u[:, 0])
-    u0, u1 = u[order, 0], u[order, 1]
-    cdf_joint = np.cumsum(joint.ravel())
-    idx = np.minimum(np.searchsorted(cdf_joint, u0, side="right"), m * n - 1)
-    xs, ys = np.divmod(idx, n)
-    zs = filt.inverse_cdf(ys, u1) if isinstance(filt, ZnChannel) else _inverse_cdf(filt.matrix, ys, u1)
-
-    hit_y = float(np.mean(y_map[zs] == ys))
-    hit_x = float(np.mean(x_map[zs] == xs))
+    hits_y, hits_x = _hit_counts(joint, filt, x_map, y_map, rng.random((config.samples, 2)))
+    hit_y, hit_x = hits_y / config.samples, hits_x / config.samples
     return SimReport(
         empirical_pc_y=hit_y,
         empirical_pc_x=hit_x,
@@ -138,6 +129,44 @@ def simulate(config: SimConfig) -> SimReport:
         samples=config.samples,
         seed=config.seed,
     )
+
+
+def _hit_counts(joint: np.ndarray, filt: Channel | ZnChannel, x_map: np.ndarray,
+                y_map: np.ndarray, u: np.ndarray) -> tuple[int, int]:
+    """How many samples the guesses ``y_map[z]`` of y, and ``x_map[z]`` of x, get right.
+
+    Sample i draws its (x, y) cell from ``joint`` by inverse CDF at
+    ``u[i, 0]`` and its z from the filter row of y at ``u[i, 1]``. A count
+    does not depend on the order samples are visited in, so the first
+    uniforms are searched in sorted order, which walks the CDF forwards.
+    A :class:`ZnChannel` reads ``u[i, 1]`` only through the flip bit
+    ``u[i, 1] < gamma``, so its samples are split on that bit and each
+    half's first uniforms sorted on their own; a dense filter's z needs
+    each sample's pair, so its pairs are permuted together.
+    """
+    m, n = joint.shape
+    cdf_joint = np.cumsum(joint.ravel())
+
+    def cells(u0):
+        idx = np.minimum(np.searchsorted(cdf_joint, u0, side="right"), m * n - 1)
+        return np.divmod(idx, n)
+
+    if isinstance(filt, ZnChannel):
+        # the inverse CDF of the flip channel's row y at u1: the all-ones y
+        # goes to all-zeros when u1 < gamma, every other y to itself
+        flipped = u[:, 1] < filt.gamma
+        hits_y = hits_x = 0
+        for flip in (False, True):
+            xs, ys = cells(np.sort(u[flipped == flip, 0]))
+            zs = np.where(ys == n - 1, 0, ys) if flip else ys
+            hits_y += int(np.count_nonzero(y_map[zs] == ys))
+            hits_x += int(np.count_nonzero(x_map[zs] == xs))
+        return hits_y, hits_x
+
+    order = np.argsort(u[:, 0])
+    xs, ys = cells(u[order, 0])
+    zs = _inverse_cdf(filt.matrix, ys, u[order, 1])
+    return int(np.count_nonzero(y_map[zs] == ys)), int(np.count_nonzero(x_map[zs] == xs))
 
 
 def _inverse_cdf(filt: np.ndarray, ys: np.ndarray, u1: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,6 +31,7 @@ from .errors import (
     InvalidChannelError,
     InvalidDistributionError,
     InvalidOrderError,
+    ParameterError,
 )
 
 __all__ = [
@@ -65,9 +67,33 @@ class Axis(Enum):
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a read-only float64 array that no caller can write through.
+
+    A float64 array that is already read-only and owns its memory is kept as
+    it is; anything else, a read-only view of a writable base included, is
+    copied. (``copy=True`` copies on NumPy 1.x and 2.x alike; ``copy=False``
+    does not mean the same on both.)
+    """
+    if arr.dtype == np.float64 and arr.flags.owndata and not arr.flags.writeable:
+        return arr
     out = np.array(arr, dtype=np.float64, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _positive_int(name: str, value) -> int:
+    """``value`` as an ``int`` if it is an integer >= 1, for a parameter called ``name``.
+
+    Anything ``operator.index`` accepts counts as an integer (NumPy integers
+    included), except ``bool``.
+    """
+    try:
+        n = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < 1:
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    return n
 
 
 @dataclass(frozen=True)

@@ -51,16 +51,18 @@ logarithms; materializing the 2^n x 2^n product joint is capped at n = 10.
 
 The flip channel is never materialized outside the tests: :class:`ZnChannel`
 composes through its structure. Composing it with a joint changes only two
-columns, so :meth:`ZnChannel.composed_map_guess` reads the composed joint's
-MAP guesses and column maxima off the joint itself and those two updated
-columns, with no copy of the joint; :func:`compose_zn` and the Monte Carlo
-simulation of :mod:`privguess.mc` share it. :meth:`ZnChannel.map_guess` gives
+columns, so :meth:`ZnChannel.composed_col_max` reads the composed joint's
+column maxima off the joint itself and those two updated columns, with no
+copy of the joint, for :func:`compose_zn`, and
+:meth:`ZnChannel.composed_map_guess` adds the MAP guesses for the Monte Carlo
+simulation of :mod:`privguess.mc`. :meth:`ZnChannel.map_guess` gives
 the MAP guess of Y^n from the Y^n marginal with two entries changed.
 ``ZnChannel.to_channel()`` is the dense oracle the tests compare against. The
 product joint itself is materialized by :meth:`VectorModel.block_joint`, once
-per model instance, and that one immutable joint serves :func:`compose_zn`,
-the simulation config of :func:`privguess.mc.vector_sim_config` and the n <= 3
-LPs.
+per model instance, read-only from the start so that its
+:class:`JointDistribution` holds it without a copy, and that one immutable
+joint serves :func:`compose_zn`, the simulation config of
+:func:`privguess.mc.vector_sim_config` and the n <= 3 LPs.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, NumericalError, ParameterError
 from .lp import FEAS_TOL
-from .prob import RANGE_TOL, Channel, JointDistribution
+from .prob import RANGE_TOL, Channel, JointDistribution, _frozen, _positive_int
 from .solver import identity_top, lp_guess_max
 
 __all__ = [
@@ -117,8 +119,7 @@ class VectorModel:
     alpha: float
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ParameterError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", _positive_int("n", self.n))
         if not 0.5 <= self.p < 1.0:
             raise ParameterError(f"p must be in [1/2, 1), got {self.p!r}")
         if not 0.0 <= self.alpha < 0.5:
@@ -163,20 +164,24 @@ class VectorModel:
 def _kron_power(m1: np.ndarray, n: int) -> np.ndarray:
     """``m1`` Kronecker-multiplied with itself n - 1 times, bit for bit as ``np.kron`` gives it.
 
-    Each level is preallocated with (row, row of m1, column, column of m1)
-    axes, which flatten to the Kronecker layout, and filled by one strided
-    multiply of the previous level per entry of ``m1``, so that the long
-    column axis of the previous level is the innermost loop.
+    Each level is preallocated and filled through a view with (row, row of
+    m1, column, column of m1) axes, which flatten to the Kronecker layout,
+    by one strided multiply of the previous level per entry of ``m1``, so
+    that the long column axis of the previous level is the innermost loop.
+    The result is read-only and owns its memory, so a
+    :class:`JointDistribution` or :class:`Channel` keeps it without a copy.
     """
     r1, c1 = m1.shape
-    out = m1
+    out = _frozen(m1)
     for _ in range(n - 1):
         r, c = out.shape
-        nxt = np.empty((r, r1, c, c1))
+        nxt = np.empty((r * r1, c * c1))
+        blocks = nxt.reshape(r, r1, c, c1)
         for a in range(r1):
             for b in range(c1):
-                np.multiply(out, m1[a, b], out=nxt[:, a, :, b])
-        out = nxt.reshape(r * r1, c * c1)
+                np.multiply(out, m1[a, b], out=blocks[:, a, :, b])
+        out = nxt
+    out.setflags(write=False)
     return out
 
 
@@ -188,8 +193,7 @@ class ZnChannel:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ParameterError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", _positive_int("n", self.n))
         if not 0.0 <= self.gamma <= 1.0:
             raise ParameterError(f"gamma must be a probability, got {self.gamma!r}")
 
@@ -198,24 +202,36 @@ class ZnChannel:
         """(inputs, outputs), as :attr:`Channel.shape` of the dense matrix."""
         return 2 ** self.n, 2 ** self.n
 
-    def composed_map_guess(self, joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """MAP guess of the row variable from each output, and each output's
-        column maximum, of the joint over (row variable, Z-block) that this
-        channel makes of ``joint``, a joint over (row variable, Y-block).
+    def _updated_columns(self, joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The all-zeros and all-ones output columns of the composed joint."""
+        g = self.gamma
+        return joint[:, 0] + g * joint[:, -1], joint[:, -1] * (1.0 - g)
+
+    def composed_col_max(self, joint: np.ndarray) -> np.ndarray:
+        """Each output's column maximum of the joint over (row variable, Z-block)
+        that this channel makes of ``joint``, a joint over (row variable, Y-block).
 
         That joint is ``joint @ self.to_channel().matrix``, and only two of its
         columns differ from ``joint``'s: the all-zeros output column gains
         gamma times the all-ones column, and the all-ones column keeps 1 -
-        gamma of it. So the column maxima and guesses are read off ``joint``
-        itself and those two updated columns, with no copy of ``joint``. The
-        guess is the first row that attains the column maximum, so ties go to
-        the lowest index.
+        gamma of it. So the maxima are read off ``joint`` itself and those two
+        updated columns, with no copy of ``joint``.
         """
-        g = self.gamma
         best = joint.max(axis=0)
+        best[0], best[-1] = (column.max() for column in self._updated_columns(joint))
+        return best
+
+    def composed_map_guess(self, joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """MAP guess of the row variable from each output, and the column
+        maxima of :meth:`composed_col_max`, of the joint this channel makes of
+        ``joint``.
+
+        The guess is the first row that attains the column maximum, so ties
+        go to the lowest index.
+        """
+        best = self.composed_col_max(joint)
         guess = (joint == best).argmax(axis=0)
-        for col, column in ((0, joint[:, 0] + g * joint[:, -1]), (-1, joint[:, -1] * (1.0 - g))):
-            best[col] = column.max()
+        for col, column in zip((0, -1), self._updated_columns(joint)):
             guess[col] = (column == best[col]).argmax()
         return guess, best
 
@@ -235,15 +251,6 @@ class ZnChannel:
         guess = np.where(best > 0.0, np.arange(p_y.size), 0)
         guess[0] = last if best[0] > p_y[0] else 0
         return guess, best
-
-    def inverse_cdf(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The output for each input in ``y`` at uniform ``u``, by the inverse CDF of its row.
-
-        The all-ones input goes to all-zeros when u < gamma and every other
-        input to itself, which is what ``np.searchsorted(np.cumsum(row), u,
-        side="right")`` returns on the dense rows.
-        """
-        return np.where((y == 2 ** self.n - 1) & (u < self.gamma), 0, y)
 
     def to_channel(self) -> Channel:
         if self.n > MAX_MATERIALIZED_N:
@@ -514,15 +521,14 @@ def compose_zn(model: VectorModel, filt: ZnChannel) -> tuple[float, float]:
     (P_c of Y-block given Z-block, P_c of X-block given Z-block).
 
     Composes through the channel's structure rather than a dense product:
-    the privacy side is read by :meth:`ZnChannel.composed_map_guess`, the
-    one :func:`privguess.mc.simulate` uses, off the model's product joint
-    and its two updated columns with no copy of that joint, and the utility
-    side comes from the Y-block marginal by :meth:`ZnChannel.map_guess`.
+    the privacy side is read by :meth:`ZnChannel.composed_col_max` off the
+    model's product joint and its two updated columns, with no copy of that
+    joint and no MAP guesses, and the utility side comes from the Y-block
+    marginal by :meth:`ZnChannel.map_guess`.
     The product joint itself is materialized, once per model, so n <= 10.
     """
     if filt.n != model.n:
         raise DimensionMismatchError(f"channel block length {filt.n} != model block length {model.n}")
     joint = model.block_joint()
     _, best_y = filt.map_guess(joint.col_marginal)
-    _, best_x = filt.composed_map_guess(joint.matrix)
-    return float(best_y.sum()), float(best_x.sum())
+    return float(best_y.sum()), float(filt.composed_col_max(joint.matrix).sum())

@@ -66,6 +66,17 @@ class TestConfig:
         with pytest.raises(ParameterError):
             SimConfig(seed=1, samples=0, joint=fig3_joint(), filter=Z025)
 
+    @pytest.mark.parametrize("samples", [True, False, np.True_, 100.0, "100", None, -1])
+    def test_rejects_non_integer_samples(self, samples):
+        # bool is not a sample count, though operator.index takes it as 0 or 1
+        with pytest.raises(ParameterError, match="samples must be a positive integer"):
+            SimConfig(seed=1, samples=samples, joint=fig3_joint(), filter=Z025)
+
+    def test_accepts_numpy_integer_samples(self):
+        config = SimConfig(seed=1, samples=np.int64(100), joint=fig3_joint(), filter=Z025)
+        assert config.samples == 100 and type(config.samples) is int
+        assert simulate(config) == simulate(dataclasses.replace(config, samples=100))
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             SimConfig(seed=1, samples=10, joint=fig3_joint(),
@@ -170,8 +181,9 @@ class TestZnChannel:
     """The block filter is simulated through its structure; its dense channel is the oracle."""
 
     @pytest.mark.parametrize("p, alpha", [(0.6, 0.2), (0.5, 0.0), (0.7, 0.25)])
-    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0, 0.123456789])
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n, gamma", [(n, g) for n in range(1, 9)
+                                          for g in (0.0, 0.3, 1.0, 0.123456789)]
+                             + [(9, 0.3), (10, 0.123456789)])
     def test_matches_dense_channel(self, n, gamma, p, alpha):
         config = vector_sim_config(seed=7 * n + 1, samples=50_000, model=VectorModel(n, p, alpha),
                                    filter_kind="block", gamma=gamma)
@@ -189,12 +201,6 @@ class TestZnChannel:
         filt = ZnChannel(gamma=gamma, n=n)
         w = filt.to_channel().matrix
         size = 2 ** n
-        # uniforms at, just below and just above gamma, and at both ends of [0, 1)
-        u = np.array([0.0, np.nextafter(gamma, 0.0), gamma, np.nextafter(gamma, 1.0), 0.5,
-                      np.nextafter(1.0, 0.0)])
-        u = u[u < 1.0]
-        ys, us = np.repeat(np.arange(size), u.size), np.tile(u, size)
-        assert np.array_equal(filt.inverse_cdf(ys, us), mc._inverse_cdf(w, ys, us))
         # Y marginals with a zero entry and with ties between the all-zeros
         # and the flipped all-ones mass in the all-zeros output column
         rng = np.random.default_rng(n)
@@ -233,3 +239,69 @@ class TestZnChannel:
         config = vector_sim_config(seed=3, samples=1000, model=VectorModel(6, 0.6, 0.2),
                                    filter_kind="block", gamma=0.3)
         assert simulate(config).samples == 1000
+
+
+#: n = 1 and n = 2 joints for the count tests: a 2x2 one whose CDF ends
+#: 1e-12 below 1, so first uniforms above its last entry reach the clamp to
+#: the last cell, and a dyadic 4x4 one with empty cells, so that some CDF
+#: entries repeat
+SHORT_2X2 = np.array([[0.25, 0.125], [0.375, 0.25 - 1e-12]])
+SPARSE_4X4 = np.array([[4, 0, 1, 3], [0, 2, 0, 2], [1, 0, 0, 5], [2, 2, 0, 10]]) / 32
+
+
+class TestSplitCounts:
+    """The flip channel's counts, split on the flip bit, against the paired
+    counts of its dense rows, sample by sample, on hand-built uniforms."""
+
+    @staticmethod
+    def uniforms(cdf, gamma):
+        # first uniforms at and just below every CDF entry, and the largest
+        # below 1; second ones at, just below and just above gamma, and at
+        # both ends of [0, 1)
+        u0 = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0), [np.nextafter(1.0, 0.0)]])
+        u1 = np.array([0.0, np.nextafter(gamma, 0.0), gamma, np.nextafter(gamma, 1.0), 0.5,
+                       np.nextafter(1.0, 0.0)])
+        u0, u1 = u0[u0 < 1.0], u1[u1 < 1.0]
+        return np.stack(np.meshgrid(u0, u1, indexing="ij"), axis=-1).reshape(-1, 2)
+
+    @staticmethod
+    def one_sample(joint, w, x_map, y_map, u0, u1):
+        # the inverse CDF written out: the first entry above the uniform,
+        # clamped to the last one, is the count of entries at or below it
+        cdf = np.cumsum(joint.ravel())
+        x, y = divmod(min(int((cdf <= u0).sum()), cdf.size - 1), joint.shape[1])
+        z = min(int((np.cumsum(w[y]) <= u1).sum()), w.shape[1] - 1)
+        return int(y_map[z] == y), int(x_map[z] == x)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0, 0.123456789])
+    @pytest.mark.parametrize("joint", [SHORT_2X2, SPARSE_4X4], ids=["n1", "n2"])
+    def test_split_matches_paired_dense_rows(self, joint, gamma):
+        joint = JointDistribution(joint).matrix
+        size = joint.shape[1]
+        filt = ZnChannel(gamma=gamma, n=size.bit_length() - 1)
+        dense = filt.to_channel()
+        cdf = np.cumsum(joint.ravel())
+        u = self.uniforms(cdf, gamma)
+        if joint.shape == (2, 2):
+            assert cdf[-1] < 1.0 and (u[:, 0] >= cdf[-1]).any()
+        flips = (u[:, 1] < gamma).any(), (u[:, 1] >= gamma).any()
+        assert flips == (gamma > 0.0, gamma < 1.0)
+
+        rng = np.random.default_rng(size)
+        maps = [
+            # the MAP guesses the simulation uses
+            (filt.composed_map_guess(joint)[0], filt.map_guess(joint.sum(axis=0))[0]),
+            # identity guesses: a y hit then says whether the sample was flipped
+            (np.arange(size), np.arange(size)),
+            (rng.integers(size, size=size), rng.integers(size, size=size)),
+        ]
+        for x_map, y_map in maps:
+            # samples = 1, each sample on its own, then all of them together
+            for sample in u:
+                one = sample[None]
+                want = self.one_sample(joint, dense.matrix, x_map, y_map, *sample)
+                assert mc._hit_counts(joint, filt, x_map, y_map, one) == want
+                assert mc._hit_counts(joint, dense, x_map, y_map, one) == want
+            counts = mc._hit_counts(joint, filt, x_map, y_map, u)
+            assert counts == mc._hit_counts(joint, dense, x_map, y_map, u)
+            assert all(type(c) is int for c in counts)

@@ -40,6 +40,33 @@ class TestValidation:
         with pytest.raises(ValueError):
             j.matrix[0, 0] = 0.5
 
+    @pytest.mark.parametrize("cls, scale", [(JointDistribution, 0.25), (Channel, 0.5)])
+    def test_callers_array_is_copied(self, cls, scale):
+        a = np.full((2, 2), scale)
+        held = cls(a)
+        a[0, 0] = 0.0
+        assert held.matrix[0, 0] == scale
+
+    @pytest.mark.parametrize("cls, scale", [(JointDistribution, 0.25), (Channel, 0.5)])
+    def test_read_only_view_of_writable_base_is_copied(self, cls, scale):
+        base = np.full((2, 2), scale)
+        view = base[:]
+        view.setflags(write=False)
+        held = cls(view)
+        base[0, 0] = 0.0
+        assert held.matrix[0, 0] == scale
+        assert not np.shares_memory(held.matrix, base)
+
+    @pytest.mark.parametrize("cls, scale", [(JointDistribution, 0.25), (Channel, 0.5)])
+    def test_read_only_float64_owner_is_kept(self, cls, scale):
+        a = np.full((2, 2), scale)
+        a.setflags(write=False)
+        assert cls(a).matrix is a
+        # a read-only owner of another dtype is converted
+        f32 = np.full((2, 2), scale, dtype=np.float32)
+        f32.setflags(write=False)
+        assert cls(f32).matrix.dtype == np.float64
+
     def test_marginals(self):
         j = fig3_joint()
         np.testing.assert_allclose(j.row_marginal, [0.4, 0.6])

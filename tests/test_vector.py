@@ -66,6 +66,18 @@ class TestModel:
         with pytest.raises(ParameterError):
             VectorModel(2, 0.85, 0.2)  # violates abar > p
 
+    @pytest.mark.parametrize("build", [lambda n: VectorModel(n, 0.6, 0.2),
+                                       lambda n: ZnChannel(gamma=0.3, n=n)],
+                             ids=["VectorModel", "ZnChannel"])
+    def test_block_length_must_be_an_integer(self, build):
+        # bool is not a block length, though operator.index takes it as 0 or 1
+        for bad in (True, False, np.True_, 2.0, "2", None, 0, -1):
+            with pytest.raises(ParameterError, match="n must be a positive integer"):
+                build(bad)
+        built = build(np.int64(3))
+        assert built.n == 3 and type(built.n) is int
+        assert built == build(3) and hash(built) == hash(build(3))
+
     def test_block_joint_is_product(self):
         # bit for bit the chain of np.kron calls, the reference for the
         # strided products; the memoryless filter's factor goes through the
@@ -110,6 +122,29 @@ class TestBlockJointMemo:
         compose_zn(model, ZnChannel(gamma=0.3, n=10))
         assert config.joint is model.block_joint()
         assert calls == [10]
+
+    def test_joint_keeps_the_product_without_a_copy(self):
+        # _kron_power returns a read-only array that owns its memory, which
+        # JointDistribution and Channel keep as it is
+        product = vector._kron_power(VectorModel(3, **FIG3).symbol_joint().matrix, 3)
+        assert product.flags.owndata and not product.flags.writeable
+        assert JointDistribution(product).matrix is product
+        f1 = np.array([[1.0, 0.0], [0.3, 0.7]])
+        assert not vector._kron_power(f1, 1).flags.writeable and f1.flags.writeable
+
+    def test_sim_config_builds_one_joint(self):
+        # the product is built in place and kept, so building a block config
+        # at n = 10 costs one 8 MB joint and the previous 2 MB level, not a
+        # second joint for a copy
+        model = VectorModel(10, **FIG3)
+        size = 4 ** 10 * 8
+        tracemalloc.start()
+        try:
+            vector_sim_config(seed=1, samples=1000, model=model, filter_kind="block", gamma=0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * size
 
     def test_cap_raises_on_every_call(self):
         model = VectorModel(11, **FIG3)
