@@ -180,6 +180,8 @@ def _scenario(name: str) -> tuple[JointDistribution, Channel]:
 def _cmd_validate(args) -> int:
     if args.samples < 1:
         raise UsageError(f"--samples must be positive, got {args.samples}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     joint, filt = _scenario(args.scenario)
     report = mc.simulate(mc.SimConfig(seed=args.seed, samples=args.samples,
                                       joint=joint, filter=filt))

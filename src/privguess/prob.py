@@ -66,24 +66,37 @@ class Axis(Enum):
     COLS = "cols"
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr`` as a read-only float64 array that no caller can write through.
+def _frozen(arr) -> np.ndarray:
+    """A read-only float64 copy of ``arr``, which no caller can write through.
 
-    A float64 array that is already read-only and owns its memory is kept as
-    it is; anything else, a read-only view of a writable base included, is
-    copied. (``copy=True`` copies on NumPy 1.x and 2.x alike; ``copy=False``
-    does not mean the same on both.)
+    Every array is copied, a read-only one that owns its memory included: its
+    owner can make it writable again. (``copy=True`` copies on NumPy 1.x and
+    2.x alike; ``copy=False`` does not mean the same on both.) Arrays built
+    inside the package skip the copy through :func:`_adopt`.
     """
-    if arr.dtype == np.float64 and arr.flags.owndata and not arr.flags.writeable:
-        return arr
     out = np.array(arr, dtype=np.float64, copy=True)
     out.setflags(write=False)
     return out
 
 
-def _positive_int(name: str, value) -> int:
-    """``value`` as an ``int`` if it is an integer >= 1, for a parameter called ``name``.
+def _adopt(cls, arr: np.ndarray):
+    """A ``cls`` (:class:`JointDistribution` or :class:`Channel`) that holds
+    ``arr`` itself, checked as the constructor checks it.
 
+    Only for a read-only float64 array built inside the package that no
+    caller holds, such as a Kronecker power of :mod:`privguess.vector`, whose
+    2^n x 2^n product is then not copied.
+    """
+    out = object.__new__(cls)
+    object.__setattr__(out, "matrix", arr)
+    out._check()
+    return out
+
+
+def _positive_int(name: str, value, low: int = 1) -> int:
+    """``value`` as an ``int`` if it is an integer >= ``low``, for a parameter called ``name``.
+
+    ``low`` is 1, or 0 for a parameter that may be zero, such as a seed.
     Anything ``operator.index`` accepts counts as an integer (NumPy integers
     included), except ``bool``.
     """
@@ -91,8 +104,9 @@ def _positive_int(name: str, value) -> int:
         n = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
     except TypeError:
         n = None
-    if n is None or n < 1:
-        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    if n is None or n < low:
+        kind = "positive" if low == 1 else "nonnegative"
+        raise ParameterError(f"{name} must be a {kind} integer, got {value!r}")
     return n
 
 
@@ -107,7 +121,11 @@ class JointDistribution:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
+        object.__setattr__(self, "matrix", _frozen(self.matrix))
+        self._check()
+
+    def _check(self):
+        m = self.matrix
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise InvalidDistributionError(f"expected a 2-D matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -117,7 +135,6 @@ class JointDistribution:
         total = float(m.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise InvalidDistributionError(f"total mass {total!r} differs from 1 by more than {MASS_TOL}")
-        object.__setattr__(self, "matrix", _frozen(m))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -142,7 +159,11 @@ class Channel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
+        object.__setattr__(self, "matrix", _frozen(self.matrix))
+        self._check()
+
+    def _check(self):
+        m = self.matrix
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise InvalidChannelError(f"expected a 2-D matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -153,7 +174,6 @@ class Channel:
         worst = float(np.abs(rows - 1.0).max())
         if worst > MASS_TOL:
             raise InvalidChannelError(f"row sum deviates from 1 by {worst!r} (tolerance {MASS_TOL})")
-        object.__setattr__(self, "matrix", _frozen(m))
 
     @property
     def shape(self) -> tuple[int, int]:

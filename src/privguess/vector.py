@@ -60,7 +60,8 @@ the MAP guess of Y^n from the Y^n marginal with two entries changed.
 ``ZnChannel.to_channel()`` is the dense oracle the tests compare against. The
 product joint itself is materialized by :meth:`VectorModel.block_joint`, once
 per model instance, read-only from the start so that its
-:class:`JointDistribution` holds it without a copy, and that one immutable
+:class:`JointDistribution` holds it without a copy (through the package's
+private ``prob._adopt``; the public constructor copies), and that one immutable
 joint serves :func:`compose_zn`, the simulation config of
 :func:`privguess.mc.vector_sim_config` and the n <= 3 LPs.
 """
@@ -77,7 +78,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, NumericalError, ParameterError
 from .lp import FEAS_TOL
-from .prob import RANGE_TOL, Channel, JointDistribution, _frozen, _positive_int
+from .prob import RANGE_TOL, Channel, JointDistribution, _adopt, _frozen, _positive_int
 from .solver import identity_top, lp_guess_max
 
 __all__ = [
@@ -158,7 +159,7 @@ class VectorModel:
 
     @cached_property
     def _block_joint(self) -> JointDistribution:
-        return JointDistribution(_kron_power(self.symbol_joint().matrix, self.n))
+        return _adopt(JointDistribution, _kron_power(self.symbol_joint().matrix, self.n))
 
 
 def _kron_power(m1: np.ndarray, n: int) -> np.ndarray:
@@ -168,8 +169,9 @@ def _kron_power(m1: np.ndarray, n: int) -> np.ndarray:
     m1, column, column of m1) axes, which flatten to the Kronecker layout,
     by one strided multiply of the previous level per entry of ``m1``, so
     that the long column axis of the previous level is the innermost loop.
-    The result is read-only and owns its memory, so a
-    :class:`JointDistribution` or :class:`Channel` keeps it without a copy.
+    The result is read-only and owns its memory, and no caller holds it, so
+    :func:`privguess.prob._adopt` makes it a :class:`JointDistribution` or
+    :class:`Channel` without a copy.
     """
     r1, c1 = m1.shape
     out = _frozen(m1)

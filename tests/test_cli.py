@@ -558,6 +558,14 @@ class TestValidate:
                                       "--samples", "0"])
         assert code == 2
 
+    def test_negative_seed_usage_error(self, capsys):
+        # checked before the simulation, as --samples is, so NumPy's own
+        # error for a negative seed is never reached
+        code, _, err = run_cli(capsys, ["validate", "--scenario", "fig3", "--seed", "-1",
+                                        "--samples", "10"])
+        assert code == 2
+        assert "--seed must be nonnegative" in err
+
     def test_unknown_scenario_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, ["validate", "--scenario", "bogus"])
         assert code == 2

@@ -77,6 +77,20 @@ class TestConfig:
         assert config.samples == 100 and type(config.samples) is int
         assert simulate(config) == simulate(dataclasses.replace(config, samples=100))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", True, False, np.True_, None])
+    def test_rejects_bad_seed(self, seed):
+        # a negative seed used to reach NumPy's own ValueError, a float or a
+        # string its TypeError, and True ran as seed 1
+        with pytest.raises(ParameterError, match="seed must be a nonnegative integer"):
+            SimConfig(seed=seed, samples=10, joint=fig3_joint(), filter=Z025)
+
+    def test_accepts_numpy_integer_and_zero_seed(self):
+        config = SimConfig(seed=np.int64(3), samples=100, joint=fig3_joint(), filter=Z025)
+        assert config.seed == 3 and type(config.seed) is int
+        assert simulate(config) == simulate(dataclasses.replace(config, seed=3))
+        zero = SimConfig(seed=0, samples=100, joint=fig3_joint(), filter=Z025)
+        assert simulate(zero).seed == 0
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             SimConfig(seed=1, samples=10, joint=fig3_joint(),
@@ -169,6 +183,20 @@ class TestVectorConfigs:
         with pytest.raises(ParameterError, match="unknown filter kind"):
             vector_sim_config(1, 10, VectorModel(11, 0.6, 0.2), "bogus", 0.3)
 
+    def test_counts_checked_before_the_joint_is_built(self):
+        # samples and seed are checked first, so a model past the
+        # materialization cap reports them, and a model under it builds no
+        # product joint for a config that is rejected
+        with pytest.raises(ParameterError, match="samples must be a positive integer"):
+            vector_sim_config(1, 0, VectorModel(11, 0.6, 0.2), "block", 0.3)
+        with pytest.raises(ParameterError, match="seed must be a nonnegative integer"):
+            vector_sim_config(-1, 10, VectorModel(11, 0.6, 0.2), "block", 0.3)
+        model = VectorModel(10, 0.6, 0.2)
+        for seed, samples in ((1, 0), (-1, 10), (True, 10), (1, 1.5)):
+            with pytest.raises(ParameterError):
+                vector_sim_config(seed, samples, model, "block", 0.3)
+        assert "_block_joint" not in model.__dict__
+
     @pytest.mark.parametrize("gamma", [1.5, -0.1, math.nan])
     @pytest.mark.parametrize("kind", ["memoryless", "block"])
     def test_gamma_outside_probability_rejected(self, kind, gamma):
@@ -241,12 +269,17 @@ class TestZnChannel:
         assert simulate(config).samples == 1000
 
 
-#: n = 1 and n = 2 joints for the count tests: a 2x2 one whose CDF ends
-#: 1e-12 below 1, so first uniforms above its last entry reach the clamp to
-#: the last cell, and a dyadic 4x4 one with empty cells, so that some CDF
-#: entries repeat
+#: n = 1 to 3 joints for the count tests: a 2x2 one whose CDF ends 1e-12
+#: below 1, so first uniforms above its last entry reach the clamp to the
+#: last cell, and dyadic 4x4 and 8x8 ones with empty cells, so that some CDF
+#: entries repeat; the 8x8 one has an empty first cell and an empty row
 SHORT_2X2 = np.array([[0.25, 0.125], [0.375, 0.25 - 1e-12]])
 SPARSE_4X4 = np.array([[4, 0, 1, 3], [0, 2, 0, 2], [1, 0, 0, 5], [2, 2, 0, 10]]) / 32
+SPARSE_8X8 = np.array([
+    [0, 2, 0, 8, 1, 2, 5, 0], [5, 7, 0, 0, 5, 3, 3, 3], [0, 0, 4, 4, 8, 2, 0, 2],
+    [0, 1, 3, 0, 0, 0, 7, 3], [0, 0, 4, 5, 0, 5, 3, 5], [0, 0, 0, 0, 0, 0, 0, 0],
+    [8, 0, 3, 1, 3, 3, 0, 3], [0, 5, 3, 0, 0, 5, 3, 119],
+]) / 256
 
 
 class TestSplitCounts:
@@ -274,7 +307,7 @@ class TestSplitCounts:
         return int(y_map[z] == y), int(x_map[z] == x)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0, 0.123456789])
-    @pytest.mark.parametrize("joint", [SHORT_2X2, SPARSE_4X4], ids=["n1", "n2"])
+    @pytest.mark.parametrize("joint", [SHORT_2X2, SPARSE_4X4, SPARSE_8X8], ids=["n1", "n2", "n3"])
     def test_split_matches_paired_dense_rows(self, joint, gamma):
         joint = JointDistribution(joint).matrix
         size = joint.shape[1]
@@ -294,6 +327,14 @@ class TestSplitCounts:
             # identity guesses: a y hit then says whether the sample was flipped
             (np.arange(size), np.arange(size)),
             (rng.integers(size, size=size), rng.integers(size, size=size)),
+            # x guessed right in a whole row, the first and the last, so the
+            # x-hit cells sit next to each other and reach both ends of the
+            # flattened joint; y guessed right only in the first and last
+            # columns, so unflipped y-hit runs end one row and start the next
+            (np.zeros(size, dtype=int), np.r_[0, np.zeros(size - 2, dtype=int), size - 1]),
+            (np.full(size, size - 1), np.r_[0, np.zeros(size - 2, dtype=int), size - 1]),
+            # x-hit cells at the end of row 0 and the start of row 1
+            (np.r_[1, np.zeros(size - 1, dtype=int)], np.arange(size)),
         ]
         for x_map, y_map in maps:
             # samples = 1, each sample on its own, then all of them together

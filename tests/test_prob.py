@@ -20,6 +20,7 @@ from privguess import (
     guess_prob,
     renyi_entropy,
 )
+from privguess import prob
 
 
 class TestValidation:
@@ -58,14 +59,30 @@ class TestValidation:
         assert not np.shares_memory(held.matrix, base)
 
     @pytest.mark.parametrize("cls, scale", [(JointDistribution, 0.25), (Channel, 0.5)])
-    def test_read_only_float64_owner_is_kept(self, cls, scale):
+    def test_read_only_float64_owner_is_copied(self, cls, scale):
+        # its owner can make it writable again and write behind the check
         a = np.full((2, 2), scale)
         a.setflags(write=False)
-        assert cls(a).matrix is a
+        held = cls(a)
+        a.setflags(write=True)
+        a[0, 0] = 0.5
+        assert held.matrix[0, 0] == scale and held.matrix.sum() == 4 * scale
+        assert not np.shares_memory(held.matrix, a) and not held.matrix.flags.writeable
         # a read-only owner of another dtype is converted
         f32 = np.full((2, 2), scale, dtype=np.float32)
         f32.setflags(write=False)
         assert cls(f32).matrix.dtype == np.float64
+
+    def test_adopted_array_is_kept_and_checked(self):
+        # the package's private path for arrays it built itself: no copy,
+        # the same checks as the constructor
+        a = np.full((2, 2), 0.25)
+        a.setflags(write=False)
+        assert prob._adopt(JointDistribution, a).matrix is a
+        with pytest.raises(InvalidDistributionError):
+            prob._adopt(JointDistribution, np.array([[0.5, 0.4]]))
+        with pytest.raises(InvalidChannelError):
+            prob._adopt(Channel, np.array([[0.5, 0.4], [1.0, 0.0]]))
 
     def test_marginals(self):
         j = fig3_joint()

@@ -12,6 +12,7 @@ from privguess import (
     Axis,
     BiboParams,
     CapacityError,
+    Channel,
     DimensionMismatchError,
     JointDistribution,
     NumericalError,
@@ -35,7 +36,7 @@ from privguess import (
     vector_sim_config,
     zn_filter,
 )
-from privguess import solver, vector
+from privguess import mc, solver, vector
 from privguess.solver import lp_guess_max
 from privguess.vector import compose_zn
 from test_solver import highs_frontier
@@ -123,12 +124,28 @@ class TestBlockJointMemo:
         assert config.joint is model.block_joint()
         assert calls == [10]
 
-    def test_joint_keeps_the_product_without_a_copy(self):
-        # _kron_power returns a read-only array that owns its memory, which
-        # JointDistribution and Channel keep as it is
-        product = vector._kron_power(VectorModel(3, **FIG3).symbol_joint().matrix, 3)
+    def test_joint_keeps_the_product_without_a_copy(self, monkeypatch):
+        # _kron_power returns a read-only array that owns its memory and that
+        # no caller holds, which the model's joint and the memoryless channel
+        # keep as it is through prob._adopt; the public constructors copy
+        calls = []
+        kron_power = vector._kron_power
+
+        def kept(m1, n):
+            calls.append(kron_power(m1, n))
+            return calls[-1]
+
+        monkeypatch.setattr(vector, "_kron_power", kept)
+        monkeypatch.setattr(mc, "_kron_power", kept)
+        model = VectorModel(3, **FIG3)
+        config = vector_sim_config(seed=1, samples=10, model=model, filter_kind="memoryless",
+                                   gamma=0.3)
+        product, filt = calls
         assert product.flags.owndata and not product.flags.writeable
-        assert JointDistribution(product).matrix is product
+        assert config.joint.matrix is product and model.block_joint().matrix is product
+        assert config.filter.matrix is filt
+        assert JointDistribution(product).matrix is not product
+        assert Channel(filt).matrix is not filt
         f1 = np.array([[1.0, 0.0], [0.3, 0.7]])
         assert not vector._kron_power(f1, 1).flags.writeable and f1.flags.writeable
 
