@@ -13,8 +13,15 @@ Conventions
   input r.
 * Argmax ties are broken by lowest index everywhere. Guessing probabilities
   are tie-invariant, so this only affects reported guessing maps.
-* Input validation tolerance is 1e-9. Invalid input is an error; nothing is
-  ever renormalized silently.
+* Input validation tolerance is ``MASS_TOL`` = 1e-9. Invalid input is an
+  error; nothing is ever renormalized silently.
+* Input is checked once, where it enters: the :class:`JointDistribution`
+  and :class:`Channel` constructors check (and copy) what a caller passes.
+  What the package derives from checked objects, such as :func:`compose`'s
+  product or a Kronecker power in :mod:`privguess.vector`, is held through
+  :func:`_adopt` and not checked again. Its entries are finite and
+  nonnegative by construction, and its mass is its inputs' mass up to
+  roundoff, so a derived joint may be up to 2 ``MASS_TOL`` from 1.
 """
 
 from __future__ import annotations
@@ -52,6 +59,10 @@ MASS_TOL = 1e-9
 #: slack on a privacy threshold's domain: eps this far outside it is clamped onto it
 RANGE_TOL = 1e-9
 
+#: roundoff scale: the slack where a computed value meets an exact bound, and
+#: the bracket at which a bisection on eps stops
+ROUNDOFF_TOL = 1e-12
+
 #: orders within this distance above 1 use the Shannon branch
 _ORDER_ONE_BAND = 1e-6
 
@@ -71,8 +82,9 @@ def _frozen(arr) -> np.ndarray:
 
     Every array is copied, a read-only one that owns its memory included: its
     owner can make it writable again. (``copy=True`` copies on NumPy 1.x and
-    2.x alike; ``copy=False`` does not mean the same on both.) Arrays built
-    inside the package skip the copy through :func:`_adopt`.
+    2.x alike; ``copy=False`` does not mean the same on both.) The public
+    constructors check the copy; arrays the package derives skip both the
+    copy and the check through :func:`_adopt`.
     """
     out = np.array(arr, dtype=np.float64, copy=True)
     out.setflags(write=False)
@@ -81,15 +93,15 @@ def _frozen(arr) -> np.ndarray:
 
 def _adopt(cls, arr: np.ndarray):
     """A ``cls`` (:class:`JointDistribution` or :class:`Channel`) that holds
-    ``arr`` itself, checked as the constructor checks it.
+    ``arr`` itself, with no copy and no check.
 
-    Only for a read-only float64 array built inside the package that no
-    caller holds, such as a Kronecker power of :mod:`privguess.vector`, whose
-    2^n x 2^n product is then not copied.
+    Only for a read-only float64 array that the package derived from checked
+    objects and that no caller holds, such as :func:`compose`'s product or a
+    Kronecker power of :mod:`privguess.vector`, whose 2^n x 2^n product is
+    then not copied (see the module docstring).
     """
     out = object.__new__(cls)
     object.__setattr__(out, "matrix", arr)
-    out._check()
     return out
 
 
@@ -114,8 +126,9 @@ def _positive_int(name: str, value, low: int = 1) -> int:
 class JointDistribution:
     """Immutable M x N joint probability matrix.
 
-    Entries must be nonnegative and sum to 1 within ``MASS_TOL``. Marginals
-    are recomputed on access, never cached.
+    Entries must be finite and nonnegative and sum to 1 within ``MASS_TOL``;
+    a joint the package derives is not checked again and may be up to
+    2 ``MASS_TOL`` off. Marginals are recomputed on access, never cached.
     """
 
     matrix: np.ndarray
@@ -209,7 +222,8 @@ def compose(dist: JointDistribution, filt: Channel, side: Axis) -> JointDistribu
 
     ``side=COLS`` applies the channel to the column variable and returns the
     joint over (row variable, channel output); ``side=ROWS`` symmetrically.
-    Exact matrix-product semantics.
+    Exact matrix-product semantics. The product is held as derived, with no
+    copy and no second check, and its mass is within 2 ``MASS_TOL`` of 1.
     """
     m, n = dist.shape
     need = n if side is Axis.COLS else m
@@ -217,9 +231,9 @@ def compose(dist: JointDistribution, filt: Channel, side: Axis) -> JointDistribu
         raise DimensionMismatchError(
             f"channel has {filt.shape[0]} input rows, composed axis has size {need}"
         )
-    if side is Axis.COLS:
-        return JointDistribution(dist.matrix @ filt.matrix)
-    return JointDistribution(dist.matrix.T @ filt.matrix)
+    out = (dist.matrix if side is Axis.COLS else dist.matrix.T) @ filt.matrix
+    out.setflags(write=False)
+    return _adopt(JointDistribution, out)
 
 
 def _as_pmf(pmf) -> np.ndarray:

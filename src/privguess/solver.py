@@ -61,12 +61,11 @@ from .errors import (
 )
 from .lp import FEAS_TOL, LinearProgram, LpSolution, LpStatus, PieceStart, piece_starts, solve_lp
 from .prob import (
-    MASS_TOL,
     RANGE_TOL,
+    ROUNDOFF_TOL,
     Axis,
     Channel,
     JointDistribution,
-    compose,
     cond_guess_prob,
     guess_prob,
     renyi_entropy,
@@ -84,7 +83,8 @@ __all__ = [
     "trace_curve",
 ]
 
-#: largest Y alphabet accepted by the enumerating solver
+#: largest Y alphabet accepted: best_filter enumerates C(2N, N+1) guessing
+#: maps, and trace_curve's walk is tested up to this size
 MAX_ALPHABET = 6
 
 
@@ -92,9 +92,11 @@ MAX_ALPHABET = 6
 class FilterSolution:
     """An optimal filter at threshold ``eps`` and its certified performance.
 
-    ``utility``/``privacy`` are recomputed from the returned filter through
-    the probability primitives, not read off the LP. ``saturated`` marks
-    thresholds clamped down to the point where utility 1 is reachable.
+    ``utility``/``privacy`` are recomputed from the returned filter, bit for
+    bit as the probability primitives give them, not read off the LP, and
+    certify it (:func:`_certified`): privacy at most the clamped threshold
+    and utility the optimum, each within ``lp.FEAS_TOL``. ``saturated``
+    marks thresholds clamped down to the point where utility 1 is reachable.
     """
 
     utility: float
@@ -238,7 +240,7 @@ def identity_top(p: np.ndarray) -> GuessMax:
 
 
 class _Checked(NamedTuple):
-    """The leading filters of a (G, N, C) stack that pass every check, and their values.
+    """The leading filters of a (G, N, C) stack that pass their certificate, and their values.
 
     ``error`` is the error of the first filter that fails, None if none
     does; the arrays stop just before it.
@@ -256,71 +258,41 @@ class _Checked(NamedTuple):
         return self
 
 
-def _prob_error(joint: JointDistribution, f: np.ndarray) -> PrivguessError:
-    """The error the prob primitives raise on filter ``f``, which failed their checks in a batch."""
-    try:
-        compose(joint, Channel(f), Axis.COLS)
-        JointDistribution(joint.col_marginal[:, None] * f)
-    except PrivguessError as exc:
-        return exc
-    return NumericalError("batched filter checks disagree with the probability primitives")
-
-
-def _is_joint(m: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack: JointDistribution's checks (finite, nonnegative, mass 1 within MASS_TOL)."""
-    total = m.reshape(len(m), m.shape[-2] * m.shape[-1]).sum(axis=-1)
-    return (np.isfinite(m).all(axis=(-2, -1)) & ~(m < 0.0).any(axis=(-2, -1))
-            & ~(np.abs(total - 1.0) > MASS_TOL))
-
-
-def _evaluate(joint: JointDistribution, f: np.ndarray) -> _Checked:
+def _evaluate(joint: JointDistribution, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(utility, privacy) of each filter in a (G, N, C) stack, recomputed from scratch.
 
     Each value is the one :func:`prob.cond_guess_prob` gives on the composed
     joint, bit for bit, from the same float operations in the same order:
-    the product P F (or P_Y F), each column's max, then their sum. Each
-    filter must pass the checks those primitives make: it is a
-    :class:`Channel` (finite, nonnegative, rows summing to 1 within
-    ``MASS_TOL``), and both composed joints pass :class:`JointDistribution`'s
-    checks. The first filter that fails stops the result; it is rebuilt
-    through the primitives, and the error they raise is returned.
+    the product P F (or P_Y F), each column's max, then their sum. Nothing
+    is checked here; :func:`_certified` certifies the values.
     """
-    p_xz = joint.matrix @ f
-    p_yz = joint.col_marginal[:, None] * f
-    rows = f.sum(axis=-1)
-    valid = (np.isfinite(f).all(axis=(-2, -1)) & ~(f < 0.0).any(axis=(-2, -1))
-             & ~(np.abs(rows - 1.0).max(axis=-1) > MASS_TOL) & _is_joint(p_xz) & _is_joint(p_yz))
-    privacy = p_xz.max(axis=-2).sum(axis=-1)
-    utility = p_yz.max(axis=-2).sum(axis=-1)
-    if valid.all():
-        return _Checked(f, utility, privacy)
-    k = int(valid.argmin())
-    return _Checked(f[:k], utility[:k], privacy[:k], _prob_error(joint, f[k]))
+    privacy = (joint.matrix @ f).max(axis=-2).sum(axis=-1)
+    utility = (joint.col_marginal[:, None] * f).max(axis=-2).sum(axis=-1)
+    return utility, privacy
 
 
 def _certified(joint: JointDistribution, f: np.ndarray, caps: np.ndarray,
                values: np.ndarray) -> _Checked:
     """Filters F of LP or line optima ``values`` at ``caps``, with their recomputed (utility, privacy).
 
-    ``f`` is a (G, N, C) stack with one cap and one value per filter. The LP
-    certifies rows only to lp.FEAS_TOL, looser than Channel's mass check:
-    they are projected onto the simplex, and each filter must then pass
-    :func:`_evaluate`'s checks, keep privacy within ``FEAS_TOL`` of its cap
-    and attain its value within ``FEAS_TOL``. The first filter that does not
-    stops the result with its error, a :class:`NumericalError` for the last
-    two checks; ``.passed()`` raises it.
+    ``f`` is a (G, N, C) stack with one cap and one value per filter. Its
+    rows are projected onto the simplex (clipped at 0, divided by their
+    sum), so each is a channel up to roundoff or holds a NaN. A filter is
+    then certified by the two numbers the frontier problem defines: its
+    privacy is at most its cap and its utility equals its value, each
+    within ``FEAS_TOL``; a NaN fails both. The first filter that is not
+    stops the result with a :class:`NumericalError`; ``.passed()`` raises it.
     """
     f = np.maximum(f, 0.0)
     f = f / f.sum(axis=-1, keepdims=True)
-    out = _evaluate(joint, f)
-    g = len(out.utility)
-    off = (out.privacy > caps[:g] + FEAS_TOL) | (np.abs(out.utility - values[:g]) > FEAS_TOL)
-    if not off.any():
-        return out
-    k = int(off.argmax())
-    return _Checked(f[:k], out.utility[:k], out.privacy[:k], NumericalError(
-        f"filter certificate failed: privacy {float(out.privacy[k])} vs cap {float(caps[k])}, "
-        f"utility {float(out.utility[k])} vs LP value {float(values[k])}"
+    utility, privacy = _evaluate(joint, f)
+    ok = (privacy <= caps + FEAS_TOL) & (np.abs(utility - values) <= FEAS_TOL)
+    if ok.all():
+        return _Checked(f, utility, privacy)
+    k = int(ok.argmin())
+    return _Checked(f[:k], utility[:k], privacy[:k], NumericalError(
+        f"filter certificate failed: privacy {float(privacy[k])} vs cap {float(caps[k])}, "
+        f"utility {float(utility[k])} vs LP value {float(values[k])}"
     ))
 
 
@@ -329,8 +301,8 @@ def _clamp(joint: JointDistribution, eps: np.ndarray) -> tuple[float, np.ndarray
 
     ``eps`` below P_c(X) beyond ``RANGE_TOL`` is infeasible, and a NaN is
     rejected; ``caps`` covers the thresholds before the first such one, and
-    ``error`` is its error (None if there is none). From 1e-12 below
-    P_c(X|Y) up the cap is P_c(X|Y) itself.
+    ``error`` is its error (None if there is none). From ``ROUNDOFF_TOL``
+    below P_c(X|Y) up the cap is P_c(X|Y) itself.
     """
     pcx = guess_prob(joint, Axis.ROWS)
     pcxy = cond_guess_prob(joint, Axis.ROWS)
@@ -346,7 +318,7 @@ def _clamp(joint: JointDistribution, eps: np.ndarray) -> tuple[float, np.ndarray
                 f"threshold {first!r} below the unconditional guessing probability {pcx!r}"
             )
         eps = eps[:k]
-    return pcxy, np.where(eps >= pcxy - 1e-12, pcxy, np.maximum(eps, pcx)), error
+    return pcxy, np.where(eps >= pcxy - ROUNDOFF_TOL, pcxy, np.maximum(eps, pcx)), error
 
 
 def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
@@ -366,10 +338,11 @@ def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
         raise error
 
     if caps[0] == pcxy:
-        ident = _evaluate(joint, np.eye(n, n + 1)[None]).passed()
+        ident = np.eye(n, n + 1)
+        utility, privacy = _evaluate(joint, ident[None])
         return FilterSolution(
-            utility=float(ident.utility[0]), privacy=float(ident.privacy[0]),
-            filter=Channel(ident.filters[0]), y_guess_map=tuple(range(n)) + (0,), eps=eps,
+            utility=float(utility[0]), privacy=float(privacy[0]),
+            filter=Channel(ident), y_guess_map=tuple(range(n)) + (0,), eps=eps,
             saturated=eps > pcxy,
         )
 
@@ -408,12 +381,13 @@ def read_curve(joint: JointDistribution, curve: GuessCurve,
     Yields (eps, utility, privacy) arrays for consecutive blocks of ``eps``,
     each of ``GRID_ENTRIES // (M N)`` points but the last. Each ``eps`` is
     checked and clamped as by :func:`best_filter`, so thresholds within
-    1e-12 of P_c(X|Y) or above read the last vertex. On the piece [a, b]
-    holding the clamped ``eps`` (found by one ``np.searchsorted`` on the
-    breakpoints), the filter is the mixture (1 - t) F_a + t F_b of its
-    vertex filters, t = (eps - a) / (b - a). Privacy is convex in the
-    filter, so the mixture's is at most eps; the identity-map utility is
-    linear in it, so the mixture reaches the piece's line. Each block's
+    ``ROUNDOFF_TOL`` of P_c(X|Y) or above read the last vertex. On the
+    piece [a, b] holding the clamped ``eps`` (found by one
+    ``np.searchsorted`` on the breakpoints), the filter is the mixture
+    (1 - t) F_a + t F_b of its vertex filters, t = (eps - a) / (b - a).
+    Privacy is convex in the filter, so the mixture's is at most eps; the
+    identity-map utility is linear in it, so the mixture reaches the
+    piece's line. Each block's
     mixtures pass one batched certificate (:func:`_certified`) against
     those lines, with no LP solved. At the first point that fails a check,
     the points before it are yielded and its error is raised.
@@ -480,7 +454,7 @@ def finite_order_gain_bounds(joint: JointDistribution, nu: float, mu: float,
     upper = guessing_gain(joint, psi) + hy_mu - hy_inf
 
     gap = hx_nu - hx_inf
-    if leak_bits < gap - 1e-12:
+    if leak_bits < gap - ROUNDOFF_TOL:
         return OrderBounds(None, upper)
     phi = max(leak_bits - gap, 0.0)
     lower = mu / (mu - 1.0) * guessing_gain(joint, phi) - hy_inf / (mu - 1.0)
@@ -503,12 +477,14 @@ def trace_curve(joint: JointDistribution) -> GuessCurve:
     :func:`best_filter`'s, h there is recomputed from it, and the curve keeps
     it. Where P_c(X|Y) - P_c(X) <= ``RANGE_TOL``, Y gives no guessing
     advantage and no LP is solved: both breakpoints are vertices of the
-    identity filter, with h = 1 and slope 0. Y alphabets larger than ``MAX_ALPHABET`` are rejected.
+    identity filter, with h = 1 and slope 0. Y alphabets larger than
+    ``MAX_ALPHABET``, the largest the walk is tested at, are rejected.
     """
     p = joint.matrix
     n = p.shape[1]
     if n > MAX_ALPHABET:
-        raise CapacityError(f"Y alphabet {n} exceeds enumeration cap {MAX_ALPHABET}")
+        raise CapacityError(
+            f"Y alphabet {n} exceeds {MAX_ALPHABET}, the largest the frontier walk is tested at")
     pcx = guess_prob(joint, Axis.ROWS)
     pcxy = cond_guess_prob(joint, Axis.ROWS)
     if pcxy - pcx <= RANGE_TOL:

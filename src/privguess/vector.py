@@ -78,7 +78,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, NumericalError, ParameterError
 from .lp import FEAS_TOL
-from .prob import RANGE_TOL, Channel, JointDistribution, _adopt, _frozen, _positive_int
+from .prob import RANGE_TOL, ROUNDOFF_TOL, Channel, JointDistribution, _adopt, _frozen, _positive_int
 from .solver import identity_top, lp_guess_max
 
 __all__ = [
@@ -347,7 +347,7 @@ def zn_filter(model: VectorModel, eps: float) -> ZnChannel:
     """
     eps = _check_eps(model, eps)
     lz = _log_zeta_n(model, eps)
-    if lz > 1e-12:
+    if lz > ROUNDOFF_TOL:
         raise ParameterError(
             f"eps {eps!r} below the feasible range: flip probability exp({lz}) > 1"
         )
@@ -419,7 +419,7 @@ def heuristic_threshold(model: VectorModel) -> float:
             hi = mid
         else:
             lo = mid
-        if hi - lo <= 1e-12:
+        if hi - lo <= ROUNDOFF_TOL:
             break
     return hi
 

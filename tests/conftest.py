@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from privguess import BiboParams, Channel, JointDistribution
+from privguess import (
+    BiboParams,
+    Channel,
+    InvalidChannelError,
+    InvalidDistributionError,
+    JointDistribution,
+)
 
 FIG3_MATRIX = np.array([[0.32, 0.08], [0.12, 0.48]])
 
@@ -20,6 +26,39 @@ def random_joint(rng: np.random.Generator, m: int, n: int) -> JointDistribution:
 def random_channel(rng: np.random.Generator, r: int, c: int) -> Channel:
     w = rng.random((r, c))
     return Channel(w / w.sum(axis=1, keepdims=True))
+
+
+def rounded_joints(rng: np.random.Generator, shape: tuple[int, int], draws: int) -> list[np.ndarray]:
+    """Of ``draws`` random joints of ``shape`` rounded to 9 decimals, those JointDistribution accepts.
+
+    Their mass is often up to ``MASS_TOL`` from 1, the edge of what input may be.
+    """
+    kept = []
+    for _ in range(draws):
+        w = rng.random(shape)
+        p = np.round(w / w.sum(), 9)
+        try:
+            JointDistribution(p)
+        except InvalidDistributionError:
+            continue
+        kept.append(p)
+    return kept
+
+
+def rounded_pairs(rng: np.random.Generator, m: int, n: int, c: int,
+                  draws: int) -> list[tuple[JointDistribution, Channel]]:
+    """Of ``draws`` random M x N joints and N x C channels rounded to 9 decimals,
+    the pairs that both constructors accept."""
+    kept = []
+    for _ in range(draws):
+        w = rng.random((m, n))
+        f = rng.random((n, c))
+        try:
+            kept.append((JointDistribution(np.round(w / w.sum(), 9)),
+                         Channel(np.round(f / f.sum(axis=1, keepdims=True), 9))))
+        except (InvalidDistributionError, InvalidChannelError):
+            continue
+    return kept
 
 
 def random_bibo(rng: np.random.Generator) -> BiboParams:

@@ -164,6 +164,20 @@ class TestHcurve:
             assert (code, out) == (2, "")
             assert flag in err
 
+    def test_rounded_joint_is_valid_input(self, capsys, tmp_path):
+        # mass 1 + 1e-9 up to roundoff, within MASS_TOL; the composed joints
+        # the solver certifies its filters on are 1e-9 off as well
+        path = tmp_path / "rounded.json"
+        path.write_text(json.dumps({"joint": [
+            [0.088354045, 0.017692666, 0.171538849],
+            [0.044233135, 0.195796969, 0.21275109],
+            [0.040529155, 0.169777558, 0.059326534],
+        ]}))
+        code, out, err = run_cli(capsys, ["hcurve", "--joint", str(path), "--breakpoints"])
+        assert (code, err) == (0, "")
+        _, rows, report = parse_curve(out)
+        assert len(rows) == 21 and report["K"] == len(report["slopes"])
+
     def test_capacity_error(self, capsys, tmp_path):
         path = tmp_path / "wide.json"
         path.write_text(json.dumps({"joint": [[1.0 / 14] * 7] * 2}))

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import fig3_joint
+from conftest import fig3_joint, rounded_pairs
 
 from privguess import (
+    Axis,
     Channel,
     DimensionMismatchError,
     JointDistribution,
@@ -16,6 +17,8 @@ from privguess import (
     VectorModel,
     ZnChannel,
     block_utility,
+    compose,
+    cond_guess_prob,
     simulate,
     vector_sim_config,
     zn_filter,
@@ -142,6 +145,15 @@ class TestStatistics:
                                     filter=constant))
         assert report.analytic_pc_x == pytest.approx(0.6, abs=1e-12)
         assert abs(report.empirical_pc_x - 0.6) <= 4 * report.stderr_x
+
+    def test_rounded_pairs_simulate(self):
+        # inputs up to MASS_TOL off 1, whose composed joint is up to 2 MASS_TOL off
+        rng = np.random.default_rng(11)
+        for shape in ((2, 2, 2), (3, 3, 3), (4, 4, 4), (3, 5, 5)):
+            for joint, filt in rounded_pairs(rng, *shape, draws=100):
+                report = simulate(SimConfig(seed=1, samples=100, joint=joint, filter=filt))
+                want = cond_guess_prob(compose(joint, filt, Axis.COLS), Axis.ROWS)
+                assert report.analytic_pc_x == pytest.approx(want, abs=1e-15)
 
     def test_multi_seed_consistency(self):
         hits = 0
