@@ -14,7 +14,9 @@ from test_bibo import binary_filter_grid_max
 from privguess import (
     Axis,
     CapacityError,
+    Channel,
     InfeasibleThresholdError,
+    InvalidChannelError,
     JointDistribution,
     NumericalError,
     ParameterError,
@@ -697,6 +699,55 @@ def read_all(joint, curve, grid):
     eps, hs, privs = (np.concatenate([part[i] for part in parts]) if parts else np.empty(0)
                       for i in range(3))
     return eps, hs, privs, error
+
+
+class TestBatchedChecks:
+    @pytest.mark.parametrize("row, scale, mass, rejected", [
+        ([float("nan"), 0.5, 0.5], 1.0, 1.0, True),
+        ([-1e-3, 0.5, 0.501], 1.0, 1.0, True),
+        ([0.2, 0.3, 0.5], 1.0 + 2e-9, 1.0, True),           # row sum beyond MASS_TOL
+        ([0.2, 0.3, 0.5], 1.0 + 9e-10, 1.0 + 9e-10, False),  # a channel, but the composed mass is not 1
+    ], ids=["nan", "negative", "row-sum", "composed-mass"])
+    def test_first_failing_filter_raises_the_primitives_error(self, row, scale, mass, rejected):
+        # the primitives check outside input: Channel rejects a NaN, negative or
+        # off-sum filter, and compose holds a product of valid input unchecked.
+        # The solver does not repeat those checks on its own filters: the
+        # certificate projects each row onto the simplex, so only the NaN filter
+        # fails, with the certificate's NumericalError, and the filters before
+        # it keep the values cond_guess_prob gives on the composed joints
+        joint = JointDistribution(MULTI_PIECE / MULTI_PIECE.sum() * mass)
+        p_y = JointDistribution(np.diag(joint.col_marginal))
+        good = np.full((3, 3), 1.0 / 3.0)
+        bad = good.copy()
+        bad[1] = np.array(row) * scale
+        if rejected:
+            with pytest.raises(InvalidChannelError):
+                Channel(bad)
+        else:
+            compose(joint, Channel(bad), Axis.COLS)
+
+        def primitives(f):
+            """(utility, privacy) of filter ``f`` from compose and cond_guess_prob."""
+            return tuple(cond_guess_prob(compose(j, Channel(f), Axis.COLS), Axis.ROWS) for j in (p_y, joint))
+
+        stack = np.stack([good, bad, good])
+        projected = np.maximum(stack, 0.0)
+        projected = projected / projected.sum(axis=-1, keepdims=True)
+        fails = np.isnan(projected).any(axis=(1, 2))
+        values, caps = np.array([(1.0, 1.0) if nan else primitives(f)
+                                 for f, nan in zip(projected, fails)]).T
+        out = solver._certified(joint, stack, caps, values)
+        k = int(fails.argmax()) if fails.any() else len(stack)
+        assert len(out.filters) == len(out.utility) == len(out.privacy) == k
+        for f, h, priv in zip(out.filters, out.utility.tolist(), out.privacy.tolist()):
+            assert (h, priv) == primitives(f)
+        if k == len(stack):
+            assert out.error is None and out.passed() is out
+        else:
+            assert type(out.error) is NumericalError and "certificate" in str(out.error)
+            with pytest.raises(NumericalError) as raised:
+                out.passed()
+            assert raised.value is out.error
 
 
 class TestBatchedCertificate:
