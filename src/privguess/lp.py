@@ -19,11 +19,10 @@ it raises :class:`NumericalError` rather than ever mislabeling a point
 OPTIMAL. Optimal points are basic feasible solutions, i.e. vertices of the
 polytope.
 
-A caller that knows a feasible basis, such as an optimal one written down
-in closed form, may pass it as a starting basis. The standard-form tableau
-is then pivoted into that basis row by row, certified primal feasible, and
-phase 2 runs from it with no phase 1; from an optimal basis it takes no
-pivot. Its optimum passes the same certificates as any other.
+A caller that has written down the tableau of a feasible basis, such as an
+optimal one in closed form, may pass it as a start. It is certified primal
+feasible, and phase 2 runs from it with no phase 1 and no set-up pivot (from
+an optimal basis, no pivot at all) to an optimum certified as any other.
 
 An optimal solution also carries the dual prices of the inequality rows:
 the rate at which the optimal value grows with each row's right-hand side
@@ -138,8 +137,7 @@ class LpSolution:
     ``winner`` is the objective row the solution belongs to: the first row
     with the largest optimum, the row found unbounded, or 0 when the
     constraints are infeasible. ``iterations`` counts phase 1 once and the
-    phase 2 of every row solved; the pivots that set up a starting basis
-    are not counted.
+    phase 2 of every row solved; a start is used as given, with no pivot.
 
     ``tableau`` and ``basis`` are the winning row's final phase 2 tableau
     (constraint rows, then the reduced-profit row; columns are the variables,
@@ -158,8 +156,8 @@ class LpSolution:
     basis: np.ndarray | None = None
 
 
-def solve_lp(prog: LinearProgram, basis: np.ndarray | None = None) -> LpSolution:
-    """Solve ``prog`` with the two-phase dense simplex, or phase 2 alone from ``basis``.
+def solve_lp(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray] | None = None) -> LpSolution:
+    """Solve ``prog`` with the two-phase dense simplex, or phase 2 alone from ``start``.
 
     Both phases run on one tableau ``[A | slacks | artificials | rhs]``;
     phase 2 continues on it once the artificial columns are dropped. For a
@@ -170,12 +168,11 @@ def solve_lp(prog: LinearProgram, basis: np.ndarray | None = None) -> LpSolution
     :class:`NumericalError` if that budget is exhausted or a row's final
     point fails its certificate.
 
-    ``basis``, if given, is a starting basis: for each constraint row,
-    equalities first, the column basic in it (a variable, or ``n_vars + i``
-    for the slack of ``a_ub`` row i). The tableau is pivoted into it row by
-    row, and a zero pivot entry or a basic variable below ``-FEAS_TOL``
-    raises :class:`NumericalError`. Phase 1 is skipped, and phase 2 runs
-    from there under the same budget and certificates.
+    ``start``, if given, is a (tableau, basis) pair laid out as an optimum's,
+    the tableau pivoted into the basis, its last row ignored; phase 2 pivots
+    it in place with no phase 1, under the same budget and certificates. Its
+    shape is checked, and a basic variable below ``-FEAS_TOL`` raises
+    :class:`NumericalError`.
     """
     n = prog.n_vars
     objectives = prog.objective.reshape(-1, n)
@@ -183,8 +180,8 @@ def solve_lp(prog: LinearProgram, basis: np.ndarray | None = None) -> LpSolution
     n_real = n + mi  # original variables plus slacks
     max_iter = 100 * (me + mi + n_real) + 1000
 
-    if basis is not None:
-        t, basis = _start(prog, basis)
+    if start is not None:
+        t, basis = _start(prog, start)
         iters = 0
     else:
         t, basis, iters = _phase1(prog, max_iter)
@@ -367,29 +364,16 @@ def _phase1(prog: LinearProgram, max_iter: int) -> tuple[np.ndarray | None, np.n
     return t, basis[keep], iters
 
 
-def _start(prog: LinearProgram, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(tableau, basis) of ``prog`` in the basis ``start``, certified primal feasible.
-
-    The standard-form tableau starts with each inequality row's slack basic;
-    each row whose starting column differs is then pivoted on that column,
-    in row order, with :func:`pivot`. Raises :class:`DimensionMismatchError`
-    if ``start`` does not name one column per row, and
-    :class:`NumericalError` if a pivot entry is within ``PIVOT_TOL`` of 0
-    (the columns are singular in that order) or a basic variable is below
-    ``-FEAS_TOL`` (the basis is not primal feasible).
-    """
-    n, me, mi = prog.n_vars, prog.a_eq.shape[0], prog.a_ub.shape[0]
-    start = np.asarray(start, dtype=np.int64)
-    if start.shape != (me + mi,) or np.any((start < 0) | (start >= n + mi)):
-        raise DimensionMismatchError(f"a start basis needs one column in [0, {n + mi}) per row")
-    t = _tableau(prog, 0)
-    basis = np.concatenate([np.full(me, -1), np.arange(n, n + mi)])
-    for r in np.nonzero(basis != start)[0].tolist():
-        j = int(start[r])
-        if abs(t[r, j]) <= PIVOT_TOL:
-            raise NumericalError(f"start basis: column {j} has no pivot in row {r}")
-        pivot(t, basis, r, j)
-    low = float(t[:-1, -1].min()) if me + mi else 0.0
+def _start(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``start``, a (tableau, basis) pair of ``prog``, checked for its shape (else
+    :class:`DimensionMismatchError`) and certified primal feasible, with every
+    basic variable at least ``-FEAS_TOL`` (else :class:`NumericalError`)."""
+    rows, cols = prog.a_eq.shape[0] + prog.a_ub.shape[0], prog.n_vars + prog.a_ub.shape[0]
+    t, basis = np.asarray(start[0], dtype=np.float64), np.asarray(start[1], dtype=np.int64)
+    if t.shape != (rows + 1, cols + 1) or basis.shape != (rows,) or np.any((basis < 0) | (basis >= cols)):
+        raise DimensionMismatchError(
+            f"a start needs a {(rows + 1, cols + 1)} tableau and {rows} basic columns in [0, {cols})")
+    low = float(t[:-1, -1].min()) if rows else 0.0
     if low < -FEAS_TOL:
         raise NumericalError(f"start basis is not primal feasible: a basic variable is {low}")
     return t, basis

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -91,17 +91,18 @@ def _frozen(arr) -> np.ndarray:
     return out
 
 
-def _adopt(cls, arr: np.ndarray):
-    """A ``cls`` (:class:`JointDistribution` or :class:`Channel`) that holds
-    ``arr`` itself, with no copy and no check.
+def _adopt(cls, *arrays: np.ndarray):
+    """A ``cls``, a frozen dataclass such as :class:`JointDistribution`, that
+    holds ``arrays`` themselves as its fields, in order, with no copy and no check.
 
-    Only for a read-only float64 array that the package derived from checked
-    objects and that no caller holds, such as :func:`compose`'s product or a
-    Kronecker power of :mod:`privguess.vector`, whose 2^n x 2^n product is
-    then not copied (see the module docstring).
+    Only for float64 arrays (read-only in a joint or channel) that the package
+    derived from checked objects and that no caller holds: :func:`compose`'s
+    product, a Kronecker power of :mod:`privguess.vector` (its 2^n x 2^n
+    product is then not copied) or :mod:`privguess.solver`'s LP of a joint.
     """
     out = object.__new__(cls)
-    object.__setattr__(out, "matrix", arr)
+    for field, arr in zip(fields(cls), arrays):
+        object.__setattr__(out, field.name, arr)
     return out
 
 

@@ -36,10 +36,11 @@ optimal (replacing each output by the MAP guess of Y from it keeps
 P_c(Y|Z) and, by data processing, cannot raise P_c(X|Z)), so eps is the
 right-hand side of that LP's cap row. The walk starts at the identity
 vertex: at eps = P_c(X|Y) the identity filter Z = Y attains h = 1, and its
-optimal basis is written down in closed form (:func:`identity_top`), so
-no simplex phase runs. Walking the cap down from there through the LP's
-basis changes (:func:`lp.piece_starts`) gives every breakpoint exactly and
-every slope as the cap row's dual price.
+optimal basis and its tableau there are written down in closed form
+(:func:`identity_top`), so no simplex phase and no set-up pivot runs.
+Walking the cap down from there through the LP's basis changes
+(:func:`lp.piece_starts`) gives every breakpoint exactly and every slope as
+the cap row's dual price.
 """
 
 from __future__ import annotations
@@ -59,13 +60,14 @@ from .errors import (
     ParameterError,
     PrivguessError,
 )
-from .lp import FEAS_TOL, LinearProgram, LpSolution, LpStatus, PieceStart, piece_starts, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LpSolution, LpStatus, PieceStart, _tableau, piece_starts, solve_lp
 from .prob import (
     RANGE_TOL,
     ROUNDOFF_TOL,
     Axis,
     Channel,
     JointDistribution,
+    _adopt,
     cond_guess_prob,
     guess_prob,
     renyi_entropy,
@@ -171,7 +173,7 @@ def _guess_lp(p: np.ndarray, maps: list[tuple[int, ...]], cap: float,
     a_ub[-1, nf:] = 1.0
     b_ub = np.zeros(m * c + 1)
     b_ub[-1] = cap
-    return LinearProgram(obj, a_eq, b_eq, a_ub, b_ub)
+    return _adopt(LinearProgram, obj, a_eq, b_eq, a_ub, b_ub)  # derived from a checked joint
 
 
 @dataclass(frozen=True)
@@ -219,23 +221,35 @@ def identity_top(p: np.ndarray) -> GuessMax:
     """The identity-map LP with N outputs at its top cap P_c(X|Y), solved from its optimal basis.
 
     At that cap the identity filter Z = Y attains utility 1, and the LP is
-    optimal, with no pivot, in the basis written down here: F[y, y] basic
-    in equality row y; t_z basic in the bound row of (x*(z), z), x*(z) the
-    lowest argmax of column z of ``p``; every other bound row and the cap
-    row keep their slacks, the cap row's degenerate at 0. Only F[y, y] has
-    a profit, so the reduced profits are 0 on the slacks and -P_Y(y) on
-    F[y, z != y]. The cap is the sum of ``p``'s column maxima, as
-    :func:`prob.cond_guess_prob` gives it, and ``solve_lp`` runs no phase 1
-    and no phase 2 pivot from this basis.
+    optimal in the basis written down here: F[y, y] basic in equality row y;
+    t_z basic in the bound row of (x*(z), z), x*(z) the lowest argmax of
+    column z of ``p``; every other bound row and the cap row keep their
+    slacks, the cap row's degenerate at 0. Only F[y, y] has a profit, so the
+    reduced profits are 0 on the slacks and -P_Y(y) on F[y, z != y]. The
+    tableau is written down too, the Gauss-Jordan pivots into that basis up
+    to the sign of a zero: bound row (x, z) loses p[x, z] times equality row
+    z; each t_z row is negated, and the other bound rows of its column lose
+    it; the cap row loses the negated t_z rows one at a time in row order, as
+    the pivots do, which keeps its rhs roundoff theirs. ``solve_lp`` starts
+    from it with no pivot at all. The cap is the sum of ``p``'s column maxima,
+    as :func:`prob.cond_guess_prob` gives it.
     """
     m, n = p.shape
-    nf = n * n
+    nf, cols, rows = n * n, np.arange(n), p.argmax(axis=0)
     basis = nf + np.arange(n + m * n + 1)  # from row n on, each inequality row's slack
-    basis[:n] = np.arange(n) * (n + 1)
-    basis[n + p.argmax(axis=0) * n + np.arange(n)] = nf + np.arange(n)
+    basis[:n] = cols * (n + 1)
+    basis[n + rows * n + cols] = nf + cols
     ident = tuple(range(n))
     prog = _guess_lp(p, [ident], float(p.max(axis=0).sum()), n)
-    sol = solve_lp(prog, basis)
+    t = _tableau(prog, 0)
+    bound = t[n:-2].reshape(m, n, -1)  # bound row (x, z) is bound[x, z]
+    bound -= p[:, :, None] * t[None, :n]
+    tops = -bound[rows, cols]  # the t_z rows pivoted on t_z's -1
+    bound += tops  # the other bound rows of column z lose the t_z row as it was
+    bound[rows, cols] = tops
+    for z in np.argsort(rows * n + cols).tolist():
+        t[-2] -= tops[z]
+    sol = solve_lp(prog, (t, basis))
     return GuessMax(sol.value, sol.point[:nf].reshape(n, n), ident, float(sol.duals[-1]), prog, sol)
 
 

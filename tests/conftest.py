@@ -8,7 +8,9 @@ from privguess import (
     InvalidChannelError,
     InvalidDistributionError,
     JointDistribution,
+    LinearProgram,
 )
+from privguess import _simplex_py, lp
 
 FIG3_MATRIX = np.array([[0.32, 0.08], [0.12, 0.48]])
 
@@ -59,6 +61,26 @@ def rounded_pairs(rng: np.random.Generator, m: int, n: int, c: int,
         except (InvalidDistributionError, InvalidChannelError):
             continue
     return kept
+
+
+def pivoted_start(prog: LinearProgram, basis) -> tuple[np.ndarray, np.ndarray]:
+    """The (tableau, basis) start of ``prog`` in ``basis``, reached by Gauss-Jordan pivots: the reference start.
+
+    The standard-form tableau starts with each inequality row's slack basic;
+    each row whose column in ``basis`` differs is then pivoted on that
+    column, in row order, with the NumPy kernel's pivot. A pivot entry
+    within ``lp.PIVOT_TOL`` of 0 (the columns are singular in that order)
+    fails the calling test.
+    """
+    n, me, mi = prog.n_vars, prog.a_eq.shape[0], prog.a_ub.shape[0]
+    start = np.asarray(basis, dtype=np.int64)
+    t = lp._tableau(prog, 0)
+    basis = np.concatenate([np.full(me, -1), np.arange(n, n + mi)])
+    for r in np.nonzero(basis != start)[0].tolist():
+        j = int(start[r])
+        assert abs(t[r, j]) > lp.PIVOT_TOL, f"start basis: column {j} has no pivot in row {r}"
+        _simplex_py.pivot(t, basis, r, j)
+    return t, basis
 
 
 def random_bibo(rng: np.random.Generator) -> BiboParams:

@@ -18,7 +18,10 @@ from privguess import (
     solve_lp,
 )
 from privguess import lp as lp_module
+from privguess import prob
 from privguess.solver import _guess_lp
+
+from conftest import pivoted_start
 
 NO_EQ = (np.zeros((0, 0)), [])
 
@@ -185,6 +188,40 @@ class TestCertificates:
                 continue
             for v in enumerate_vertices(prog):
                 assert float(prog.objective @ v) <= sol.value + 1e-8
+
+
+class TestConstructorChecks:
+    # the public constructor checks what a caller passes; an LP the package
+    # derives from a checked joint is adopted with no second check
+    ARRAYS = {"objective": [1.0, 2.0], "a_eq": [[1.0, 1.0]], "b_eq": [1.0], "a_ub": [[1.0, 0.0]], "b_ub": [0.5]}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", list(ARRAYS))
+    def test_non_finite_coefficient_raises(self, field, bad):
+        arrays = {k: np.array(v) for k, v in self.ARRAYS.items()}
+        arrays[field].flat[-1] = bad
+        with pytest.raises(DimensionMismatchError, match="non-finite coefficient in linear program"):
+            LinearProgram(**arrays)
+
+    @pytest.mark.parametrize("b_eq, b_ub", [([1.0, 1.0], [0.5]), ([], [0.5]), ([1.0], [0.5, 1.0]), ([1.0], [])])
+    def test_rhs_and_row_counts_must_agree(self, b_eq, b_ub):
+        with pytest.raises(DimensionMismatchError, match="row counts differ"):
+            LinearProgram([1.0, 2.0], [[1.0, 1.0]], b_eq, [[1.0, 0.0]], b_ub)
+
+    def test_adopted_fields_are_kept(self):
+        arrays = [np.array(v, dtype=np.float64) for v in self.ARRAYS.values()]
+        prog = prob._adopt(LinearProgram, *arrays)
+        assert all(getattr(prog, f.name) is a for f, a in zip(dataclasses.fields(LinearProgram), arrays))
+
+    def test_derived_program_is_what_the_constructor_makes(self):
+        # the frontier LP, held unchecked, has the fields the checks would give it
+        p = VectorModel(2, p=0.6, alpha=0.2).block_joint().matrix
+        prog = _guess_lp(p, [(0, 1, 2, 3), (0, 0, 1, 3)], 0.6, 4)
+        checked = LinearProgram(*(getattr(prog, f.name) for f in dataclasses.fields(LinearProgram)))
+        for f in dataclasses.fields(LinearProgram):
+            got, want = getattr(prog, f.name), getattr(checked, f.name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
 
 
 def family(prog: LinearProgram, objectives) -> LinearProgram:
@@ -454,7 +491,7 @@ class TestStartBasis:
     # x1 + x2 <= 1.5; its optimum (1, 1/2) has x1, the slack of x2 <= 1 and x2 basic
     def test_optimal_start_runs_no_pivot(self):
         prog = capped(1.5)
-        sol = solve_lp(prog, np.array([0, 3, 1]))
+        sol = solve_lp(prog, pivoted_start(prog, [0, 3, 1]))
         assert sol.status is LpStatus.OPTIMAL and sol.iterations == 0
         np.testing.assert_array_equal(sol.point, [1.0, 0.5])
         assert sol.value == 1.25
@@ -464,28 +501,31 @@ class TestStartBasis:
         # the slack basis is where phase 2 starts when there is no phase 1
         prog = capped(1.5)
         want = solve_lp(prog)
-        sol = solve_lp(prog, np.array([2, 3, 4]))
+        sol = solve_lp(prog, pivoted_start(prog, [2, 3, 4]))
         assert sol.iterations == want.iterations > 0
         np.testing.assert_array_equal(sol.tableau, want.tableau)
 
     def test_equality_rows_start_from_the_basis(self):
         # max x1 s.t. x1 + x2 = 1, x1 <= 1/2: x2 basic in the equality row is feasible
         prog = lp([1.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ub=[[1.0, 0.0]], b_ub=[0.5])
-        sol = solve_lp(prog, np.array([1, 2]))
+        sol = solve_lp(prog, pivoted_start(prog, [1, 2]))
         np.testing.assert_array_equal(sol.point, [0.5, 0.5])
         assert sol.iterations == 1
 
     def test_start_that_is_not_primal_feasible_raises(self):
         # at b = 0.5, x1 = 1 leaves x1 + x2 <= 0.5 a slack of -0.5
+        prog = capped(0.5)
         with pytest.raises(NumericalError, match="not primal feasible: a basic variable is -0.5"):
-            solve_lp(capped(0.5), np.array([0, 3, 4]))
-
-    def test_singular_start_raises(self):
-        # x1 twice: once basic in row 0, its column has no entry left in row 1
-        with pytest.raises(NumericalError, match="column 0 has no pivot in row 1"):
-            solve_lp(capped(1.5), np.array([0, 0, 4]))
+            solve_lp(prog, pivoted_start(prog, [0, 3, 4]))
 
     @pytest.mark.parametrize("basis", [[0, 3], [0, 3, 5], [-1, 3, 4]])
     def test_start_needs_one_column_per_row(self, basis):
-        with pytest.raises(DimensionMismatchError, match="start basis"):
-            solve_lp(capped(1.5), np.array(basis))
+        prog = capped(1.5)
+        with pytest.raises(DimensionMismatchError, match="a start needs a"):
+            solve_lp(prog, (pivoted_start(prog, [2, 3, 4])[0], np.array(basis)))
+
+    @pytest.mark.parametrize("artificials, rows", [(1, 4), (0, 3)], ids=["extra-column", "no-profit-row"])
+    def test_start_needs_the_standard_form_tableau(self, artificials, rows):
+        prog = capped(1.5)
+        with pytest.raises(DimensionMismatchError, match=r"a start needs a \(4, 6\) tableau"):
+            solve_lp(prog, (lp_module._tableau(prog, artificials)[:rows], np.array([2, 3, 4])))

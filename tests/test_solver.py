@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import fig3_joint, random_bibo, random_joint, rounded_joints
+from conftest import fig3_joint, pivoted_start, random_bibo, random_joint, rounded_joints
 from test_bibo import binary_filter_grid_max
 
 from privguess import (
@@ -21,6 +21,7 @@ from privguess import (
     NumericalError,
     ParameterError,
     PrivguessError,
+    VectorModel,
     best_filter,
     closed_form_utility,
     compose,
@@ -653,6 +654,81 @@ class TestIdentityTop:
         p_y = p.sum(axis=0)
         np.testing.assert_array_equal(profits[:n * n].reshape(n, n), -p_y[:, None] * (1.0 - np.eye(n)))
         np.testing.assert_array_equal(profits[n * n:], 0.0)
+
+
+def block_candidates() -> list[tuple[float, float]]:
+    """(p, alpha) of the benchmark's 24 block candidates, drawn as ``perfbench/workloads.py`` draws them."""
+    models = []
+    for index in range(24):
+        rng = np.random.default_rng([20170607, 4, index])
+        while True:
+            p, alpha = rng.uniform(0.55, 0.7), rng.uniform(0.1, 0.25)
+            if 1.0 - alpha - p >= 0.05:
+                models.append((p, alpha))
+                break
+    return models
+
+
+def sparse_joint(trial: int) -> np.ndarray:
+    """Seeded 2-6 x 3-6 joint with about half its entries 0, an all-zero column and a column maximum tied between rows 0 and 1."""
+    rng = np.random.default_rng([11, trial])
+    m, n = rng.integers(2, 7), rng.integers(3, 7)
+    w = rng.random((m, n)) * (rng.random((m, n)) < 0.5)
+    zero, tied = rng.choice(n, size=2, replace=False)
+    w[:, zero] = 0.0
+    w[:2, tied] = w[:, tied].max() + 0.1
+    return w / w.sum()
+
+
+def oracle_joints(group: str) -> list[np.ndarray]:
+    """Seeded trials 0-119, HARD_JOINTS, the block candidates' block joints at n = 1-3, or 40 sparse joints."""
+    if group == "trials":
+        return [seeded_trial(t) for t in range(120)]
+    if group == "hard":
+        return [hard_joint(name) for name in HARD_JOINTS]
+    if group == "block":
+        return [VectorModel(n, p, a).block_joint().matrix for n in (1, 2, 3) for p, a in block_candidates()]
+    return [sparse_joint(t) for t in range(40)]
+
+
+def hexed(*values) -> list[str]:
+    """Every float of ``values``, scalars and arrays, under ``float.hex``."""
+    return [float(v).hex() for v in np.concatenate([np.ravel(v) for v in values])]
+
+
+def walked(stops) -> list[list[str]] | str:
+    """Every stop of a walk as (rhs, value, slope, price below, point) under ``float.hex``, or the walk's error."""
+    try:
+        return [hexed(s.rhs, s.value, s.slope, s.price_below, s.point) for s in stops]
+    except NumericalError as error:
+        return str(error)
+
+
+class TestIdentityTopTableau:
+    @pytest.mark.parametrize("group", ["trials", "hard", "block", "sparse"])
+    def test_closed_form_is_the_pivoted_start(self, group, monkeypatch):
+        # the tableau written down equals the Gauss-Jordan pivots into its
+        # basis (the sign of a zero may differ), and the solve and the walk
+        # from it equal those from the pivoted start bit for bit
+        real, starts = solver.solve_lp, []
+
+        def spy(prog, start=None):
+            starts.append((start[0].copy(), start[1].copy()))
+            return real(prog, start)
+
+        monkeypatch.setattr(solver, "solve_lp", spy)
+        for p in oracle_joints(group):
+            res = solver.identity_top(p)
+            tableau, basis = starts.pop()
+            want_tableau, want_basis = pivoted_start(res.program, basis)
+            np.testing.assert_array_equal(basis, want_basis)
+            assert (tableau == want_tableau).all()
+            want = real(res.program, (want_tableau, want_basis))
+            assert res.solution.iterations == want.iterations == 0
+            sol = res.solution
+            assert hexed(sol.value, sol.point, sol.duals) == hexed(want.value, want.point, want.duals)
+            row = len(res.program.b_ub) - 1
+            assert walked(res.walk()) == walked(lp_module.piece_starts(res.program, want, row))
 
 
 class TestCurvePoint:

@@ -439,6 +439,14 @@ class TestThresholds:
         validity_threshold(VectorModel(n, **FIG3))
         assert [sol.iterations for sol in solves] == [0]
 
+    @pytest.mark.xfail(strict=True, reason="a kink whose price rises by less than FEAS_TOL is merged "
+                                           "into the piece above it (ROADMAP item 7)")
+    def test_small_price_rise_is_the_threshold(self):
+        # the kink is at cap certificate_threshold**2 = 0.999973, where the cap
+        # price rises by 5.0e-9; the walk passes it and returns eps_l = p = 0.995
+        model = VectorModel(2, 0.995, 1e-6)
+        assert validity_threshold(model).eps_l == pytest.approx(certificate_threshold(model), abs=1e-12)
+
     @staticmethod
     def off_walk(monkeypatch, edit):
         """Make every walk yield ``edit(stops)`` in place of its stops."""
