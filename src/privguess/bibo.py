@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateChannelError, ParameterError, PrivguessError
-from .prob import RANGE_TOL, Channel, JointDistribution
+from .prob import RANGE_TOL, ROUNDOFF_TOL, Channel, JointDistribution
 
 __all__ = [
     "BiboParams",
@@ -43,9 +43,6 @@ __all__ = [
     "closed_form_utility",
     "optimal_filter",
 ]
-
-#: formula denominators below this raise a degeneracy error
-DENOM_TOL = 1e-12
 
 
 class BranchTag(Enum):
@@ -139,8 +136,8 @@ def _branch_denominator(params: BiboParams) -> tuple[BranchTag, float]:
     p, a, b = params.p, params.alpha, params.beta
     pbar = 1.0 - p
     denom = (1.0 - b) * p - a * pbar if tag is BranchTag.Z_BRANCH else (1.0 - a) * pbar - b * p
-    if denom < DENOM_TOL:
-        raise DegenerateChannelError(f"branch denominator {denom!r} below {DENOM_TOL}")
+    if denom < ROUNDOFF_TOL:
+        raise DegenerateChannelError(f"branch denominator {denom!r} below {ROUNDOFF_TOL}")
     return tag, denom
 
 

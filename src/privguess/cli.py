@@ -65,7 +65,11 @@ def _load_joint(path: str) -> JointDistribution:
         raise UsageError(f'"joint" must be a rectangular numeric array: {exc}') from exc
     joint = JointDistribution(matrix)
     for key, size in (("labels_x", joint.shape[0]), ("labels_y", joint.shape[1])):
-        if key in doc and len(doc[key]) != size:
+        if key not in doc:
+            continue
+        if not isinstance(doc[key], list):
+            raise UsageError(f'"{key}" must be a JSON array, got {json.dumps(doc[key])}')
+        if len(doc[key]) != size:
             raise UsageError(f'"{key}" has {len(doc[key])} entries for alphabet size {size}')
     return joint
 

@@ -40,7 +40,9 @@ optimal basis and its tableau there are written down in closed form
 (:func:`identity_top`), so no simplex phase and no set-up pivot runs.
 Walking the cap down from there through the LP's basis changes
 (:func:`lp.piece_starts`) gives every breakpoint exactly and every slope as
-the cap row's dual price.
+the cap row's dual price. The log-gain form and its sandwich bounds read
+their points off this walk too; only :func:`best_filter` solves the map
+family.
 """
 
 from __future__ import annotations
@@ -432,16 +434,20 @@ def guessing_gain(joint: JointDistribution, leak_bits: float) -> float:
     """Largest log2 utility gain on Y when the adversary's gain on X is capped.
 
     ``leak_bits`` caps log2(P_c(X|Z) / P_c(X)); returned is the maximal
-    log2(P_c(Y|Z) / P_c(Y)). Thresholds beyond the point where Y is fully
-    recoverable saturate.
+    log2(P_c(Y|Z) / P_c(Y)). The frontier point is read off the walked
+    curve, ``curve_point(joint, trace_curve(joint), eps)`` at eps =
+    2**leak_bits * P_c(X), so no simplex phase runs. A budget at or above
+    log2(P_c(X|Y) / P_c(X)) saturates at eps = P_c(X|Y), with no power of
+    2 taken, so a budget of any size returns. Y alphabets larger than
+    ``MAX_ALPHABET`` raise :func:`trace_curve`'s :class:`CapacityError`.
     """
     if not leak_bits >= 0.0:
         raise ParameterError(f"leak budget must be nonnegative, got {leak_bits!r}")
     pcx = guess_prob(joint, Axis.ROWS)
     pcxy = cond_guess_prob(joint, Axis.ROWS)
     pcy = guess_prob(joint, Axis.COLS)
-    eps = min(2.0 ** leak_bits * pcx, pcxy)
-    sol = best_filter(joint, eps)
+    eps = pcxy if leak_bits >= math.log2(pcxy / pcx) else min(2.0 ** leak_bits * pcx, pcxy)
+    sol = curve_point(joint, trace_curve(joint), eps)
     return math.log2(sol.utility / pcy)
 
 
@@ -494,11 +500,21 @@ def trace_curve(joint: JointDistribution) -> GuessCurve:
     identity filter, with h = 1 and slope 0. Y alphabets larger than
     ``MAX_ALPHABET``, the largest the walk is tested at, are rejected.
     """
-    p = joint.matrix
-    n = p.shape[1]
+    n = joint.shape[1]
     if n > MAX_ALPHABET:
         raise CapacityError(
             f"Y alphabet {n} exceeds {MAX_ALPHABET}, the largest the frontier walk is tested at")
+    return _trace(joint)
+
+
+def _trace(joint: JointDistribution) -> GuessCurve:
+    """:func:`trace_curve` with no alphabet cap, for joints the package builds itself.
+
+    :func:`vector.brute_force_block_utility` walks the 2^n-column block
+    joints through it, the ones :func:`vector.validity_threshold` walks.
+    """
+    p = joint.matrix
+    n = p.shape[1]
     pcx = guess_prob(joint, Axis.ROWS)
     pcxy = cond_guess_prob(joint, Axis.ROWS)
     if pcxy - pcx <= RANGE_TOL:

@@ -1,6 +1,7 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and fixtures for the test suite."""
 
 import numpy as np
+import pytest
 
 from privguess import (
     BiboParams,
@@ -10,7 +11,7 @@ from privguess import (
     JointDistribution,
     LinearProgram,
 )
-from privguess import _simplex_py, lp
+from privguess import _simplex_py, lp, solver, vector
 
 FIG3_MATRIX = np.array([[0.32, 0.08], [0.12, 0.48]])
 
@@ -91,3 +92,25 @@ def random_bibo(rng: np.random.Generator) -> BiboParams:
         beta = rng.uniform(0.0, 0.5)
         if (1.0 - alpha) * (1.0 - p) > beta * p:
             return BiboParams(p=p, alpha=alpha, beta=beta)
+
+
+@pytest.fixture
+def walk_solves(monkeypatch):
+    """Every ``solver.solve_lp`` result from here on; ``lp_guess_max`` raises if called.
+
+    A frontier value read off the walk solves one LP per curve, started at
+    the identity vertex with 0 simplex iterations, and no map-family LP.
+    """
+    real, solves = solver.solve_lp, []
+
+    def counting(prog, start=None):
+        solves.append(real(prog, start))
+        return solves[-1]
+
+    def forbidden(*args):
+        raise AssertionError("lp_guess_max called")
+
+    monkeypatch.setattr(solver, "solve_lp", counting)
+    monkeypatch.setattr(solver, "lp_guess_max", forbidden)
+    monkeypatch.setattr(vector, "lp_guess_max", forbidden)
+    return solves

@@ -80,7 +80,7 @@ class TestFromJoint:
         assert from_joint(JointDistribution(np.array(matrix))) is None
 
     def test_rejects_near_degenerate_denominator(self):
-        # not DEGENERATE by branch(), but the branch denominator is below DENOM_TOL
+        # not DEGENERATE by branch(), but the branch denominator is below prob.ROUNDOFF_TOL
         params = BiboParams(0.5, 0.5 - 1e-13, 0.5 - 2e-13)
         assert branch(params) is not BranchTag.DEGENERATE
         with pytest.raises(DegenerateChannelError, match="branch denominator"):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,22 @@ class TestPc:
         path.write_text("{not json")
         code, _, err = run_cli(capsys, ["pc", "--joint", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["pc", "hcurve"])
+    @pytest.mark.parametrize("labels", [{"labels_x": 3}, {"labels_y": "ab"}, {"labels_x": None}])
+    def test_label_field_not_an_array_is_usage_error(self, capsys, tmp_path, command, labels):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"joint": [[0.5, 0.0], [0.0, 0.5]], **labels}))
+        code, out, err = run_cli(capsys, [command, "--joint", str(path)])
+        assert (code, out) == (2, "")
+        assert "must be a JSON array" in err
+
+    def test_label_count_mismatch_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"joint": [[0.5, 0.0], [0.0, 0.5]], "labels_x": ["a"]}))
+        code, _, err = run_cli(capsys, ["pc", "--joint", str(path)])
+        assert code == 2
+        assert '"labels_x" has 1 entries for alphabet size 2' in err
 
     def test_invariant_violation_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "neg.json"
@@ -224,8 +241,9 @@ class TestHcurve:
         assert all(r[2] == "lp" and r[3] == "" for r in rows)
 
     def test_near_degenerate_binary_rows_tagged_lp(self, capsys, tmp_path):
-        # P_c(X|Y) - P_c(X) is positive but below the closed forms' DENOM_TOL:
-        # bibo rejects the parameters, so the rows come from the LP alone
+        # P_c(X|Y) - P_c(X) is positive but below prob.ROUNDOFF_TOL, the least
+        # branch denominator the closed forms accept: bibo rejects the
+        # parameters, so the rows come from the LP alone
         params = privguess.BiboParams(0.5, 0.5 - 1e-13, 0.5 - 2e-13)
         path = tmp_path / "neardeg.json"
         path.write_text(json.dumps({"joint": privguess.to_joint(params).matrix.tolist()}))
@@ -591,6 +609,33 @@ class TestValidate:
         assert first == second
 
 
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def console_script_target():
+    """The ``privguess`` entry of ``[project.scripts]`` in this repository's ``pyproject.toml``.
+
+    Read with ``tomllib`` where it exists (Python 3.11 on); on Python 3.10
+    the one ``privguess = "module:attr"`` line of that table is read with
+    the standard library's ``re``.
+    """
+    try:
+        import tomllib
+    except ImportError:
+        text = PYPROJECT.read_text(encoding="utf-8")
+        table = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+        return re.search(r'^privguess\s*=\s*"([^"]*)"', table.group(1), re.M).group(1)
+    with open(PYPROJECT, "rb") as fh:
+        return tomllib.load(fh)["project"]["scripts"]["privguess"]
+
+
+def test_console_script_target_without_tomllib(monkeypatch):
+    # Python 3.10 has no tomllib: the fallback must read the same entry
+    want = console_script_target()
+    monkeypatch.setitem(sys.modules, "tomllib", None)
+    assert console_script_target() == want == "privguess.cli:run"
+
+
 def run_console_script(argv, cwd):
     """Run the declared ``privguess`` console script in a separate process.
 
@@ -599,11 +644,7 @@ def run_console_script(argv, cwd):
     ``pyproject.toml`` and the child imports the same ``privguess`` package
     as this test run.
     """
-    tomllib = pytest.importorskip("tomllib")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with open(pyproject, "rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"]["privguess"]
-    module, attr = target.split(":")
+    module, attr = console_script_target().split(":")
     wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
     package_root = str(Path(privguess.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))

@@ -119,13 +119,8 @@ class TestBestFilter:
     def test_skewed_reproducer(self):
         # a skewed 3x4 joint whose per-map LP fails its own certificate;
         # the expected value is the HiGHS optimum of the frontier LP
-        joint = JointDistribution(np.array([
-            [0.10254077521972826, 0.05444091096140368, 1.3507750791114549e-06, 0.27548437839541984],
-            [0.00011648308778760545, 0.0008384290203021182, 0.12978168071627388, 0.20882279985212668],
-            [0.18969633067644073, 0.03609595025162467, 0.002163760229318767, 1.7150814494695373e-05],
-        ]))
-        sol = best_filter(joint, 0.5409353580505845)
-        assert sol.utility == pytest.approx(0.88972137, abs=1e-7)
+        sol = best_filter(JointDistribution(SKEWED_REPRODUCER), SKEWED_EPS)
+        assert sol.utility == pytest.approx(SKEWED_HIGHS, abs=1e-7)
 
     def test_monotone_in_eps(self):
         rng = np.random.default_rng(59)
@@ -300,6 +295,17 @@ class TestEnumerationCompleteness:
                 assert grid_best <= lp_best + 1e-6
 
 
+#: a skewed 3x4 joint on which best_filter's map-family LP raises NumericalError,
+#: a threshold inside its domain, and the HiGHS optimum of the frontier LP there
+SKEWED_REPRODUCER = np.array([
+    [0.10254077521972826, 0.05444091096140368, 1.3507750791114549e-06, 0.27548437839541984],
+    [0.00011648308778760545, 0.0008384290203021182, 0.12978168071627388, 0.20882279985212668],
+    [0.18969633067644073, 0.03609595025162467, 0.002163760229318767, 1.7150814494695373e-05],
+])
+SKEWED_EPS = 0.5409353580505845
+SKEWED_HIGHS = 0.88972137
+
+
 class TestGuessingGain:
     def test_perfect_privacy_gain(self):
         assert guessing_gain(fig3_joint(), 0.0) == pytest.approx(0.3626, abs=1e-4)
@@ -318,6 +324,40 @@ class TestGuessingGain:
     def test_rejects_negative_budget(self):
         with pytest.raises(ParameterError):
             guessing_gain(fig3_joint(), -0.1)
+
+    @pytest.mark.parametrize("budget", [1024.0, 1e6])
+    def test_huge_budget_saturates(self, budget):
+        # 2.0 ** budget overflows; a budget past saturation takes P_c(X|Y) directly
+        j = fig3_joint()
+        assert guessing_gain(j, budget) == guessing_gain(j, math.inf)
+
+    def test_skewed_reproducer_reads_the_highs_value(self):
+        # the point best_filter cannot solve, read off the walked curve
+        joint = JointDistribution(SKEWED_REPRODUCER)
+        budget = math.log2(SKEWED_EPS / guess_prob(joint, Axis.ROWS))
+        want = math.log2(SKEWED_HIGHS / guess_prob(joint, Axis.COLS))
+        assert guessing_gain(joint, budget) == pytest.approx(want, abs=1e-7)
+
+    def test_alphabet_cap_is_the_walks(self):
+        joint = JointDistribution(np.full((2, solver.MAX_ALPHABET + 1), 0.5 / (solver.MAX_ALPHABET + 1)))
+        with pytest.raises(CapacityError, match="largest the frontier walk is tested at"):
+            guessing_gain(joint, 0.1)
+
+
+class TestGainsReadOffTheWalk:
+    """The log-gain forms trace one curve per gain, from the identity vertex, and solve no map family."""
+
+    def test_guessing_gain(self, walk_solves):
+        for p in (fig3_joint().matrix, MULTI_PIECE / MULTI_PIECE.sum(), SKEWED_REPRODUCER):
+            joint = JointDistribution(p)
+            for budget in (0.0, 0.1, 0.3, math.inf):
+                guessing_gain(joint, budget)
+        assert [sol.iterations for sol in walk_solves] == [0] * 12
+
+    def test_finite_order_gain_bounds(self, walk_solves):
+        bounds = finite_order_gain_bounds(JointDistribution(np.array([[0.4, 0.1], [0.1, 0.4]])), 2.0, 3.0, 0.3)
+        assert bounds.lower is not None
+        assert [sol.iterations for sol in walk_solves] == [0, 0]
 
 
 class TestFiniteOrderBounds:
@@ -356,6 +396,15 @@ class TestFiniteOrderBounds:
                 assert bounds.upper >= bounds.lower - 1e-9
                 checked += 1
         assert checked >= 200
+
+    def test_huge_budget_returns(self):
+        # both gains saturate; 2.0 ** 2000.0 would overflow
+        j = fig3_joint()
+        bounds = finite_order_gain_bounds(j, 2.0, 2.0, 2000.0)
+        top = guessing_gain(j, math.inf)
+        gap = renyi_entropy(j.col_marginal, 2.0) - renyi_entropy(j.col_marginal, math.inf)
+        assert bounds.upper == pytest.approx(top + gap, abs=1e-12)
+        assert bounds.lower == pytest.approx(2.0 * top - renyi_entropy(j.col_marginal, math.inf), abs=1e-12)
 
     def test_rejects_non_finite_orders(self):
         from privguess import InvalidOrderError

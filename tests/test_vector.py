@@ -39,7 +39,7 @@ from privguess import (
 from privguess import mc, solver, vector
 from privguess.solver import lp_guess_max
 from privguess.vector import compose_zn
-from test_solver import highs_frontier
+from test_solver import block_candidates, highs_frontier
 
 FIG3 = dict(p=0.6, alpha=0.2)
 
@@ -49,6 +49,13 @@ def all_maps_block_utility(model, eps):
     size = 2 ** model.n
     maps = itertools.product(range(size), repeat=size)
     value = lp_guess_max(model.block_joint().matrix, eps ** model.n, size, maps).value
+    return value ** (1.0 / model.n)
+
+
+def two_phase_block_utility(model, eps):
+    """Per-symbol optimum of the identity-map block LP, solved cold by the two-phase simplex."""
+    size = 2 ** model.n
+    value = lp_guess_max(model.block_joint().matrix, eps ** model.n, size, [tuple(range(size))]).value
     return value ** (1.0 / model.n)
 
 
@@ -543,6 +550,22 @@ class TestThresholds:
     def test_brute_force_capped(self):
         with pytest.raises(CapacityError):
             brute_force_block_utility(VectorModel(4, **FIG3), 0.78)
+
+    def test_brute_force_matches_two_phase_lp(self):
+        # the walked block curve at n = 3, nine eps on each of the benchmark's block models
+        for p, alpha in block_candidates():
+            model = VectorModel(3, p, alpha)
+            for eps in np.linspace(p, model.abar, 9).tolist():
+                want = two_phase_block_utility(model, eps)
+                assert brute_force_block_utility(model, eps) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_brute_force_walks_one_lp(self, n, walk_solves):
+        # each value is read off one LP started at the identity vertex
+        model = VectorModel(n, **FIG3)
+        for eps in (model.p, 0.7, model.abar):
+            brute_force_block_utility(model, eps)
+        assert [sol.iterations for sol in walk_solves] == [0, 0, 0]
 
 
 class TestConsistencyAtN1:
