@@ -24,6 +24,19 @@ optimal one in closed form, may pass it as a start. It is certified primal
 feasible, and phase 2 runs from it with no phase 1 and no set-up pivot (from
 an optimal basis, no pivot at all) to an optimum certified as any other.
 
+Every tableau here keeps its basic columns exact unit vectors: each pivot
+writes its entering column as one (see ``_simplex_py``), and a start must
+be written that way too, as the Gauss-Jordan pivots into its basis leave
+it. Phase 2 therefore prices out only the rows whose basic column carries
+a profit: subtracting any other row would change no basic column's profit.
+
+Every certificate is written so that a NaN fails it: a check passes only
+where its comparison is true (``not worst <= FEAS_TOL``), and each failure
+raises :class:`NumericalError`. That covers a start's feasibility, the
+reduced costs, each vertex's three checks and the walk's ratio test, so a
+NaN that reaches a tableau is reported as a numerical breakdown, never as
+an optimum or as invalid input.
+
 An optimal solution also carries the dual prices of the inequality rows:
 the rate at which the optimal value grows with each row's right-hand side
 (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, section 5.2).
@@ -169,10 +182,10 @@ def solve_lp(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray] | None = 
     point fails its certificate.
 
     ``start``, if given, is a (tableau, basis) pair laid out as an optimum's,
-    the tableau pivoted into the basis, its last row ignored; phase 2 pivots
-    it in place with no phase 1, under the same budget and certificates. Its
-    shape is checked, and a basic variable below ``-FEAS_TOL`` raises
-    :class:`NumericalError`.
+    the tableau pivoted into the basis (each basic column an exact unit
+    vector), its last row ignored; phase 2 pivots it in place with no phase
+    1, under the same budget and certificates. Its shape is checked, and a
+    basic variable below ``-FEAS_TOL`` or NaN raises :class:`NumericalError`.
     """
     n = prog.n_vars
     objectives = prog.objective.reshape(-1, n)
@@ -193,14 +206,14 @@ def solve_lp(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray] | None = 
     last = objectives.shape[0] - 1
     for k, c in enumerate(objectives):
         tk, bk = (t, basis) if k == last else (t.copy(), basis.copy())
-        # phase 2: price out the basis for this objective
-        row = np.zeros(n_real + 1)
+        # phase 2: price out the basis for this objective, in row order;
+        # basic columns are exact unit vectors, so only the rows whose basic
+        # column has a profit change the row
+        row = tk[m]
+        row[:] = 0.0
         row[:n] = c
-        for r in range(m):
-            cb = row[bk[r]]
-            if cb != 0.0:
-                row = row - cb * tk[r]
-        tk[m] = row
+        for r in row[bk].nonzero()[0].tolist():
+            row -= row[bk[r]] * tk[r]
 
         status, it2 = run_simplex(tk, bk, n_real, PIVOT_TOL, max_iter)
         iters += it2
@@ -211,7 +224,7 @@ def solve_lp(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray] | None = 
 
         # optimality certificate: no improving reduced cost remains
         worst = float(tk[m, :n_real].max()) if n_real else 0.0
-        if worst > FEAS_TOL:
+        if not worst <= FEAS_TOL:
             raise NumericalError(f"reduced cost {worst} above {FEAS_TOL} at claimed optimum")
 
         value, point = _vertex(prog, prog.b_ub, c, tk, bk)
@@ -266,12 +279,13 @@ def piece_starts(prog: LinearProgram, sol: LpSolution, row: int) -> Iterator[Pie
     ``value`` is recomputed from it.
     Raises :class:`NumericalError` if a certificate fails, if no basic
     variable limits a step (the rhs would fall without end, which a cap on
-    probabilities cannot) or if the walk takes more pivots than a phase of
-    :func:`solve_lp` may.
+    probabilities cannot), if the least ratio is not a finite number or if
+    the walk takes more pivots than a phase of :func:`solve_lp` may.
     """
     t, basis = sol.tableau.copy(), sol.basis.copy()
     m, n = basis.shape[0], prog.n_vars
     s = n + row  # the row's slack column
+    col, d, rhs = t[:, s], t[:m, s], t[:, -1]  # views, which every pivot updates in place
     b_ub = prog.b_ub.copy()
     objective = prog.objective.reshape(-1, n)[sol.winner]
 
@@ -282,27 +296,28 @@ def piece_starts(prog: LinearProgram, sol: LpSolution, row: int) -> Iterator[Pie
     kink = None  # the latest kink, until a basis moves more than FEAS_TOL below it
     budget = 100 * sum(t.shape) + 1000
     for _ in range(budget):
-        d = t[:m, s]
-        rows = np.nonzero(d > PIVOT_TOL)[0]
+        rows = (d > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             raise NumericalError(f"no basic variable limits the right-hand side of row {row}")
         # a roundoff-negative basic variable counts as 0: a step of length 0
-        ratios = np.maximum(t[rows, -1], 0.0) / d[rows]
+        ratios = np.maximum(rhs[rows], 0.0) / d[rows]
         step = ratios.min()
+        if not step < math.inf:
+            raise NumericalError(f"ratio test of row {row} found a step of {step}")
         if kink is not None and kink.rhs - (b_ub[row] - step) > FEAS_TOL:
             yield kink._replace(price_below=price)
             slope, kink = price, None
         tied = rows[ratios == step]
-        r = int(tied[np.argmin(basis[tied])])
-        t[:, -1] -= step * t[:, s]
-        t[r, -1] = 0.0
+        r = int(tied[0] if tied.size == 1 else tied[basis[tied].argmin()])
+        rhs -= step * col
+        rhs[r] = 0.0
         b_ub[row] -= step
 
-        cols = np.nonzero(t[r, :-1] < -PIVOT_TOL)[0]
+        cols = (t[r, :-1] < -PIVOT_TOL).nonzero()[0]
         if cols.size == 0:
             yield vertex(slope, math.inf)
             return
-        pivot(t, basis, r, int(cols[np.argmin(t[m, cols] / t[r, cols])]))
+        pivot(t, basis, r, int(cols[(t[m, cols] / t[r, cols]).argmin()]))
         price = float(-t[m, s])
         if kink is None and price > slope + FEAS_TOL:
             kink = vertex(slope, price)
@@ -312,11 +327,13 @@ def piece_starts(prog: LinearProgram, sol: LpSolution, row: int) -> Iterator[Pie
 def _tableau(prog: LinearProgram, n_art: int) -> np.ndarray:
     """Zero tableau ``[A | slacks | n_art artificials | rhs]`` plus an objective row, standard form filled in."""
     n, me, mi = prog.n_vars, prog.a_eq.shape[0], prog.a_ub.shape[0]
-    t = np.zeros((me + mi + 1, n + mi + n_art + 1))
+    width = n + mi + n_art + 1
+    t = np.zeros((me + mi + 1, width))
     t[:me, :n] = prog.a_eq
     t[me:-1, :n] = prog.a_ub
-    t[me:-1, n:n + mi] = np.eye(mi)
-    t[:-1, -1] = np.concatenate([prog.b_eq, prog.b_ub])
+    t.reshape(-1)[me * width + n::width + 1][:mi] = 1.0  # the slack identity's diagonal
+    t[:me, -1] = prog.b_eq
+    t[me:-1, -1] = prog.b_ub
     return t
 
 
@@ -367,14 +384,15 @@ def _phase1(prog: LinearProgram, max_iter: int) -> tuple[np.ndarray | None, np.n
 def _start(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """``start``, a (tableau, basis) pair of ``prog``, checked for its shape (else
     :class:`DimensionMismatchError`) and certified primal feasible, with every
-    basic variable at least ``-FEAS_TOL`` (else :class:`NumericalError`)."""
+    basic variable at least ``-FEAS_TOL`` (else, a NaN included, :class:`NumericalError`)."""
     rows, cols = prog.a_eq.shape[0] + prog.a_ub.shape[0], prog.n_vars + prog.a_ub.shape[0]
     t, basis = np.asarray(start[0], dtype=np.float64), np.asarray(start[1], dtype=np.int64)
-    if t.shape != (rows + 1, cols + 1) or basis.shape != (rows,) or np.any((basis < 0) | (basis >= cols)):
+    if (t.shape != (rows + 1, cols + 1) or basis.shape != (rows,)
+            or (rows and not 0 <= basis.min() <= basis.max() < cols)):
         raise DimensionMismatchError(
             f"a start needs a {(rows + 1, cols + 1)} tableau and {rows} basic columns in [0, {cols})")
     low = float(t[:-1, -1].min()) if rows else 0.0
-    if low < -FEAS_TOL:
+    if not low >= -FEAS_TOL:
         raise NumericalError(f"start basis is not primal feasible: a basic variable is {low}")
     return t, basis
 
@@ -397,21 +415,27 @@ def _vertex(prog: LinearProgram, b_ub: np.ndarray, c: np.ndarray, t: np.ndarray,
     """(value under ``c``, point) of the basic solution of tableau ``t``, certified feasible.
 
     The certificate checks the point against ``prog`` with ``b_ub`` as the
-    inequality rhs, each constraint within ``FEAS_TOL``; the point's
-    roundoff-negative components are then clipped to 0.
+    inequality rhs, each constraint within ``FEAS_TOL``, by one reduction
+    per check, which a NaN fails; the point's roundoff-negative components
+    are then clipped to 0 in place.
     """
     x_full = np.zeros(t.shape[1] - 1)
     x_full[basis] = t[:basis.shape[0], -1]
     x = x_full[:prog.n_vars]
-    if np.any(x < -FEAS_TOL):
-        raise NumericalError("negative component in simplex solution")
+    low = float(x.min(initial=0.0))
+    if not low >= -FEAS_TOL:
+        raise NumericalError(f"negative component {low} in simplex solution")
     if prog.a_eq.shape[0]:
-        res = float(np.abs(prog.a_eq @ x - prog.b_eq).max())
-        if res > FEAS_TOL:
-            raise NumericalError(f"equality residual {res} exceeds {FEAS_TOL}")
+        res = prog.a_eq @ x
+        res -= prog.b_eq
+        worst = float(np.abs(res, out=res).max())
+        if not worst <= FEAS_TOL:
+            raise NumericalError(f"equality residual {worst} exceeds {FEAS_TOL}")
     if prog.a_ub.shape[0]:
-        res = float((prog.a_ub @ x - b_ub).max())
-        if res > FEAS_TOL:
-            raise NumericalError(f"inequality violation {res} exceeds {FEAS_TOL}")
-    x = np.maximum(x, 0.0)
+        res = prog.a_ub @ x
+        res -= b_ub
+        worst = float(res.max())
+        if not worst <= FEAS_TOL:
+            raise NumericalError(f"inequality violation {worst} exceeds {FEAS_TOL}")
+    np.maximum(x, 0.0, out=x)
     return float(c @ x), x

@@ -18,10 +18,11 @@ Conventions
 * Input is checked once, where it enters: the :class:`JointDistribution`
   and :class:`Channel` constructors check (and copy) what a caller passes.
   What the package derives from checked objects, such as :func:`compose`'s
-  product or a Kronecker power in :mod:`privguess.vector`, is held through
-  :func:`_adopt` and not checked again. Its entries are finite and
-  nonnegative by construction, and its mass is its inputs' mass up to
-  roundoff, so a derived joint may be up to 2 ``MASS_TOL`` from 1.
+  product, a Kronecker power in :mod:`privguess.vector` or a filter the
+  solver has certified, is held through :func:`_adopt` and not checked
+  again. Its entries are finite and nonnegative by construction, and its
+  mass is its inputs' mass up to roundoff, so a derived joint may be up to
+  2 ``MASS_TOL`` from 1.
 """
 
 from __future__ import annotations
@@ -98,7 +99,10 @@ def _adopt(cls, *arrays: np.ndarray):
     Only for float64 arrays (read-only in a joint or channel) that the package
     derived from checked objects and that no caller holds: :func:`compose`'s
     product, a Kronecker power of :mod:`privguess.vector` (its 2^n x 2^n
-    product is then not copied) or :mod:`privguess.solver`'s LP of a joint.
+    product is then not copied) and the 2x2 symbol joint of a checked
+    ``VectorModel``'s parameters, :mod:`privguess.solver`'s LP of a joint, or
+    a filter :mod:`privguess.solver` has certified, whose rows it projected
+    onto the simplex.
     """
     out = object.__new__(cls)
     for field, arr in zip(fields(cls), arrays):

@@ -273,6 +273,16 @@ class _Checked(NamedTuple):
             raise self.error
         return self
 
+    def channels(self) -> tuple[Channel, ...]:
+        """The certified filters as channels, held read-only through ``prob._adopt``.
+
+        :func:`_certified` projected each row onto the simplex and failed
+        any NaN, so each filter is a channel up to roundoff and ``Channel``'s
+        check cannot fail on it: none is copied or checked again.
+        """
+        self.filters.setflags(write=False)
+        return tuple(_adopt(Channel, f) for f in self.filters)
+
 
 def _evaluate(joint: JointDistribution, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(utility, privacy) of each filter in a (G, N, C) stack, recomputed from scratch.
@@ -365,7 +375,7 @@ def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
     res = lp_guess_max(p, float(caps[0]), n + 1, nondecreasing_maps(n + 1, n))
     out = _certified(joint, res.filter[None], caps, np.array([res.value])).passed()
     return FilterSolution(utility=float(out.utility[0]), privacy=float(out.privacy[0]),
-                          filter=Channel(out.filters[0]), y_guess_map=res.map, eps=eps)
+                          filter=out.channels()[0], y_guess_map=res.map, eps=eps)
 
 
 #: entries of the P F stack held at once while reading a grid: a block of
@@ -425,7 +435,7 @@ def curve_point(joint: JointDistribution, curve: GuessCurve, eps: float) -> Filt
     """
     out = _read(joint, curve, np.array([eps])).passed()
     return FilterSolution(utility=float(out.utility[0]), privacy=float(out.privacy[0]),
-                          filter=Channel(out.filters[0]),
+                          filter=out.channels()[0],
                           y_guess_map=tuple(range(joint.shape[1])), eps=eps,
                           saturated=eps > cond_guess_prob(joint, Axis.ROWS))
 
@@ -539,4 +549,4 @@ def _trace(joint: JointDistribution) -> GuessCurve:
     breakpoints = (pcx, *caps[1:])
     return GuessCurve(samples=tuple(zip(breakpoints, out.utility.tolist())),
                       breakpoints=breakpoints, slopes=tuple(slopes),
-                      filters=tuple(Channel(f) for f in out.filters))
+                      filters=out.channels())

@@ -144,12 +144,19 @@ class VectorModel:
         return 1.0 - self.alpha
 
     def symbol_joint(self) -> JointDistribution:
-        """The per-symbol 2x2 joint of (X, Y)."""
+        """The per-symbol 2x2 joint of (X, Y).
+
+        Derived from the parameters ``__post_init__`` checked, so it is held
+        through ``prob._adopt`` and not checked again: its entries are
+        nonnegative and sum to 1 up to roundoff.
+        """
         p, a = self.p, self.alpha
-        return JointDistribution(np.array([
+        m = np.array([
             [(1.0 - a) * (1.0 - p), a * (1.0 - p)],
             [a * p, (1.0 - a) * p],
-        ]))
+        ])
+        m.setflags(write=False)
+        return _adopt(JointDistribution, m)
 
     def block_joint(self) -> JointDistribution:
         """The 2^n x 2^n product joint, rows/columns in binary order.

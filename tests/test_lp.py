@@ -19,9 +19,9 @@ from privguess import (
 )
 from privguess import lp as lp_module
 from privguess import prob
-from privguess.solver import _guess_lp
+from privguess.solver import _guess_lp, identity_top
 
-from conftest import pivoted_start
+from conftest import FIG3_MATRIX, pivoted_start
 
 NO_EQ = (np.zeros((0, 0)), [])
 
@@ -529,3 +529,53 @@ class TestStartBasis:
         prog = capped(1.5)
         with pytest.raises(DimensionMismatchError, match=r"a start needs a \(4, 6\) tableau"):
             solve_lp(prog, (lp_module._tableau(prog, artificials)[:rows], np.array([2, 3, 4])))
+
+
+class TestNanFailsEveryCertificate:
+    """A NaN fails each certificate with :class:`NumericalError`, as no comparison with it is true."""
+
+    def start(self, entry):
+        """FIG3's identity vertex: (program, start with NaN at ``entry``, walked solution with it there)."""
+        top = identity_top(FIG3_MATRIX)
+        t = top.solution.tableau.copy()
+        t[entry] = np.nan
+        return top.program, (t, top.solution.basis.copy()), dataclasses.replace(top.solution, tableau=t)
+
+    def test_start_with_a_nan_basic_variable(self):
+        prog, start, _ = self.start((0, -1))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="not primal feasible"):
+            solve_lp(prog, start)
+
+    def test_nan_reduced_cost(self):
+        # F[0, 1] is not basic, and row 0's basic F[0, 0] has a profit: the price-out carries the NaN over
+        prog, start, _ = self.start((0, 1))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="reduced cost nan"):
+            solve_lp(prog, start)
+
+    def test_walk_with_a_nan_right_hand_side(self):
+        # the cap row's own slack is basic at 0; its NaN enters the first ratio test
+        prog, _, sol = self.start((-2, -1))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="ratio test of row 4 found a step of nan"):
+            list(lp_module.piece_starts(prog, sol, prog.a_ub.shape[0] - 1))
+
+    @pytest.mark.parametrize("where, message", [
+        ("point", "negative component nan"),
+        ("b_eq", "equality residual nan"),
+        ("b_ub", "inequality violation nan"),
+    ])
+    def test_vertex(self, where, message):
+        prog = capped(1.5)
+        sol = solve_lp(prog)
+        t, b_ub = sol.tableau.copy(), prog.b_ub.copy()
+        if where == "point":
+            t[0, -1] = np.nan
+        elif where == "b_eq":
+            prog = lp([1.0, 0.5], a_eq=[[1.0, 1.0]], b_eq=[1.5], a_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[1.0, 1.0])
+            sol = solve_lp(prog)
+            t, b_ub = sol.tableau, prog.b_ub
+            # the constructor rejects a NaN, so the program is adopted unchecked
+            prog = prob._adopt(LinearProgram, prog.objective, prog.a_eq, np.array([np.nan]), prog.a_ub, prog.b_ub)
+        else:
+            b_ub[-1] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=message):
+            lp_module._vertex(prog, b_ub, prog.objective, t, sol.basis)

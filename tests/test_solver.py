@@ -8,7 +8,17 @@ import re
 
 import numpy as np
 import pytest
-from conftest import fig3_joint, pivoted_start, random_bibo, random_joint, rounded_joints
+from conftest import (
+    fig3_joint,
+    pivoted_start,
+    random_bibo,
+    random_joint,
+    reference_pivot,
+    reference_run_simplex,
+    reference_solve,
+    reference_walk,
+    rounded_joints,
+)
 from test_bibo import binary_filter_grid_max
 
 from privguess import (
@@ -32,8 +42,9 @@ from privguess import (
     renyi_entropy,
     to_joint,
     trace_curve,
+    validity_threshold,
 )
-from privguess import cli, solver
+from privguess import _simplex_py, cli, solver
 from privguess import lp as lp_module
 from privguess.lp import LinearProgram, LpStatus
 
@@ -638,6 +649,21 @@ class TestTraceCurve:
             assert utility[0] == h
             assert privacy[0] <= eps + lp_module.FEAS_TOL
 
+    def test_vertex_filters_are_held_read_only_unchecked(self, monkeypatch):
+        # the certificate already proved each vertex filter a channel, so
+        # the curve holds it with no copy and no second check
+        joint = JointDistribution(MULTI_PIECE / MULTI_PIECE.sum())
+        checks = []
+        real = Channel.__post_init__
+        monkeypatch.setattr(Channel, "__post_init__", lambda self: checks.append(1) or real(self))
+        curve = trace_curve(joint)
+        assert checks == []
+        stack = curve.filters[0].matrix.base
+        for f in curve.filters:
+            assert not f.matrix.flags.writeable
+            assert f.matrix.base is stack
+        assert not stack.flags.writeable
+
     def test_end_is_p_c_x_exactly(self):
         # the walk ends at 0.6 within roundoff; the breakpoint is P_c(X) itself
         curve = trace_curve(fig3_joint())
@@ -778,6 +804,168 @@ class TestIdentityTopTableau:
             assert hexed(sol.value, sol.point, sol.duals) == hexed(want.value, want.point, want.duals)
             row = len(res.program.b_ub) - 1
             assert walked(res.walk()) == walked(lp_module.piece_starts(res.program, want, row))
+
+
+#: frontier classes of the benchmark pool: (generator id, shape, skewed), as ``perfbench/workloads.py`` has them
+FRONTIER_CLASSES = {
+    "u3x3": (0, (3, 3), False), "s3x3": (1, (3, 3), True),
+    "u3x4": (6, (3, 4), False), "s3x4": (7, (3, 4), True),
+    "u4x4": (8, (4, 4), False), "s4x4": (9, (4, 4), True),
+    "u5x4": (10, (5, 4), False), "s5x4": (11, (5, 4), True),
+    "u5x5": (12, (5, 5), False), "s5x5": (13, (5, 5), True),
+}
+
+
+def frontier_pool(per_class: int) -> list[tuple[np.ndarray, float]]:
+    """(joint, eps) of the first ``per_class`` ``frontier`` candidates of each class, drawn as the benchmark draws them."""
+    out = []
+    for class_id, shape, skew in FRONTIER_CLASSES.values():
+        for index in range(per_class):
+            rng = np.random.default_rng([20170607, 1, class_id, index])
+            while True:
+                w = rng.random(shape) ** (3 if skew else 1)
+                p = w / w.sum()
+                lo, hi = float(p.sum(axis=1).max()), float(p.max(axis=0).sum())
+                if hi - lo > 0.02:
+                    out.append((p, lo + rng.uniform(0.1, 0.9) * (hi - lo)))
+                    break
+    return out
+
+
+def unit_columns(t: np.ndarray, basis: np.ndarray) -> bool:
+    """Whether each basic column of tableau ``t`` is the unit vector of its row, the profit row's 0 included, under ``==``."""
+    return bool((t[:, basis] == np.eye(t.shape[0], basis.shape[0])).all())
+
+
+def frontier_family(p: np.ndarray, eps: float) -> LinearProgram:
+    """The map-family LP :func:`best_filter` solves at ``eps`` (N + 1 outputs, every nondecreasing map)."""
+    n = p.shape[1]
+    return solver._guess_lp(p, list(solver.nondecreasing_maps(n + 1, n)), eps, n + 1)
+
+
+class TestWalkReference:
+    """The walk, the family solve and the NumPy kernel's pivot loop, pinned bit for bit to the reference steps in ``conftest``."""
+
+    @pytest.mark.parametrize("group", ["trials", "hard", "block", "sparse"])
+    def test_walk_is_the_reference_step(self, group):
+        for p in oracle_joints(group):
+            res = solver.identity_top(p)
+            row = len(res.program.b_ub) - 1
+            want = [hexed(rhs, value, slope, below, point)
+                    for rhs, value, point, slope, below in reference_walk(res.program, res.solution, row)]
+            assert walked(res.walk()) == want
+
+    def test_family_solve_is_the_reference_price_out(self, monkeypatch):
+        for p, eps in frontier_pool(4):
+            prog = frontier_family(p, eps)
+            try:
+                with monkeypatch.context() as m:
+                    m.setattr(_simplex_py, "pivot", reference_pivot)
+                    m.setattr(lp_module, "pivot", reference_pivot)
+                    value, point, duals, iterations = reference_solve(prog)
+            except AssertionError:
+                with pytest.raises(NumericalError):
+                    lp_module.solve_lp(prog)
+                continue
+            sol = lp_module.solve_lp(prog)
+            assert sol.iterations == iterations
+            assert hexed(sol.value, sol.point, sol.duals) == hexed(value, point, duals)
+
+
+    def test_kernel_is_the_reference_loop(self, monkeypatch):
+        # every tableau the family solves hand the kernel (phase 1, each
+        # phase 2), run by the NumPy kernel and by the reference loop
+        real, calls = lp_module.run_simplex, []
+
+        def spy(tableau, basis, *args):
+            calls.append((tableau.copy(), basis.copy(), args))
+            return real(tableau, basis, *args)
+
+        monkeypatch.setattr(lp_module, "run_simplex", spy)
+        for p, eps in frontier_pool(1):
+            try:
+                lp_module.solve_lp(frontier_family(p, eps))
+            except NumericalError:
+                pass
+        assert len(calls) > 100
+        for tableau, basis, args in calls:
+            t, b = tableau.copy(), basis.copy()
+            assert _simplex_py.run_simplex(t, b, *args) == reference_run_simplex(tableau, basis, *args)
+            assert t.tobytes() == tableau.tobytes()
+            np.testing.assert_array_equal(b, basis)
+
+
+class TestUnitColumns:
+    """Every basic column is an exact unit vector, which lets ``solve_lp`` price out only the rows with a profit."""
+
+    @pytest.mark.parametrize("group", ["trials", "hard", "block", "sparse"])
+    def test_after_the_start_and_every_walk_pivot(self, group, monkeypatch):
+        real, pivots = lp_module.pivot, []
+
+        def checked(t, basis, r, j):
+            real(t, basis, r, j)
+            pivots.append(unit_columns(t, basis))
+
+        monkeypatch.setattr(lp_module, "pivot", checked)
+        for p in oracle_joints(group):
+            res = solver.identity_top(p)
+            assert unit_columns(res.solution.tableau, res.solution.basis)
+            list(res.walk())
+        assert pivots and all(pivots)
+
+    def test_after_a_two_phase_solve(self):
+        for p, eps in frontier_pool(4):
+            try:
+                sol = lp_module.solve_lp(frontier_family(p, eps))
+            except NumericalError:
+                continue
+            assert unit_columns(sol.tableau, sol.basis)
+
+
+#: the ``curve`` benchmark's joint templates and the walk's (pivots, certificates) on each, normalized
+CURVE_TEMPLATES = {
+    "one2x3": ([[0.108, 0.240, 0.223], [0.208, 0.098, 0.123]], 1, 3),
+    "one3x2": ([[0.092, 0.246], [0.236, 0.128], [0.120, 0.178]], 1, 3),
+    "multi3x3a": ([[0.085, 0.168, 0.109], [0.185, 0.0002, 0.065], [0.148, 0.132, 0.108]], 3, 4),
+    "multi3x3b": ([[0.142, 0.015, 0.172], [0.174, 0.191, 0.027], [0.023, 0.177, 0.079]], 6, 6),
+    "multi4x3": ([[0.071, 0.105, 0.063], [0.087, 0.087, 0.020], [0.123, 0.016, 0.121],
+                  [0.017, 0.112, 0.177]], 5, 6),
+}
+
+
+class TestWorkCounts:
+    """Walk pivots and vertex certificates per call, counted with no timing.
+
+    The benchmark's ``lp.pivots`` counts simplex pivots only; the walk's
+    dual pivots and its certificates are counted here.
+    """
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        tally = {"pivot": 0, "vertex": 0}
+
+        def counting(name, real):
+            def wrapped(*args):
+                tally[name] += 1
+                return real(*args)
+            return wrapped
+
+        monkeypatch.setattr(lp_module, "pivot", counting("pivot", lp_module.pivot))
+        monkeypatch.setattr(lp_module, "_vertex", counting("vertex", lp_module._vertex))
+        return tally
+
+    def test_block_certification(self, counts):
+        for p, alpha in block_candidates():
+            counts.update(pivot=0, vertex=0)
+            validity_threshold(VectorModel(2, p, alpha))
+            assert counts == {"pivot": 2, "vertex": 3}, (p, alpha)
+
+    @pytest.mark.parametrize("name", list(CURVE_TEMPLATES))
+    def test_curve_template(self, counts, name):
+        matrix, pivots, certificates = CURVE_TEMPLATES[name]
+        p = np.array(matrix)
+        trace_curve(JointDistribution(p / p.sum()))
+        assert counts == {"pivot": pivots, "vertex": certificates}
 
 
 class TestCurvePoint:

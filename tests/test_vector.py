@@ -107,6 +107,19 @@ class TestModel:
         with pytest.raises(CapacityError):
             VectorModel(11, 0.6, 0.2).block_joint()
 
+    def test_joints_from_checked_parameters_run_no_check(self, monkeypatch):
+        # __post_init__ checked p and alpha; the symbol joint and its
+        # product are derived from them and adopted with no second check
+        checks = []
+        real = JointDistribution.__post_init__
+        monkeypatch.setattr(JointDistribution, "__post_init__", lambda self: checks.append(1) or real(self))
+        model = VectorModel(2, 0.6, 0.2)
+        symbol, block = model.symbol_joint(), model.block_joint()
+        assert checks == []
+        assert not symbol.matrix.flags.writeable and not block.matrix.flags.writeable
+        assert symbol.matrix.sum() == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_array_equal(symbol.matrix, [[0.8 * 0.4, 0.2 * 0.4], [0.2 * 0.6, 0.8 * 0.6]])
+
 
 class TestBlockJointMemo:
     """The product joint is built once per model instance and shared by every caller."""
