@@ -279,8 +279,9 @@ def piece_starts(prog: LinearProgram, sol: LpSolution, row: int) -> Iterator[Pie
     ``value`` is recomputed from it.
     Raises :class:`NumericalError` if a certificate fails, if no basic
     variable limits a step (the rhs would fall without end, which a cap on
-    probabilities cannot), if the least ratio is not a finite number or if
-    the walk takes more pivots than a phase of :func:`solve_lp` may.
+    probabilities cannot), if the least ratio is not a finite number, if the
+    row's price is nan or if the walk takes more pivots than a phase of
+    :func:`solve_lp` may.
     """
     t, basis = sol.tableau.copy(), sol.basis.copy()
     m, n = basis.shape[0], prog.n_vars
@@ -292,7 +293,14 @@ def piece_starts(prog: LinearProgram, sol: LpSolution, row: int) -> Iterator[Pie
     def vertex(slope: float, price_below: float) -> PieceStart:
         return PieceStart(float(b_ub[row]), *_vertex(prog, b_ub, objective, t, basis), slope, price_below)
 
-    slope = price = float(-t[m, s])
+    def row_price() -> float:
+        # a nan price would fail every kink test and pass as a slope
+        price = float(-t[m, s])
+        if math.isnan(price):
+            raise NumericalError(f"price of row {row} is nan")
+        return price
+
+    slope = price = row_price()
     kink = None  # the latest kink, until a basis moves more than FEAS_TOL below it
     budget = 100 * sum(t.shape) + 1000
     for _ in range(budget):
@@ -318,7 +326,7 @@ def piece_starts(prog: LinearProgram, sol: LpSolution, row: int) -> Iterator[Pie
             yield vertex(slope, math.inf)
             return
         pivot(t, basis, r, int(cols[(t[m, cols] / t[r, cols]).argmin()]))
-        price = float(-t[m, s])
+        price = row_price()
         if kink is None and price > slope + FEAS_TOL:
             kink = vertex(slope, price)
     raise NumericalError(f"right-hand side walk of row {row} exhausted its pivot budget")

@@ -8,23 +8,30 @@ probabilities.
 Determinism contract: sampling consumes a PCG64 stream seeded explicitly,
 two uniforms per sample in a fixed order (first selects the (x, y) cell by
 inverse CDF over the row-major flattened joint, second selects z by inverse
-CDF over the filter row of y). Each empirical value is an exact integer hit
-count divided by the sample count, and a count does not depend on the order
-samples are visited in or on how they are grouped, so they are counted in
-whatever way is cheapest and every count is the one a visit in draw order
-gives. A dense filter's z needs each sample's pair of uniforms, so its
-samples are visited in order of their first uniform, each keeping its own
-second one. For a :class:`~privguess.vector.ZnChannel` the second uniform
-matters only through the flip bit ``u1 < gamma`` (the closed form of the
-same inverse CDF: the all-ones y goes to all-zeros when the bit is set,
-every other y to itself), so whether a sample is a hit depends only on its
-(x, y) cell and that bit. Its samples are split on the bit, each half's
-first uniforms are sorted, and each count is read off the sorted uniforms at
-the edges of the runs of hit cells, with no per-sample search, z or
-comparison; its counts are those of its dense channel. Identical config
-therefore gives a bit-identical report within this implementation; the
-generator name is recorded in the report so reruns can verify they used the
-same algorithm.
+CDF over the filter row of y). The stream is drawn ``SAMPLE_CHUNK`` samples
+at a time, and consecutive ``random((k, 2))`` calls continue one stream, so
+the uniforms are those of a single draw of all the samples, in the same
+order. Each empirical value is an exact integer hit count divided by the
+sample count, and a count does not depend on the order samples are visited
+in or on how they are grouped, so each chunk is counted in whatever way is
+cheapest, the chunks' counts are added, and every count is the one a visit
+in draw order gives. A simulation so holds one chunk of samples at a time,
+whatever its sample count. A dense filter's z needs each sample's pair of
+uniforms, so a chunk's samples are visited in order of their first uniform,
+each keeping its own second one. For a :class:`~privguess.vector.ZnChannel`
+the second uniform matters only through the flip bit ``u1 < gamma`` (the
+closed form of the same inverse CDF: the all-ones y goes to all-zeros when
+the bit is set, every other y to itself), so whether a sample is a hit
+depends only on its (x, y) cell and that bit. The cells where a guess is
+right form runs, which depend only on the joint and the MAP guesses, so
+they are found once per simulation, and the joint's CDF is summed in one
+pass and kept only at the runs' edges, with no 2^(2n)-entry CDF held. A
+chunk's samples are split on the bit, each half's first uniforms are
+sorted, and each count is read off the sorted uniforms at the runs' edges,
+with no per-sample search, z or comparison; its counts are those of its
+dense channel. Identical config therefore gives a bit-identical report
+within this implementation; the generator name is recorded in the report so
+reruns can verify they used the same algorithm.
 The MAP guessers are computed exactly from the composed joints, never
 estimated, with argmax ties broken by lowest index. For a ``ZnChannel`` they
 are read off the joint itself and the two columns the channel updates, and
@@ -35,6 +42,7 @@ model.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +54,11 @@ from .vector import VectorModel, ZnChannel, _kron_power
 __all__ = ["SimConfig", "SimReport", "simulate", "vector_sim_config"]
 
 RNG_ALGORITHM = "PCG64"
+
+#: samples drawn and counted at once, and joint entries summed at once on the
+#: flip channel's pass over the CDF, so that the memory of a simulation grows
+#: neither with its sample count nor, for the flip channel, with the joint's CDF
+SAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -122,8 +135,12 @@ def simulate(config: SimConfig) -> SimReport:
         x_map, analytic_x = _map_guess(compose(config.joint, filt, Axis.COLS).matrix)
         y_map, analytic_y = _map_guess(config.joint.col_marginal[:, None] * filt.matrix)
 
+    count = _counter(joint, filt, x_map, y_map)
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    hits_y, hits_x = _hit_counts(joint, filt, x_map, y_map, rng.random((config.samples, 2)))
+    hits_y = hits_x = 0
+    for start in range(0, config.samples, SAMPLE_CHUNK):
+        chunk_y, chunk_x = count(rng.random((min(SAMPLE_CHUNK, config.samples - start), 2)))
+        hits_y, hits_x = hits_y + chunk_y, hits_x + chunk_x
     hit_y, hit_x = hits_y / config.samples, hits_x / config.samples
     return SimReport(
         empirical_pc_y=hit_y,
@@ -137,85 +154,118 @@ def simulate(config: SimConfig) -> SimReport:
     )
 
 
-def _hit_counts(joint: np.ndarray, filt: Channel | ZnChannel, x_map: np.ndarray,
-                y_map: np.ndarray, u: np.ndarray) -> tuple[int, int]:
-    """How many samples the guesses ``y_map[z]`` of y, and ``x_map[z]`` of x, get right.
+def _counter(joint: np.ndarray, filt: Channel | ZnChannel, x_map: np.ndarray,
+             y_map: np.ndarray) -> Callable[[np.ndarray], tuple[int, int]]:
+    """``count(u)``: how many samples of the block ``u`` the guesses ``y_map[z]`` of y, and ``x_map[z]`` of x, get right.
 
     Sample i draws its (x, y) cell from ``joint`` by inverse CDF at
     ``u[i, 0]`` and its z from the filter row of y at ``u[i, 1]``. Cell k of
     the row-major flattened joint takes the first uniforms in
     [cdf[k - 1], cdf[k]), read as -inf for k = 0 and as +inf for the last
-    cell, which so also takes any at or above the CDF's last entry.
+    cell, which so also takes any at or above the CDF's last entry. What
+    does not depend on the samples is found once, here, and each call
+    counts one block.
 
     A :class:`ZnChannel` reads ``u[i, 1]`` only through the flip bit
     ``u[i, 1] < gamma``, so whether its sample is a hit depends only on the
-    cell and that bit. Its samples are split on the bit and each half's
-    first uniforms sorted; the cells where a guess is right form runs, and
-    a run's count is read off the sorted half at the run's two edges (see
-    :func:`_count_in_runs`). Only run edges are searched, a few per row and
-    two per column for the MAP guesses, and no sample is searched into the
-    CDF. A dense filter's z needs each sample's pair, so its pairs are
-    sorted together by the first uniform and each first uniform is searched
-    into the CDF.
+    cell and that bit. The cells where a guess is right form runs, a few per
+    row and one cell per column for the MAP guesses, and the CDF is read
+    only at the runs' edges (see :func:`_lower_edges`). Each call splits its
+    samples on the bit and sorts each half's first uniforms; a run's count
+    is read off the sorted half at its two edges, so no sample is searched
+    into the CDF. A dense filter's z needs each sample's pair, so the joint's
+    CDF is built once, and each call sorts its pairs by the first uniform
+    and searches each first uniform into the CDF.
     """
     m, n = joint.shape
-    cdf_joint = np.cumsum(joint.ravel())
-
     if isinstance(filt, ZnChannel):
         # the inverse CDF of the flip channel's row y at u1: the all-ones y
-        # goes to all-zeros when u1 < gamma, every other y to itself; both
-        # halves come from one contiguous copy of the first uniforms, which
-        # is cheaper than boolean-indexing the strided column twice
-        u0 = np.ascontiguousarray(u[:, 0])
-        flipped = u[:, 1] < filt.gamma
+        # goes to all-zeros when u1 < gamma, every other y to itself
         ys = np.arange(n)
         row_starts = np.arange(0, m * n, n)[:, None]
-        hits_y = hits_x = 0
-        for half, zs in ((u0[~flipped], ys), (u0[flipped], np.where(ys == n - 1, 0, ys))):
-            half.sort()
+        edges = []
+        for zs in (ys, np.where(ys == n - 1, 0, ys)):
             # y is guessed right in the same columns of every row, so the
             # runs of one row, offset by each row's start, are all the runs
-            edges = np.diff(np.concatenate(([0], y_map[zs] == ys, [0])))
-            starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-            hits_y += _count_in_runs(cdf_joint, half, (row_starts + starts).ravel(),
-                                     (row_starts + ends).ravel())
-            # x is guessed right in one cell of each column
-            cells = x_map[zs] * n + ys
-            hits_x += _count_in_runs(cdf_joint, half, cells, cells + 1)
-        return hits_y, hits_x
+            steps = np.diff(np.concatenate(([0], y_map[zs] == ys, [0])))
+            starts, ends = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)
+            # x is guessed right in one cell of each column; only the total
+            # over the runs counts, so the cells are sorted, which makes the
+            # searches into each half cheaper
+            cells = np.sort(x_map[zs] * n + ys)
+            # row 0 holds each run's end and row 1 its start: run [a, b)
+            # holds the uniforms below lower(b) less those below lower(a)
+            edges += [np.stack([row_starts + ends, row_starts + starts]).reshape(2, -1),
+                      np.stack([cells + 1, cells])]
+        lower = np.split(_lower_edges(joint.ravel(), np.concatenate(edges, axis=1)),
+                         np.cumsum([e.shape[1] for e in edges])[:-1], axis=1)
+        halves = (lower[:2], lower[2:])
+        gamma = filt.gamma
 
-    order = np.argsort(u[:, 0])
-    idx = np.minimum(np.searchsorted(cdf_joint, u[order, 0], side="right"), m * n - 1)
-    xs, ys = np.divmod(idx, n)
-    zs = _inverse_cdf(filt.matrix, ys, u[order, 1])
-    return int(np.count_nonzero(y_map[zs] == ys)), int(np.count_nonzero(x_map[zs] == xs))
-
-
-def _count_in_runs(cdf: np.ndarray, half: np.ndarray, starts: np.ndarray,
-                   ends: np.ndarray) -> int:
-    """How many of the sorted first uniforms ``half`` fall in the cell runs
-    [starts[j], ends[j]) of the flattened joint whose CDF is ``cdf``.
-
-    Cell k takes the uniforms in [lower(k), lower(k + 1)), with lower(k)
-    = cdf[k - 1], -inf for k = 0 and +inf for k = cdf.size, so run [a, b)
-    holds those below lower(b) less those below lower(a): the difference of
-    two left-side searches of the run's edges into ``half``.
-    """
-    def below(k):
-        count = np.searchsorted(half, cdf[k - 1], side="left")
-        count[k == 0], count[k == cdf.size] = 0, half.size
+        def count(u: np.ndarray) -> tuple[int, int]:
+            # both halves come from one contiguous copy of the first
+            # uniforms, which is cheaper than boolean-indexing the strided
+            # column twice
+            u0 = np.ascontiguousarray(u[:, 0])
+            flipped = u[:, 1] < gamma
+            hits_y = hits_x = 0
+            for half, (y_runs, x_runs) in zip((u0[~flipped], u0[flipped]), halves):
+                half.sort()
+                below_y = np.searchsorted(half, y_runs, side="left")
+                below_x = np.searchsorted(half, x_runs, side="left")
+                hits_y += int(below_y[0].sum() - below_y[1].sum())
+                hits_x += int(below_x[0].sum() - below_x[1].sum())
+            return hits_y, hits_x
         return count
-    return int(below(ends).sum() - below(starts).sum())
+
+    cdf_joint = np.cumsum(joint.ravel())
+    cdf_rows = np.cumsum(filt.matrix, axis=1)
+
+    def count(u: np.ndarray) -> tuple[int, int]:
+        order = np.argsort(u[:, 0])
+        idx = np.minimum(np.searchsorted(cdf_joint, u[order, 0], side="right"), m * n - 1)
+        xs, ys = np.divmod(idx, n)
+        zs = _inverse_cdf(cdf_rows, ys, u[order, 1])
+        return int(np.count_nonzero(y_map[zs] == ys)), int(np.count_nonzero(x_map[zs] == xs))
+    return count
 
 
-def _inverse_cdf(filt: np.ndarray, ys: np.ndarray, u1: np.ndarray) -> np.ndarray:
-    """The output of row ``ys[i]`` of ``filt`` at uniform ``u1[i]``, for every i, by inverse CDF.
+def _lower_edges(flat: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """lower(k) for each cell index k in ``ks``: where cell k of ``flat`` starts on the CDF.
 
-    The samples are grouped by y once and each row's CDF is inverted on its
-    group; a stable sort of keys this narrow runs as a radix sort.
+    ``ks`` is an array of any shape, and the result has its shape.
+    lower(k) = cdf[k - 1] of cdf = ``np.cumsum(flat)``, -inf for k = 0 and
+    +inf for k = ``flat.size``, so that cell k takes the uniforms in
+    [lower(k), lower(k + 1)). The CDF is summed in one pass over ``flat``,
+    ``SAMPLE_CHUNK`` entries at a time, and kept only at the entries asked
+    for. Each chunk's running sum starts from the total before it, so every
+    entry is the same left-to-right sum as ``np.cumsum``'s, to the bit:
+    recursive summation depends only on its order (Higham, SIAM J. Sci.
+    Comput. 14, 1993).
     """
-    n, c = filt.shape
-    cdf_rows = np.cumsum(filt, axis=1)
+    out = np.where(ks == 0, -np.inf, np.inf)
+    run = np.empty(min(SAMPLE_CHUNK, flat.size) + 1)
+    total = 0.0
+    for lo in range(0, flat.size, SAMPLE_CHUNK):
+        chunk = flat[lo:lo + SAMPLE_CHUNK]
+        # part[j] becomes cdf[lo + j - 1], the lower edge of cell lo + j
+        part = run[:chunk.size + 1]
+        part[0], part[1:] = total, chunk
+        np.cumsum(part, out=part)
+        here = (ks >= max(lo, 1)) & (ks < lo + chunk.size)
+        out[here] = part[ks[here] - lo]
+        total = part[-1]
+    return out
+
+
+def _inverse_cdf(cdf_rows: np.ndarray, ys: np.ndarray, u1: np.ndarray) -> np.ndarray:
+    """The output of row ``ys[i]`` at uniform ``u1[i]``, for every i, by inverse CDF.
+
+    ``cdf_rows`` is the filter's row-wise CDF. The samples are grouped by y
+    once and each row's CDF is inverted on its group; a stable sort of keys
+    this narrow runs as a radix sort.
+    """
+    n, c = cdf_rows.shape
     by_y = np.argsort(ys.astype(np.min_scalar_type(n - 1)), kind="stable")
     groups = np.split(by_y, np.cumsum(np.bincount(ys, minlength=n))[:-1])
     zs = np.empty(ys.size, dtype=np.int64)

@@ -451,14 +451,26 @@ def guessing_gain(joint: JointDistribution, leak_bits: float) -> float:
     2 taken, so a budget of any size returns. Y alphabets larger than
     ``MAX_ALPHABET`` raise :func:`trace_curve`'s :class:`CapacityError`.
     """
-    if not leak_bits >= 0.0:
-        raise ParameterError(f"leak budget must be nonnegative, got {leak_bits!r}")
+    return _gains(joint, leak_bits)[0]
+
+
+def _gains(joint: JointDistribution, *budgets: float) -> list[float]:
+    """:func:`guessing_gain` at each of ``budgets``, every one read off one traced curve.
+
+    Every budget is checked before the curve is traced.
+    """
+    for leak_bits in budgets:
+        if not leak_bits >= 0.0:
+            raise ParameterError(f"leak budget must be nonnegative, got {leak_bits!r}")
     pcx = guess_prob(joint, Axis.ROWS)
     pcxy = cond_guess_prob(joint, Axis.ROWS)
     pcy = guess_prob(joint, Axis.COLS)
-    eps = pcxy if leak_bits >= math.log2(pcxy / pcx) else min(2.0 ** leak_bits * pcx, pcxy)
-    sol = curve_point(joint, trace_curve(joint), eps)
-    return math.log2(sol.utility / pcy)
+    curve = trace_curve(joint)
+    gains = []
+    for leak_bits in budgets:
+        eps = pcxy if leak_bits >= math.log2(pcxy / pcx) else min(2.0 ** leak_bits * pcx, pcxy)
+        gains.append(math.log2(curve_point(joint, curve, eps).utility / pcy))
+    return gains
 
 
 def finite_order_gain_bounds(joint: JointDistribution, nu: float, mu: float,
@@ -468,7 +480,8 @@ def finite_order_gain_bounds(joint: JointDistribution, nu: float, mu: float,
     Upper bound: gain at a shrunk budget ((nu-1)/nu) * leak + H_inf(X)/nu,
     plus the Renyi/min entropy gap of Y at order mu. Lower bound: a scaled
     gain at budget leak - (H_nu(X) - H_inf(X)), valid only when that budget
-    is nonnegative (otherwise ``lower`` is None).
+    is nonnegative (otherwise ``lower`` is None). Both gains are read off
+    one traced curve.
     """
     for name, o in (("nu", nu), ("mu", mu)):
         if not (math.isfinite(o) and o > 1.0):
@@ -481,13 +494,13 @@ def finite_order_gain_bounds(joint: JointDistribution, nu: float, mu: float,
     hy_mu = renyi_entropy(py, mu)
 
     psi = (nu - 1.0) / nu * leak_bits + hx_inf / nu
-    upper = guessing_gain(joint, psi) + hy_mu - hy_inf
-
     gap = hx_nu - hx_inf
     if leak_bits < gap - ROUNDOFF_TOL:
-        return OrderBounds(None, upper)
+        return OrderBounds(None, _gains(joint, psi)[0] + hy_mu - hy_inf)
     phi = max(leak_bits - gap, 0.0)
-    lower = mu / (mu - 1.0) * guessing_gain(joint, phi) - hy_inf / (mu - 1.0)
+    gain_psi, gain_phi = _gains(joint, psi, phi)
+    upper = gain_psi + hy_mu - hy_inf
+    lower = mu / (mu - 1.0) * gain_phi - hy_inf / (mu - 1.0)
     return OrderBounds(lower, upper)
 
 
@@ -542,7 +555,8 @@ def _trace(joint: JointDistribution) -> GuessCurve:
         values = [s.value for s in stops] + [1.0]
         slopes = [s.slope for s in stops]
         for a, b in itertools.pairwise(slopes):
-            if b - a > FEAS_TOL:
+            # written so that a nan slope fails it too
+            if not b - a <= FEAS_TOL:
                 raise NumericalError(f"slope increased from {a} to {b}; frontier is not concave")
 
     out = _certified(joint, np.stack(points), np.array(caps), np.array(values)).passed()

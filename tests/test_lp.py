@@ -558,6 +558,16 @@ class TestNanFailsEveryCertificate:
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="ratio test of row 4 found a step of nan"):
             list(lp_module.piece_starts(prog, sol, prog.a_ub.shape[0] - 1))
 
+    def test_walk_with_a_nan_price(self):
+        # the cap row's price is the profit row's entry in the cap slack's
+        # column; a NaN there used to fail every kink test and come out of
+        # the walk as the slope of its one stop
+        prog = identity_top(FIG3_MATRIX).program
+        cap = prog.a_ub.shape[0] - 1
+        _, _, sol = self.start((-1, prog.n_vars + cap))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="price of row 4 is nan"):
+            list(lp_module.piece_starts(prog, sol, cap))
+
     @pytest.mark.parametrize("where, message", [
         ("point", "negative component nan"),
         ("b_eq", "equality residual nan"),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,37 @@ GOLDEN = {
             "0x1.b7c22f7782310p-4", "0x1.f7456c04ade5dp-16", "0x1.6bdd766f62ef6p-11"),
     "3x5": ("0x1.2022bbecaab8ap-1", "0x1.b141205bc01a3p-2", "0x1.2000000000000p-1",
             "0x1.b000000000000p-2", "0x1.22c47d8fa7e4ep-10", "0x1.219948b29cd84p-10"),
+}
+
+
+#: the GOLDEN fields of the n10 and 3x5 cases at sample counts around the
+#: chunk the samples are drawn and counted in: one short of a chunk, one
+#: chunk, one over, and three chunks and a part
+CHUNK_GOLDEN = {
+    ("n10", mc.SAMPLE_CHUNK - 1): (
+        "0x1.ffebffebffec0p-1", "0x1.b141b141b141bp-4", "0x1.ffe727390df6ep-1",
+        "0x1.b7c22f7782310p-4", "0x1.94bf307597b2fp-15", "0x1.3aef087f5312cp-10"),
+    ("n10", mc.SAMPLE_CHUNK): (
+        "0x1.ffec000000000p-1", "0x1.b140000000000p-4", "0x1.ffe727390df6ep-1",
+        "0x1.b7c22f7782310p-4", "0x1.94bd9bbe4f493p-15", "0x1.3aede03090343p-10"),
+    ("n10", mc.SAMPLE_CHUNK + 1): (
+        "0x1.ffec0013ffec0p-1", "0x1.b13e4ec1b13e5p-4", "0x1.ffe727390df6ep-1",
+        "0x1.b7c22f7782310p-4", "0x1.94bc070a303afp-15", "0x1.3aecb7e3f7968p-10"),
+    ("n10", 3 * mc.SAMPLE_CHUNK + 7): (
+        "0x1.ffea003354dd9p-1", "0x1.ba36a2d5d9626p-4", "0x1.ffe727390df6ep-1",
+        "0x1.b7c22f7782310p-4", "0x1.ea24e2fb12178p-16", "0x1.6eef5f378a505p-11"),
+    ("3x5", mc.SAMPLE_CHUNK - 1): (
+        "0x1.1e591e591e592p-1", "0x1.ae99ae99ae99bp-2", "0x1.2000000000000p-1",
+        "0x1.b000000000000p-2", "0x1.fc64b9d02d929p-10", "0x1.f97de8a186c22p-10"),
+    ("3x5", mc.SAMPLE_CHUNK): (
+        "0x1.1e58000000000p-1", "0x1.ae9c000000000p-2", "0x1.2000000000000p-1",
+        "0x1.b000000000000p-2", "0x1.fc63fffbf8baep-10", "0x1.f97d4b6f556e1p-10"),
+    ("3x5", mc.SAMPLE_CHUNK + 1): (
+        "0x1.1e58e1a71e58ep-1", "0x1.ae9e5161ae9e5p-2", "0x1.2000000000000p-1",
+        "0x1.b000000000000p-2", "0x1.fc62cbea7fbdep-10", "0x1.f97cae3ab5f35p-10"),
+    ("3x5", 3 * mc.SAMPLE_CHUNK + 7): (
+        "0x1.20455f5e2179bp-1", "0x1.b1300d3a8bcccp-2", "0x1.2000000000000p-1",
+        "0x1.b000000000000p-2", "0x1.253d72bc250f5p-10", "0x1.241336acd5669p-10"),
 }
 
 
@@ -120,6 +152,16 @@ class TestDeterminism:
         assert tuple(float.hex(v) for v in fields) == GOLDEN[case]
         assert (report.samples, report.seed, report.rng_algorithm) == (200_000, config.seed, "PCG64")
 
+    @pytest.mark.parametrize("case, samples", sorted(CHUNK_GOLDEN))
+    def test_chunk_boundary_report(self, case, samples):
+        # the samples are drawn and counted one chunk at a time; the report
+        # is the one a single draw of all of them gives
+        report = simulate(dataclasses.replace(golden_config(case), samples=samples))
+        fields = (report.empirical_pc_y, report.empirical_pc_x, report.analytic_pc_y,
+                  report.analytic_pc_x, report.stderr_y, report.stderr_x)
+        assert tuple(float.hex(v) for v in fields) == CHUNK_GOLDEN[case, samples]
+        assert report.samples == samples
+
     def test_rng_algorithm_recorded(self):
         assert simulate(fig3_config(samples=10)).rng_algorithm == "PCG64"
 
@@ -163,6 +205,30 @@ class TestStatistics:
             ok_x = abs(report.empirical_pc_x - 0.70) <= 3 * report.stderr_x
             hits += ok_y and ok_x
         assert hits >= 18
+
+
+class TestBoundedMemory:
+    """A simulation holds one chunk of samples at a time, and the flip
+    channel no CDF of its joint, so its peak allocation depends neither on
+    the sample count nor on the joint's 2^(2n)-entry CDF."""
+
+    @pytest.mark.parametrize("config, bound_mb", [
+        # the 8 MB product joint is built with the config, before tracing
+        (lambda: golden_config("n10"), 8),
+        (lambda: fig3_config(samples=2 * 10**6), 16),
+    ], ids=["block-n10", "fig3-dense"])
+    def test_peak_allocation(self, config, bound_mb):
+        config = config()
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            simulate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < bound_mb * 2**20
 
 
 class TestVectorConfigs:
@@ -294,6 +360,24 @@ SPARSE_8X8 = np.array([
 ]) / 256
 
 
+class TestLowerEdges:
+    @pytest.mark.parametrize("size", [1, 5, mc.SAMPLE_CHUNK, mc.SAMPLE_CHUNK + 1, 3 * mc.SAMPLE_CHUNK - 7])
+    def test_match_cumsum_to_the_bit(self, size):
+        # cells at, next to and between the chunk edges, both ends, and
+        # repeats, in no order and in a 2-D array
+        rng = np.random.default_rng(size)
+        flat = rng.random(size) * (rng.random(size) < 0.8)
+        flat /= 3.0 * flat.sum() or 1.0
+        near = np.arange(0, size + 1, mc.SAMPLE_CHUNK)[:, None] + np.array([-1, 0, 1])
+        ks = np.concatenate([near.ravel(), rng.integers(0, size + 1, 61), [0, size, size]])
+        ks = ks[(ks >= 0) & (ks <= size)].reshape(1, -1).repeat(2, axis=0)
+        cdf = np.cumsum(flat)
+        want = np.where(ks == 0, -np.inf, np.where(ks == size, np.inf, cdf[ks - 1]))
+        got = mc._lower_edges(flat, ks)
+        assert got.shape == ks.shape
+        assert [float.hex(v) for v in got.ravel()] == [float.hex(v) for v in want.ravel()]
+
+
 class TestSplitCounts:
     """The flip channel's counts, split on the flip bit, against the paired
     counts of its dense rows, sample by sample, on hand-built uniforms."""
@@ -349,12 +433,20 @@ class TestSplitCounts:
             (np.r_[1, np.zeros(size - 1, dtype=int)], np.arange(size)),
         ]
         for x_map, y_map in maps:
+            count_flip = mc._counter(joint, filt, x_map, y_map)
+            count_dense = mc._counter(joint, dense, x_map, y_map)
             # samples = 1, each sample on its own, then all of them together
             for sample in u:
                 one = sample[None]
                 want = self.one_sample(joint, dense.matrix, x_map, y_map, *sample)
-                assert mc._hit_counts(joint, filt, x_map, y_map, one) == want
-                assert mc._hit_counts(joint, dense, x_map, y_map, one) == want
-            counts = mc._hit_counts(joint, filt, x_map, y_map, u)
-            assert counts == mc._hit_counts(joint, dense, x_map, y_map, u)
+                assert count_flip(one) == want
+                assert count_dense(one) == want
+            counts = count_flip(u)
+            assert counts == count_dense(u)
             assert all(type(c) is int for c in counts)
+            # the same uniforms in two chunks, as a simulation draws them:
+            # the chunks' counts add up to the whole block's
+            for count in (count_flip, count_dense):
+                for cut in (0, 1, len(u) // 3, len(u) - 1):
+                    first, second = count(u[:cut]), count(u[cut:])
+                    assert (first[0] + second[0], first[1] + second[1]) == counts

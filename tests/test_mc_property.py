@@ -48,6 +48,11 @@ def count_cases(draw):
 @given(count_cases())
 def test_run_counts_match_dense_rows(case):
     joint, filt, x_map, y_map, u = case
-    counts = mc._hit_counts(joint, filt, x_map, y_map, u)
-    assert counts == mc._hit_counts(joint, filt.to_channel(), x_map, y_map, u)
+    count = mc._counter(joint, filt, x_map, y_map)
+    counts = count(u)
+    assert counts == mc._counter(joint, filt.to_channel(), x_map, y_map)(u)
     assert all(type(c) is int for c in counts)
+    # split in two chunks, the counts add up
+    cut = len(u) // 2
+    first, second = count(u[:cut]), count(u[cut:])
+    assert (first[0] + second[0], first[1] + second[1]) == counts

@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 from conftest import (
+    FIG3_MATRIX,
     fig3_joint,
     pivoted_start,
     random_bibo,
@@ -356,7 +357,7 @@ class TestGuessingGain:
 
 
 class TestGainsReadOffTheWalk:
-    """The log-gain forms trace one curve per gain, from the identity vertex, and solve no map family."""
+    """The log-gain forms trace one curve per call, from the identity vertex, and solve no map family."""
 
     def test_guessing_gain(self, walk_solves):
         for p in (fig3_joint().matrix, MULTI_PIECE / MULTI_PIECE.sum(), SKEWED_REPRODUCER):
@@ -366,9 +367,13 @@ class TestGainsReadOffTheWalk:
         assert [sol.iterations for sol in walk_solves] == [0] * 12
 
     def test_finite_order_gain_bounds(self, walk_solves):
-        bounds = finite_order_gain_bounds(JointDistribution(np.array([[0.4, 0.1], [0.1, 0.4]])), 2.0, 3.0, 0.3)
-        assert bounds.lower is not None
-        assert [sol.iterations for sol in walk_solves] == [0, 0]
+        # both gains are read off one curve: one LP per call, solved with no pivot
+        for p, nu, mu, leak in ((np.array([[0.4, 0.1], [0.1, 0.4]]), 2.0, 3.0, 0.3),
+                                (FIG3_MATRIX, 2.0, 2.0, 0.5)):
+            walk_solves.clear()
+            bounds = finite_order_gain_bounds(JointDistribution(p), nu, mu, leak)
+            assert bounds.lower is not None
+            assert [sol.iterations for sol in walk_solves] == [0]
 
 
 class TestFiniteOrderBounds:
@@ -545,6 +550,26 @@ class TestTraceCurve:
         assert curve.breakpoints[0] == pytest.approx(0.6, abs=1e-8)
         assert curve.breakpoints[-1] == pytest.approx(0.8, abs=1e-8)
         assert curve.slopes[0] == pytest.approx(1.4, abs=1e-4)
+
+    @pytest.mark.parametrize("stop", [1, -1], ids=["kink", "end"])
+    def test_nan_slope_fails_the_concavity_check(self, monkeypatch, stop):
+        # the walk raises on a nan price itself; the curve's check of its
+        # slopes must not pass one either. Stop 0 is the kink at P_c(X|Y),
+        # which the curve drops
+        real = solver.identity_top
+
+        class NanSlope:
+            def __init__(self, p):
+                self.top = real(p)
+
+            def walk(self):
+                stops = list(self.top.walk())
+                stops[stop] = stops[stop]._replace(slope=math.nan)
+                return stops
+
+        monkeypatch.setattr(solver, "identity_top", NanSlope)
+        with pytest.raises(NumericalError, match="not concave"):
+            trace_curve(JointDistribution(MULTI_PIECE / MULTI_PIECE.sum()))
 
     def test_identity_pair_unit_slope(self):
         j = JointDistribution(np.array([[0.5, 0.0], [0.0, 0.5]]))
