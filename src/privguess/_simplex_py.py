@@ -1,8 +1,7 @@
 """Pure-NumPy simplex pivot kernel.
 
-Reference implementation of the hot loop shared with the C extension
-(``_simplex_c``). Both kernels run Bland's rule on a dense tableau and must
-stay semantically identical:
+The hot loop of :mod:`privguess.lp`: Bland's rule on a dense tableau, with
+this contract:
 
 * tableau layout: rows 0..m-1 are constraints, row m is the reduced-profit
   row of a maximization; the last column is the right-hand side;

@@ -58,10 +58,8 @@ every kink found is exact, with no sampling or tolerance in its position;
 the price is compared only to see where a piece ends, and the slope of each
 piece is the row's price on it.
 
-The pivot loop itself lives in a kernel: the C extension ``_simplex_c``
-when it is built, the NumPy ``_simplex_py`` otherwise
-(``KERNEL_BACKEND`` names the one in use). Both follow the contract in
-``_simplex_py``.
+The pivot loop itself lives in the NumPy kernel ``_simplex_py``, which
+states its contract (``KERNEL_BACKEND`` names it, always ``"python"``).
 """
 
 from __future__ import annotations
@@ -73,13 +71,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ._simplex_py import STATUS_BUDGET, STATUS_UNBOUNDED, pivot
+from ._simplex_py import BACKEND as KERNEL_BACKEND
+from ._simplex_py import STATUS_BUDGET, STATUS_UNBOUNDED, pivot, run_simplex
 from .errors import DimensionMismatchError, NumericalError
-
-try:
-    from ._simplex_c import BACKEND as KERNEL_BACKEND, run_simplex
-except ImportError:
-    from ._simplex_py import BACKEND as KERNEL_BACKEND, run_simplex
 
 __all__ = ["KERNEL_BACKEND", "LinearProgram", "LpSolution", "LpStatus", "PieceStart",
            "piece_starts", "solve_lp"]
@@ -383,7 +377,7 @@ def _phase1(prog: LinearProgram, max_iter: int) -> tuple[np.ndarray | None, np.n
         return None, basis, iters
     keep = _purge_artificials(t, basis, n_real)
     # rhs into the first artificial column, then slice off the artificials
-    # and the redundant rows (one contiguous copy, as the kernel needs)
+    # and the redundant rows (one copy)
     t[:, n_real] = t[:, -1]
     t = t[keep + [m], :n_real + 1]
     return t, basis[keep], iters

@@ -454,14 +454,19 @@ def guessing_gain(joint: JointDistribution, leak_bits: float) -> float:
     return _gains(joint, leak_bits)[0]
 
 
+def _check_budget(leak_bits: float) -> None:
+    """Raise :class:`ParameterError` unless ``leak_bits`` is a nonnegative budget (``inf`` included, NaN not)."""
+    if not leak_bits >= 0.0:
+        raise ParameterError(f"leak budget must be nonnegative, got {leak_bits!r}")
+
+
 def _gains(joint: JointDistribution, *budgets: float) -> list[float]:
     """:func:`guessing_gain` at each of ``budgets``, every one read off one traced curve.
 
     Every budget is checked before the curve is traced.
     """
     for leak_bits in budgets:
-        if not leak_bits >= 0.0:
-            raise ParameterError(f"leak budget must be nonnegative, got {leak_bits!r}")
+        _check_budget(leak_bits)
     pcx = guess_prob(joint, Axis.ROWS)
     pcxy = cond_guess_prob(joint, Axis.ROWS)
     pcy = guess_prob(joint, Axis.COLS)
@@ -481,11 +486,13 @@ def finite_order_gain_bounds(joint: JointDistribution, nu: float, mu: float,
     plus the Renyi/min entropy gap of Y at order mu. Lower bound: a scaled
     gain at budget leak - (H_nu(X) - H_inf(X)), valid only when that budget
     is nonnegative (otherwise ``lower`` is None). Both gains are read off
-    one traced curve.
+    one traced curve. A negative or NaN ``leak_bits`` raises
+    :class:`ParameterError`, as in :func:`guessing_gain`.
     """
     for name, o in (("nu", nu), ("mu", mu)):
         if not (math.isfinite(o) and o > 1.0):
             raise InvalidOrderError(f"{name} must be finite and > 1, got {o!r}")
+    _check_budget(leak_bits)
     px = joint.row_marginal
     py = joint.col_marginal
     hx_inf = renyi_entropy(px, math.inf)

@@ -31,6 +31,20 @@ def random_channel(rng: np.random.Generator, r: int, c: int) -> Channel:
     return Channel(w / w.sum(axis=1, keepdims=True))
 
 
+def symmetric_backward_joint(q: int, a: float, py) -> JointDistribution:
+    """The q x q joint with P_Y = ``py`` whose backward channel is q-ary symmetric.
+
+    P(X = x | Y = y) is 1 - a for x = y and a/(q - 1) otherwise. For
+    a < (q - 1)/q every filter's P(X = x | z) is c P(Y = x | z) + a/(q - 1),
+    c = 1 - aq/(q - 1) > 0, so the frontier is the one line
+    h(eps) = (eps - a/(q - 1))/c on [P_c(X), P_c(X|Y)]: an exact oracle at
+    every q, and at q = 2 a BIBO case.
+    """
+    back = np.full((q, q), a / (q - 1))
+    np.fill_diagonal(back, 1.0 - a)
+    return JointDistribution(back * np.asarray(py))
+
+
 def rounded_joints(rng: np.random.Generator, shape: tuple[int, int], draws: int) -> list[np.ndarray]:
     """Of ``draws`` random joints of ``shape`` rounded to 9 decimals, those JointDistribution accepts.
 

@@ -19,6 +19,7 @@ from conftest import (
     reference_solve,
     reference_walk,
     rounded_joints,
+    symmetric_backward_joint,
 )
 from test_bibo import binary_filter_grid_max
 
@@ -38,6 +39,7 @@ from privguess import (
     compose,
     cond_guess_prob,
     finite_order_gain_bounds,
+    from_joint,
     guess_prob,
     guessing_gain,
     renyi_entropy,
@@ -428,6 +430,12 @@ class TestFiniteOrderBounds:
             finite_order_gain_bounds(fig3_joint(), math.inf, 2.0, 0.5)
         with pytest.raises(InvalidOrderError):
             finite_order_gain_bounds(fig3_joint(), 2.0, 1.0, 0.5)
+        # a budget guessing_gain rejects is rejected here too, naming the
+        # caller's value: -0.01 used to return a bound and -1.0 to name the
+        # derived budget psi
+        for leak_bits in (-0.01, -1.0, math.nan):
+            with pytest.raises(ParameterError, match=f"got {leak_bits!r}$"):
+                finite_order_gain_bounds(fig3_joint(), 2.0, 2.0, leak_bits)
 
 
 MULTI_PIECE = np.array([
@@ -735,6 +743,68 @@ class TestTraceCurve:
             [0.4007665602698528, 0.01783889571890553],
         ]))
         assert trace_curve(joint).k == 1
+
+
+#: the P_Y of the one symmetric backward joint (q = 5, a = 0.001) whose
+#: trace_curve raises NumericalError, an equality residual of 1.7e-7 (ROADMAP item 4)
+ITEM4_SYMMETRIC_PY = [0.028228605490314883, 0.6233726926721908, 0.016595457887426442,
+                      2.084835056234196e-07, 0.3318030354665623]
+
+
+def symmetric_backward_corpus() -> list:
+    """(q, a, P_Y) for q = 2..6 and each a below (q - 1)/q: a uniform P_Y, then
+    11 draws of u**3 normalized, all from one default_rng(0) stream."""
+    rng = np.random.default_rng(0)
+    corpus = []
+    for q in range(2, 7):
+        for a in (0.001, 0.05, 0.2, 0.3, 0.45, 0.6, 0.75):
+            if not a < (q - 1) / q:
+                continue
+            corpus.append((q, a, np.full(q, 1.0 / q)))
+            for _ in range(11):
+                u = rng.random(q) ** 3
+                corpus.append((q, a, u / u.sum()))
+    return corpus
+
+
+ITEM4_XFAIL = pytest.mark.xfail(
+    strict=True, raises=NumericalError,
+    reason="the walk's pivot rule ends on a near-singular basis (ROADMAP item 4)")
+
+SYMMETRIC_BACKWARD = [
+    pytest.param(q, a, py, id=f"q{q}-a{a}-py{k % 12}",
+                 marks=[ITEM4_XFAIL] if py.tolist() == ITEM4_SYMMETRIC_PY else [])
+    for k, (q, a, py) in enumerate(symmetric_backward_corpus())
+]
+
+
+class TestSymmetricBackwardOracle:
+    """The frontier of a q-ary symmetric backward channel is one known line (ROADMAP item 12)."""
+
+    def test_corpus(self):
+        assert len(SYMMETRIC_BACKWARD) == 372
+        assert sum(p.values[0] == 2 for p in SYMMETRIC_BACKWARD) == 60
+        assert sum(bool(p.marks) for p in SYMMETRIC_BACKWARD) == 1
+        # the BIBO closed form is checked on the binary joints it accepts
+        binary = [symmetric_backward_joint(*p.values) for p in SYMMETRIC_BACKWARD if p.values[0] == 2]
+        assert sum(from_joint(j) is not None for j in binary) == 13
+
+    @pytest.mark.parametrize("q, a, py", SYMMETRIC_BACKWARD)
+    def test_one_piece_on_the_line(self, q, a, py):
+        joint = symmetric_backward_joint(q, a, py)
+        c = 1.0 - a * q / (q - 1)
+        curve = trace_curve(joint)
+        assert curve.k == 1
+        assert curve.slopes[0] == pytest.approx(1.0 / c, abs=1e-12)
+        grid = np.linspace(guess_prob(joint, Axis.ROWS), cond_guess_prob(joint, Axis.ROWS), 9)
+        eps, hs, _, error = read_all(joint, curve, grid)
+        assert error is None
+        line = (eps - a / (q - 1)) / c
+        assert np.abs(hs - line).max() <= 1e-12
+        params = from_joint(joint) if q == 2 else None
+        if params is not None:
+            closed = [closed_form_utility(params, e)[0] for e in eps.tolist()]
+            assert np.abs(np.array(closed) - line).max() <= 1e-12
 
 
 class TestIdentityTop:
