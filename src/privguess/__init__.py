@@ -74,7 +74,6 @@ from .vector import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND",
     "__version__",
     # errors
     "PrivguessError", "InvalidDistributionError", "InvalidChannelError",

@@ -24,11 +24,14 @@ optimal one in closed form, may pass it as a start. It is certified primal
 feasible, and phase 2 runs from it with no phase 1 and no set-up pivot (from
 an optimal basis, no pivot at all) to an optimum certified as any other.
 
-Every tableau here keeps its basic columns exact unit vectors: each pivot
-writes its entering column as one (see ``_simplex_py``), and a start must
-be written that way too, as the Gauss-Jordan pivots into its basis leave
-it. Phase 2 therefore prices out only the rows whose basic column carries
-a profit: subtracting any other row would change no basic column's profit.
+Every tableau here keeps its basic columns exact unit vectors, the profit
+row's entry (0) included: each pivot writes its entering column as one,
+and a pivot row holds an exact 0 in each other basic column, so the update
+subtracts a multiple of 0 from that column and leaves it equal under ``==``
+(the sign of a zero aside). A start must be written that way too, as the
+Gauss-Jordan pivots into its basis leave it. Phase 2 therefore prices out
+only the rows whose basic column carries a profit: subtracting any other
+row would change no basic column's profit.
 
 Every certificate is written so that a NaN fails it: a check passes only
 where its comparison is true (``not worst <= FEAS_TOL``), and each failure
@@ -57,9 +60,6 @@ that variable's row continues below it. Each step is a basis change, so
 every kink found is exact, with no sampling or tolerance in its position;
 the price is compared only to see where a piece ends, and the slope of each
 piece is the row's price on it.
-
-The pivot loop itself lives in the NumPy kernel ``_simplex_py``, which
-states its contract (``KERNEL_BACKEND`` names it, always ``"python"``).
 """
 
 from __future__ import annotations
@@ -71,18 +71,23 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ._simplex_py import BACKEND as KERNEL_BACKEND
-from ._simplex_py import STATUS_BUDGET, STATUS_UNBOUNDED, pivot, run_simplex
 from .errors import DimensionMismatchError, NumericalError
 
-__all__ = ["KERNEL_BACKEND", "LinearProgram", "LpSolution", "LpStatus", "PieceStart",
-           "piece_starts", "solve_lp"]
+__all__ = ["LinearProgram", "LpSolution", "LpStatus", "PieceStart", "piece_starts", "solve_lp"]
 
 #: tableau pivot tolerance
 PIVOT_TOL = 1e-10
 
 #: feasibility / optimality certificate tolerance
 FEAS_TOL = 1e-8
+
+#: which pivot loop runs, always this module's NumPy one (``perfbench`` records it)
+KERNEL_BACKEND = "python"
+
+#: outcomes of :func:`run_simplex`
+STATUS_OPTIMAL = 0
+STATUS_UNBOUNDED = 1
+STATUS_BUDGET = 2
 
 
 class LpStatus(Enum):
@@ -209,7 +214,7 @@ def solve_lp(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray] | None = 
         for r in row[bk].nonzero()[0].tolist():
             row -= row[bk[r]] * tk[r]
 
-        status, it2 = run_simplex(tk, bk, n_real, PIVOT_TOL, max_iter)
+        status, it2 = run_simplex(tk, bk, n_real, max_iter)
         iters += it2
         if status == STATUS_BUDGET:
             raise NumericalError(f"phase-2 pivot budget ({max_iter}) exhausted")
@@ -326,6 +331,59 @@ def piece_starts(prog: LinearProgram, sol: LpSolution, row: int) -> Iterator[Pie
     raise NumericalError(f"right-hand side walk of row {row} exhausted its pivot budget")
 
 
+def run_simplex(tableau: np.ndarray, basis: np.ndarray, n_enter: int, max_iter: int) -> tuple[int, int]:
+    """Pivot ``tableau`` in place by Bland's rule until optimal, unbounded, or out of budget.
+
+    Rows 0..m-1 of ``tableau`` are constraints and row m is the reduced
+    profit row of a maximization; the last column is the right-hand side.
+    The entering column is the lowest index below ``n_enter`` with reduced
+    profit above ``PIVOT_TOL``; the leaving row has the least ratio among
+    rows with pivot entry above ``PIVOT_TOL``, exact ties to the lowest
+    basic column. Returns ``(status, iterations)``, the status one of the
+    ``STATUS_*`` codes. :func:`solve_lp` and :func:`_phase1` call it by this
+    module's global name, so a wrapper patched in there (the tests' spies,
+    ``perfbench``'s tracer) sees every call.
+    """
+    m = tableau.shape[0] - 1
+    obj = tableau[m]
+    it = 0
+    while True:
+        cand = (obj[:n_enter] > PIVOT_TOL).nonzero()[0]
+        if cand.size == 0:
+            return STATUS_OPTIMAL, it
+        j = int(cand[0])
+
+        col = tableau[:m, j]
+        rows = (col > PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
+            return STATUS_UNBOUNDED, it
+        ratios = tableau[rows, -1] / col[rows]
+        tied = rows[ratios == ratios.min()]
+        r = int(tied[0] if tied.size == 1 else tied[basis[tied].argmin()])
+
+        pivot(tableau, basis, r, j)
+        it += 1
+        if it >= max_iter:
+            return STATUS_BUDGET, it
+
+
+def pivot(tableau: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
+    """Make column ``j`` basic in row ``r``: one Gauss-Jordan step, in place.
+
+    The other rows lose their column-``j`` entry times the pivot row, as one
+    broadcast rank-1 update (the products ``np.outer`` forms), and column
+    ``j`` is then written as an exact unit vector.
+    """
+    tableau[r, :] /= tableau[r, j]
+    tableau[r, j] = 1.0
+    factors = tableau[:, j].copy()
+    factors[r] = 0.0
+    tableau -= factors[:, None] * tableau[r]
+    tableau[:, j] = 0.0
+    tableau[r, j] = 1.0
+    basis[r] = j
+
+
 def _tableau(prog: LinearProgram, n_art: int) -> np.ndarray:
     """Zero tableau ``[A | slacks | n_art artificials | rhs]`` plus an objective row, standard form filled in."""
     n, me, mi = prog.n_vars, prog.a_eq.shape[0], prog.a_ub.shape[0]
@@ -368,7 +426,7 @@ def _phase1(prog: LinearProgram, max_iter: int) -> tuple[np.ndarray | None, np.n
     t[m, :n_real] = t[art_rows, :n_real].sum(axis=0)
     t[m, -1] = t[art_rows, -1].sum()
 
-    status, iters = run_simplex(t, basis, n_real, PIVOT_TOL, max_iter)
+    status, iters = run_simplex(t, basis, n_real, max_iter)
     if status == STATUS_BUDGET:
         raise NumericalError(f"phase-1 pivot budget ({max_iter}) exhausted")
     if status == STATUS_UNBOUNDED:  # cannot happen: phase-1 objective is bounded by 0

@@ -11,7 +11,7 @@ from privguess import (
     JointDistribution,
     LinearProgram,
 )
-from privguess import _simplex_py, lp, solver, vector
+from privguess import lp, solver, vector
 
 FIG3_MATRIX = np.array([[0.32, 0.08], [0.12, 0.48]])
 
@@ -83,9 +83,9 @@ def pivoted_start(prog: LinearProgram, basis) -> tuple[np.ndarray, np.ndarray]:
 
     The standard-form tableau starts with each inequality row's slack basic;
     each row whose column in ``basis`` differs is then pivoted on that
-    column, in row order, with the NumPy kernel's pivot. A pivot entry
-    within ``lp.PIVOT_TOL`` of 0 (the columns are singular in that order)
-    fails the calling test.
+    column, in row order, with ``lp.pivot``. A pivot entry within
+    ``lp.PIVOT_TOL`` of 0 (the columns are singular in that order) fails
+    the calling test.
     """
     n, me, mi = prog.n_vars, prog.a_eq.shape[0], prog.a_ub.shape[0]
     start = np.asarray(basis, dtype=np.int64)
@@ -94,12 +94,12 @@ def pivoted_start(prog: LinearProgram, basis) -> tuple[np.ndarray, np.ndarray]:
     for r in np.nonzero(basis != start)[0].tolist():
         j = int(start[r])
         assert abs(t[r, j]) > lp.PIVOT_TOL, f"start basis: column {j} has no pivot in row {r}"
-        _simplex_py.pivot(t, basis, r, j)
+        lp.pivot(t, basis, r, j)
     return t, basis
 
 
 def reference_pivot(tableau: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
-    """The reference Gauss-Jordan step: ``_simplex_py.pivot`` with its rank-1 update formed by ``np.outer``."""
+    """The reference Gauss-Jordan step: ``lp.pivot`` with its rank-1 update formed by ``np.outer``."""
     tableau[r, :] /= tableau[r, j]
     tableau[r, j] = 1.0
     factors = tableau[:, j].copy()
@@ -111,26 +111,26 @@ def reference_pivot(tableau: np.ndarray, basis: np.ndarray, r: int, j: int) -> N
 
 
 def reference_run_simplex(tableau: np.ndarray, basis: np.ndarray, n_enter: int,
-                          pivot_tol: float, max_iter: int) -> tuple[int, int]:
-    """The reference pivot loop: ``_simplex_py.run_simplex`` with the tie break on every ratio test and :func:`reference_pivot`."""
+                          max_iter: int) -> tuple[int, int]:
+    """The reference pivot loop: ``lp.run_simplex`` with the tie break on every ratio test and :func:`reference_pivot`."""
     m = tableau.shape[0] - 1
     obj = tableau[m]
     it = 0
     while True:
-        cand = np.nonzero(obj[:n_enter] > pivot_tol)[0]
+        cand = np.nonzero(obj[:n_enter] > lp.PIVOT_TOL)[0]
         if cand.size == 0:
-            return _simplex_py.STATUS_OPTIMAL, it
+            return lp.STATUS_OPTIMAL, it
         j = int(cand[0])
         col = tableau[:m, j]
-        rows = np.nonzero(col > pivot_tol)[0]
+        rows = np.nonzero(col > lp.PIVOT_TOL)[0]
         if rows.size == 0:
-            return _simplex_py.STATUS_UNBOUNDED, it
+            return lp.STATUS_UNBOUNDED, it
         ratios = tableau[rows, -1] / col[rows]
         tied = rows[ratios == ratios.min()]
         reference_pivot(tableau, basis, int(tied[np.argmin(basis[tied])]), j)
         it += 1
         if it >= max_iter:
-            return _simplex_py.STATUS_BUDGET, it
+            return lp.STATUS_BUDGET, it
 
 
 def reference_vertex(prog: LinearProgram, b_ub, c, t, basis) -> tuple[float, np.ndarray]:
@@ -194,7 +194,7 @@ def reference_walk(prog: LinearProgram, sol, row: int) -> list[tuple]:
 def reference_solve(prog: LinearProgram) -> tuple[float, np.ndarray, np.ndarray, int]:
     """(value, point, duals, iterations) of ``lp.solve_lp(prog)``'s winner, by the reference price-out.
 
-    Phase 1 and the kernel are ``lp``'s own. Each objective row is priced
+    Phase 1 and the pivot loop are ``lp``'s own. Each objective row is priced
     out over every constraint row in row order, subtracting the row where
     its basic column carries a profit at that moment, which assumes nothing
     of the other basic columns. An unbounded row or a failed certificate
@@ -216,9 +216,9 @@ def reference_solve(prog: LinearProgram) -> tuple[float, np.ndarray, np.ndarray,
             if cb != 0.0:
                 row = row - cb * tk[r]
         tk[m] = row
-        status, it2 = lp.run_simplex(tk, bk, n_real, lp.PIVOT_TOL, max_iter)
+        status, it2 = lp.run_simplex(tk, bk, n_real, max_iter)
         iters += it2
-        assert status == _simplex_py.STATUS_OPTIMAL
+        assert status == lp.STATUS_OPTIMAL
         assert float(tk[m, :n_real].max()) <= lp.FEAS_TOL
         value, point = reference_vertex(prog, prog.b_ub, c, tk, bk)
         if best is None or value > best[0]:

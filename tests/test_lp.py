@@ -90,8 +90,8 @@ class TestExamples:
     def test_budget_exhaustion_is_an_error(self, monkeypatch):
         kernel = lp_module.run_simplex
 
-        def one_pivot(tableau, basis, n_enter, pivot_tol, max_iter):
-            return kernel(tableau, basis, n_enter, pivot_tol, 1)
+        def one_pivot(tableau, basis, n_enter, max_iter):
+            return kernel(tableau, basis, n_enter, 1)
 
         monkeypatch.setattr(lp_module, "run_simplex", one_pivot)
         prog = lp([1.0, 1.0], a_ub=[[1.0, 2.0], [2.0, 1.0]], b_ub=[4.0, 4.0])

@@ -47,7 +47,7 @@ from privguess import (
     trace_curve,
     validity_threshold,
 )
-from privguess import _simplex_py, cli, solver
+from privguess import cli, solver
 from privguess import lp as lp_module
 from privguess.lp import LinearProgram, LpStatus
 
@@ -901,6 +901,39 @@ class TestIdentityTopTableau:
             assert walked(res.walk()) == walked(lp_module.piece_starts(res.program, want, row))
 
 
+class TestUncheckedStart:
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a start is certified primal feasible only, not checked against its "
+                              "program, and the walk checks no reduced cost (ROADMAP items 5 and 11)")
+    def test_wrong_start_tableau_is_caught(self, monkeypatch):
+        # identity_top's standard form with the bound-row entries of F[0, 1]
+        # doubled: its tableau is then not the program's, and each curve must
+        # either raise or still meet HiGHS at every vertex. Today 24 of the
+        # 200 curves come back more than 1e-9 below HiGHS with no error, and
+        # 23 raise. Item 11's dual line catches them.
+        pytest.importorskip("scipy")
+        real = solver._tableau
+
+        def doubled(prog, n_art):
+            t = real(prog, n_art)
+            n = prog.a_eq.shape[0]
+            t[n:n + prog.a_ub.shape[0] - 1, 1] *= 2.0  # rows N .. N + M N - 1
+            return t
+
+        monkeypatch.setattr(solver, "_tableau", doubled)
+        rng = np.random.default_rng(7)
+        for k in range(200):
+            m, n = rng.integers(3, 6, size=2)
+            w = rng.random((m, n)) ** 3
+            p = w / w.sum()
+            try:
+                curve = trace_curve(JointDistribution(p))
+            except NumericalError:
+                continue
+            for e, h in curve.samples:
+                assert abs(h - highs_frontier(p, e)) <= 1e-9, (k, e)
+
+
 #: frontier classes of the benchmark pool: (generator id, shape, skewed), as ``perfbench/workloads.py`` has them
 FRONTIER_CLASSES = {
     "u3x3": (0, (3, 3), False), "s3x3": (1, (3, 3), True),
@@ -955,7 +988,6 @@ class TestWalkReference:
             prog = frontier_family(p, eps)
             try:
                 with monkeypatch.context() as m:
-                    m.setattr(_simplex_py, "pivot", reference_pivot)
                     m.setattr(lp_module, "pivot", reference_pivot)
                     value, point, duals, iterations = reference_solve(prog)
             except AssertionError:
@@ -985,7 +1017,7 @@ class TestWalkReference:
         assert len(calls) > 100
         for tableau, basis, args in calls:
             t, b = tableau.copy(), basis.copy()
-            assert _simplex_py.run_simplex(t, b, *args) == reference_run_simplex(tableau, basis, *args)
+            assert real(t, b, *args) == reference_run_simplex(tableau, basis, *args)
             assert t.tobytes() == tableau.tobytes()
             np.testing.assert_array_equal(b, basis)
 
