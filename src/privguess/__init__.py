@@ -30,7 +30,7 @@ from .errors import (
     ParameterError,
     PrivguessError,
 )
-from .lp import KERNEL_BACKEND, LinearProgram, LpSolution, LpStatus, solve_lp
+from .lp import KERNEL_BACKEND
 from .mc import SimConfig, SimReport, simulate, vector_sim_config
 from .prob import (
     Axis,
@@ -83,8 +83,6 @@ __all__ = [
     # probability primitives
     "Axis", "JointDistribution", "Channel", "guess_prob", "cond_guess_prob",
     "compose", "renyi_entropy", "arimoto_cond_entropy", "arimoto_mutual_information",
-    # linear programming
-    "LinearProgram", "LpSolution", "LpStatus", "solve_lp",
     # frontier solver
     "FilterSolution", "GuessCurve", "OrderBounds", "best_filter", "curve_point",
     "guessing_gain", "finite_order_gain_bounds", "read_curve", "trace_curve",

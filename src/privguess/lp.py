@@ -1,23 +1,29 @@
-"""Dense linear programming by two-phase simplex.
+"""Dense linear programming by two-phase simplex: the package's private LP engine.
 
-Maximizes a linear objective over ``{x >= 0 : a_eq x = b_eq, a_ub x <= b_ub}``.
-All variables are nonnegative by construction (the quantities optimized here
-are probabilities and bounds on probabilities), so free variables are not
-supported. The objective may also be a family of objectives, one per row,
-over the same constraints: the solve then returns the best of their optima.
-Feasibility does not depend on the objective, so the family shares one
-phase 1 and each objective runs only its own phase 2.
+Maximizes a linear objective over ``{x >= 0 : a_eq x = b_eq, a_ub x <= b_ub}``
+with every right-hand side nonnegative. All variables are nonnegative by
+construction (the quantities optimized here are probabilities and bounds on
+probabilities), so free variables are not supported. The objective may also
+be a family of objectives, one per row, over the same constraints: the solve
+then returns the best of their optima. Feasibility does not depend on the
+objective, so the family shares one phase 1 and each objective runs only its
+own phase 2.
 
-Method: slack variables turn inequalities into equalities. Slack columns of
-inequality rows with nonnegative right-hand side form the initial basis;
-remaining rows (equalities, and inequalities whose rhs had to be negated)
-get artificial variables, driven to zero in phase 1 or certifying
-infeasibility. Phase 2 optimizes the real objective. Pivoting uses Bland's
-anti-cycling rule throughout, which makes every solve deterministic and
-guarantees termination; an iteration budget is still enforced and exceeding
-it raises :class:`NumericalError` rather than ever mislabeling a point
-OPTIMAL. Optimal points are basic feasible solutions, i.e. vertices of the
-polytope.
+A solve has one outcome: a certified optimum, or :class:`NumericalError`.
+Every program the package builds is feasible (the constant filter solves it)
+and bounded (F <= 1 and t <= cap), so a phase 1 that ends above
+``FEAS_TOL``, a column that no row limits, an equality row that phase 1
+leaves with no real column, an exhausted pivot budget and a failed
+certificate are each a numerical breakdown. None of these names is
+exported from ``privguess``.
+
+Method: slack variables turn inequalities into equalities. The slack
+columns of the inequality rows form the initial basis, and each equality
+row gets an artificial variable, driven to zero in phase 1. Phase 2
+optimizes the real objective. Pivoting uses Bland's anti-cycling rule
+throughout, which makes every solve deterministic and guarantees
+termination; an iteration budget is still enforced. Optimal points are
+basic feasible solutions, i.e. vertices of the polytope.
 
 A caller that has written down the tableau of a feasible basis, such as an
 optimal one in closed form, may pass it as a start. It is certified primal
@@ -35,21 +41,19 @@ row would change no basic column's profit.
 
 Every certificate is written so that a NaN fails it: a check passes only
 where its comparison is true (``not worst <= FEAS_TOL``), and each failure
-raises :class:`NumericalError`. That covers a start's feasibility, the
-reduced costs, each vertex's three checks and the walk's ratio test, so a
-NaN that reaches a tableau is reported as a numerical breakdown, never as
-an optimum or as invalid input.
+raises :class:`NumericalError`. That covers phase 1's end, a start's
+feasibility, the reduced costs, each vertex's three checks and the walk's
+ratio test, so a NaN that reaches a tableau is reported as a numerical
+breakdown, never as an optimum or as invalid input.
 
 An optimal solution also carries the dual prices of the inequality rows:
 the rate at which the optimal value grows with each row's right-hand side
 (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, section 5.2).
 They are read off the final reduced-profit row: a slack column's reduced
-profit is minus its row's price. A row negated for its negative right-hand
-side carries a negated slack, and its price is taken with respect to the
-negated right-hand side, so the two sign changes cancel and every price is
-``-t[m, slack]``. The prices are nonnegative (within the certificate
-tolerance); on a degenerate optimum they are one optimal dual among several,
-and each is then a supergradient of the value in its right-hand side.
+profit is minus its row's price, so every price is ``-t[m, slack]``. The
+prices are nonnegative (within the certificate tolerance); on a degenerate
+optimum they are one optimal dual among several, and each is then a
+supergradient of the value in its right-hand side.
 
 The optimum is concave and piecewise linear in one right-hand side, and
 :func:`piece_starts` walks that rhs down from a solve's final tableau
@@ -66,14 +70,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
 
-__all__ = ["LinearProgram", "LpSolution", "LpStatus", "PieceStart", "piece_starts", "solve_lp"]
+__all__ = ["LinearProgram", "LpSolution", "PieceStart", "piece_starts", "solve_lp"]
 
 #: tableau pivot tolerance
 PIVOT_TOL = 1e-10
@@ -90,18 +93,14 @@ STATUS_UNBOUNDED = 1
 STATUS_BUDGET = 2
 
 
-class LpStatus(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-
-
 @dataclass(frozen=True)
 class LinearProgram:
     """max objective . x  subject to  a_eq x = b_eq, a_ub x <= b_ub, x >= 0.
 
     ``objective`` is one row of n coefficients, or a (k, n) family of them,
-    all maximized over the same constraints.
+    all maximized over the same constraints. Every right-hand side is
+    nonnegative, so the slack basis and the equality rows' artificials make
+    phase 1's start.
     """
 
     objective: np.ndarray
@@ -124,6 +123,8 @@ class LinearProgram:
         for arr in (c, a_eq, b_eq, a_ub, b_ub):
             if not np.all(np.isfinite(arr)):
                 raise DimensionMismatchError("non-finite coefficient in linear program")
+        if (b_eq < 0.0).any() or (b_ub < 0.0).any():
+            raise DimensionMismatchError("negative right-hand side in linear program")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "a_eq", a_eq)
         object.__setattr__(self, "b_eq", b_eq)
@@ -137,35 +138,31 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Certified outcome of a solve.
+    """Certified optimum of a solve.
 
-    ``point``/``value`` are None unless ``status`` is OPTIMAL. Optimal points
-    satisfy every constraint within ``FEAS_TOL`` (verified before returning).
-    ``duals`` holds, for an optimal solution, one price per inequality row
-    (in ``a_ub`` order): the optimal value's rate of change in that row's
-    right-hand side, which is nonnegative for a maximization. It is None
-    otherwise.
+    ``point`` satisfies every constraint within ``FEAS_TOL`` (verified
+    before returning), and ``value`` is the objective there. ``duals`` holds
+    one price per inequality row (in ``a_ub`` order): the optimal value's
+    rate of change in that row's right-hand side, which is nonnegative for a
+    maximization.
 
     ``winner`` is the objective row the solution belongs to: the first row
-    with the largest optimum, the row found unbounded, or 0 when the
-    constraints are infeasible. ``iterations`` counts phase 1 once and the
+    with the largest optimum. ``iterations`` counts phase 1 once and the
     phase 2 of every row solved; a start is used as given, with no pivot.
 
     ``tableau`` and ``basis`` are the winning row's final phase 2 tableau
     (constraint rows, then the reduced-profit row; columns are the variables,
     the slacks in ``a_ub`` order and the right-hand side) and the column
-    basic in each constraint row, for an optimal solution; None otherwise.
-    :func:`piece_starts` continues from them.
+    basic in each constraint row. :func:`piece_starts` continues from them.
     """
 
-    status: LpStatus
-    value: float | None
-    point: np.ndarray | None
+    value: float
+    point: np.ndarray
     iterations: int
-    duals: np.ndarray | None = None
-    winner: int = 0
-    tableau: np.ndarray | None = None
-    basis: np.ndarray | None = None
+    duals: np.ndarray
+    winner: int
+    tableau: np.ndarray
+    basis: np.ndarray
 
 
 def solve_lp(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray] | None = None) -> LpSolution:
@@ -175,10 +172,9 @@ def solve_lp(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray] | None = 
     phase 2 continues on it once the artificial columns are dropped. For a
     family of objectives, phase 1 runs once and each row's phase 2 runs on
     its own copy of the feasible tableau (the last row on the tableau
-    itself), in row order; the first row that ends unbounded ends the solve.
-    Each phase may take ``100 * (rows + columns) + 1000`` pivots. Raises
-    :class:`NumericalError` if that budget is exhausted or a row's final
-    point fails its certificate.
+    itself), in row order. Each phase may take ``100 * (rows + columns) +
+    1000`` pivots. Returns the certified optimum or raises
+    :class:`NumericalError`: see the module docstring for the breakdowns.
 
     ``start``, if given, is a (tableau, basis) pair laid out as an optimum's,
     the tableau pivoted into the basis (each basic column an exact unit
@@ -197,9 +193,7 @@ def solve_lp(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray] | None = 
         iters = 0
     else:
         t, basis, iters = _phase1(prog, max_iter)
-        if t is None:
-            return LpSolution(LpStatus.INFEASIBLE, None, None, iters)
-    m = basis.shape[0]  # phase 1 drops redundant rows
+    m = basis.shape[0]
 
     best = None  # (value, point, duals, row, tableau, basis) of the first best row so far
     last = objectives.shape[0] - 1
@@ -213,13 +207,7 @@ def solve_lp(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray] | None = 
         row[:n] = c
         for r in row[bk].nonzero()[0].tolist():
             row -= row[bk[r]] * tk[r]
-
-        status, it2 = run_simplex(tk, bk, n_real, max_iter)
-        iters += it2
-        if status == STATUS_BUDGET:
-            raise NumericalError(f"phase-2 pivot budget ({max_iter}) exhausted")
-        if status == STATUS_UNBOUNDED:
-            return LpSolution(LpStatus.UNBOUNDED, None, None, iters, winner=k)
+        iters += _optimize(tk, bk, n_real, max_iter, "phase-2")
 
         # optimality certificate: no improving reduced cost remains
         worst = float(tk[m, :n_real].max()) if n_real else 0.0
@@ -230,7 +218,7 @@ def solve_lp(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray] | None = 
         if best is None or value > best[0]:
             # a slack's reduced profit is minus its row's price
             best = (value, point, -tk[m, n:n_real], k, tk, bk)
-    return LpSolution(LpStatus.OPTIMAL, best[0], best[1], iters, *best[2:])
+    return LpSolution(best[0], best[1], iters, *best[2:])
 
 
 class PieceStart(NamedTuple):
@@ -340,8 +328,8 @@ def run_simplex(tableau: np.ndarray, basis: np.ndarray, n_enter: int, max_iter: 
     profit above ``PIVOT_TOL``; the leaving row has the least ratio among
     rows with pivot entry above ``PIVOT_TOL``, exact ties to the lowest
     basic column. Returns ``(status, iterations)``, the status one of the
-    ``STATUS_*`` codes. :func:`solve_lp` and :func:`_phase1` call it by this
-    module's global name, so a wrapper patched in there (the tests' spies,
+    ``STATUS_*`` codes. :func:`_optimize` calls it by this module's global
+    name, so a wrapper patched in there (the tests' spies,
     ``perfbench``'s tracer) sees every call.
     """
     m = tableau.shape[0] - 1
@@ -397,48 +385,48 @@ def _tableau(prog: LinearProgram, n_art: int) -> np.ndarray:
     return t
 
 
-def _phase1(prog: LinearProgram, max_iter: int) -> tuple[np.ndarray | None, np.ndarray, int]:
-    """(tableau, basis, iterations) of phase 1 from the slack basis; tableau None if infeasible.
+def _phase1(prog: LinearProgram, max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(tableau, basis, iterations) of phase 1 from the slack basis.
 
-    Slack columns of inequality rows with nonnegative rhs start basic; the
-    other rows (equalities, and inequalities negated for their negative rhs)
-    get artificials, which phase 1 drives to zero. The returned tableau and
-    basis have the artificials and redundant rows sliced off.
+    The inequality rows' slacks start basic and each equality row gets an
+    artificial, which phase 1 drives to zero. An artificial still basic (at
+    0) is then pivoted out on the first real column of its row, and the
+    returned tableau has the artificial columns sliced off. Raises
+    :class:`NumericalError` if the artificials end above ``FEAS_TOL`` (or
+    NaN) or if an artificial's row has no real column (a redundant equality).
     """
     n, me, mi = prog.n_vars, prog.a_eq.shape[0], prog.a_ub.shape[0]
     m, n_real = me + mi, n + mi
-    neg = np.concatenate([prog.b_eq, prog.b_ub]) < 0.0
-    # initial basis: slack where its coefficient stayed +1, artificial elsewhere
-    art_rows = np.nonzero(np.concatenate([np.ones(me, dtype=bool), neg[me:]]))[0]
-    n_art = art_rows.shape[0]
-    basis = np.empty(m, dtype=np.int64)
-    basis[me:] = np.arange(n, n_real)
-    basis[art_rows] = n_real + np.arange(n_art)
-
-    # one tableau for both phases: standard form with rows negated where the
-    # rhs was negative, then artificials, then the rhs
-    t = _tableau(prog, n_art)
-    t[:m, :n_real][neg] *= -1.0
-    t[:m, -1] = np.abs(t[:m, -1])
-    if not n_art:
+    basis = np.concatenate([np.arange(n_real, n_real + me), np.arange(n, n_real)])
+    # one tableau for both phases: standard form, then artificials, then the rhs
+    t = _tableau(prog, me)
+    if not me:
         return t, basis, 0
-    t[art_rows, n_real + np.arange(n_art)] = 1.0
-    t[m, :n_real] = t[art_rows, :n_real].sum(axis=0)
-    t[m, -1] = t[art_rows, -1].sum()
+    t[:me, n_real:-1] = np.eye(me)
+    t[m, :n_real] = t[:me, :n_real].sum(axis=0)
+    t[m, -1] = t[:me, -1].sum()
 
-    status, iters = run_simplex(t, basis, n_real, max_iter)
-    if status == STATUS_BUDGET:
-        raise NumericalError(f"phase-1 pivot budget ({max_iter}) exhausted")
-    if status == STATUS_UNBOUNDED:  # cannot happen: phase-1 objective is bounded by 0
-        raise NumericalError("phase-1 reported unbounded")
-    if t[m, -1] > FEAS_TOL:
-        return None, basis, iters
-    keep = _purge_artificials(t, basis, n_real)
+    iters = _optimize(t, basis, n_real, max_iter, "phase-1")
+    if not t[m, -1] <= FEAS_TOL:
+        raise NumericalError(f"phase 1 ended with artificials summing to {t[m, -1]}, above {FEAS_TOL}")
+    for r in (basis >= n_real).nonzero()[0].tolist():
+        cols = (np.abs(t[r, :n_real]) > PIVOT_TOL).nonzero()[0]
+        if cols.size == 0:
+            raise NumericalError(f"equality row {r} is redundant: no real column replaces its artificial")
+        pivot(t, basis, r, int(cols[0]))
     # rhs into the first artificial column, then slice off the artificials
-    # and the redundant rows (one copy)
     t[:, n_real] = t[:, -1]
-    t = t[keep + [m], :n_real + 1]
-    return t, basis[keep], iters
+    return t[:, :n_real + 1].copy(), basis, iters
+
+
+def _optimize(t: np.ndarray, basis: np.ndarray, n_enter: int, max_iter: int, phase: str) -> int:
+    """:func:`run_simplex` on ``t`` to an optimum; its pivots. An unbounded column or the budget raises :class:`NumericalError`."""
+    status, iters = run_simplex(t, basis, n_enter, max_iter)
+    if status == STATUS_BUDGET:
+        raise NumericalError(f"{phase} pivot budget ({max_iter}) exhausted")
+    if status == STATUS_UNBOUNDED:
+        raise NumericalError(f"{phase} found an entering column that no row limits")
+    return iters
 
 
 def _start(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -455,19 +443,6 @@ def _start(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray]) -> tuple[n
     if not low >= -FEAS_TOL:
         raise NumericalError(f"start basis is not primal feasible: a basic variable is {low}")
     return t, basis
-
-
-def _purge_artificials(t: np.ndarray, basis: np.ndarray, n_real: int) -> list[int]:
-    """Pivot artificials out of the basis; return the rows that are not redundant."""
-    keep = []
-    for r in range(basis.shape[0]):
-        if basis[r] >= n_real:
-            cols = np.nonzero(np.abs(t[r, :n_real]) > PIVOT_TOL)[0]
-            if cols.size == 0:
-                continue  # zero row: constraint was redundant
-            pivot(t, basis, r, int(cols[0]))
-        keep.append(r)
-    return keep
 
 
 def _vertex(prog: LinearProgram, b_ub: np.ndarray, c: np.ndarray, t: np.ndarray,

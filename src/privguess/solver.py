@@ -62,7 +62,7 @@ from .errors import (
     ParameterError,
     PrivguessError,
 )
-from .lp import FEAS_TOL, LinearProgram, LpSolution, LpStatus, PieceStart, _tableau, piece_starts, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LpSolution, PieceStart, _tableau, piece_starts, solve_lp
 from .prob import (
     RANGE_TOL,
     ROUNDOFF_TOL,
@@ -212,9 +212,6 @@ def lp_guess_max(p: np.ndarray, cap: float, n_outputs: int,
     maps = list(maps)
     prog = _guess_lp(p, maps, cap, n_outputs)
     sol = solve_lp(prog)
-    if sol.status is not LpStatus.OPTIMAL:
-        # the constant filter is always feasible, so this is a solver failure
-        raise NumericalError(f"filter subproblem ended {sol.status.value} for map {maps[sol.winner]}")
     best_f = sol.point[: p.shape[1] * n_outputs].reshape(p.shape[1], n_outputs)
     return GuessMax(sol.value, best_f, maps[sol.winner], float(sol.duals[-1]), prog, sol)
 

@@ -9,9 +9,9 @@ from privguess import (
     InvalidChannelError,
     InvalidDistributionError,
     JointDistribution,
-    LinearProgram,
 )
 from privguess import lp, solver, vector
+from privguess.lp import LinearProgram
 
 FIG3_MATRIX = np.array([[0.32, 0.08], [0.12, 0.48]])
 
@@ -194,17 +194,17 @@ def reference_walk(prog: LinearProgram, sol, row: int) -> list[tuple]:
 def reference_solve(prog: LinearProgram) -> tuple[float, np.ndarray, np.ndarray, int]:
     """(value, point, duals, iterations) of ``lp.solve_lp(prog)``'s winner, by the reference price-out.
 
-    Phase 1 and the pivot loop are ``lp``'s own. Each objective row is priced
-    out over every constraint row in row order, subtracting the row where
-    its basic column carries a profit at that moment, which assumes nothing
-    of the other basic columns. An unbounded row or a failed certificate
-    fails the calling test.
+    Phase 1 and the pivot loop are ``lp``'s own, so a phase 1 that breaks
+    down raises its :class:`NumericalError` here too. Each objective row is
+    priced out over every constraint row in row order, subtracting the row
+    where its basic column carries a profit at that moment, which assumes
+    nothing of the other basic columns. An unbounded row or a failed
+    certificate fails the calling test.
     """
     n, mi = prog.n_vars, prog.a_ub.shape[0]
     n_real = n + mi
     max_iter = 100 * (prog.a_eq.shape[0] + mi + n_real) + 1000
     t, basis, iters = lp._phase1(prog, max_iter)
-    assert t is not None, "phase 1 ended infeasible"
     m = basis.shape[0]
     best = None
     for c in prog.objective.reshape(-1, n):

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism, round-trips."""
 
+import dataclasses
 import json
 import os
 import re
@@ -569,6 +570,32 @@ class TestValidate:
         assert doc["analytic_pc_x"] == 0.7
         assert abs(doc["empirical_pc_y"] - 0.86) <= 4 * doc["stderr_y"]
         assert doc["within_4_stderr"] == {"pc_y": True, "pc_x": True}
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_sample_passes(self, capsys, seed):
+        # one sample hits or misses, so its empirical standard error is 0;
+        # the check is judged by the analytic one, sqrt(a (1 - a) / n)
+        code, out, _ = run_cli(capsys, ["validate", "--scenario", "fig3",
+                                        "--seed", str(seed), "--samples", "1"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["stderr_y"] == doc["stderr_x"] == 0.0
+        assert doc["within_4_stderr"] == {"pc_y": True, "pc_x": True}
+
+    def test_deterministic_chain_demands_exact_agreement(self, capsys, monkeypatch):
+        # the identity scenario's analytic values are both 1, with no
+        # standard error, so an empirical value off one by any amount fails
+        real = cli.mc.simulate
+
+        def off(config):
+            report = real(config)
+            return dataclasses.replace(report, empirical_pc_y=report.empirical_pc_y - 1e-12)
+
+        monkeypatch.setattr(cli.mc, "simulate", off)
+        code, out, _ = run_cli(capsys, ["validate", "--scenario", "identity",
+                                        "--seed", "2", "--samples", "10000"])
+        assert code == 4
+        assert json.loads(out)["within_4_stderr"] == {"pc_y": False, "pc_x": True}
 
     def test_identity_exact(self, capsys):
         code, out, _ = run_cli(capsys, ["validate", "--scenario", "identity",

@@ -49,7 +49,7 @@ from privguess import (
 )
 from privguess import cli, solver
 from privguess import lp as lp_module
-from privguess.lp import LinearProgram, LpStatus
+from privguess.lp import LinearProgram
 
 
 class TestBestFilter:
@@ -209,8 +209,6 @@ def per_map_guess_max(p: np.ndarray, cap: float, n_outputs: int, maps):
     for gmap in maps:
         prog = per_map_lp(p, gmap, cap, n_outputs)
         sol = lp_module.solve_lp(prog)
-        if sol.status is not LpStatus.OPTIMAL:
-            raise NumericalError(f"filter subproblem ended {sol.status.value} for map {gmap}")
         if sol.value > best_val:
             best_val, best, best_map, best_prog = sol.value, sol, gmap, prog
     best_f = best.point[: p.shape[1] * n_outputs].reshape(p.shape[1], n_outputs)
@@ -293,6 +291,27 @@ class TestFamilySolve:
         lo, hi = guess_prob(joint, Axis.ROWS), cond_guess_prob(joint, Axis.ROWS)
         best_filter(joint, 0.5 * (lo + hi))
         assert len(calls) == 1 + 15
+
+
+class TestNonOptimalLpEnd:
+    """A pivot loop that ends other than optimal is a :class:`NumericalError` in every caller, and ``hcurve`` exits 5."""
+
+    @pytest.mark.parametrize("status", [lp_module.STATUS_UNBOUNDED, lp_module.STATUS_BUDGET],
+                             ids=["unbounded", "budget"])
+    def test_is_a_numerical_error(self, monkeypatch, capsys, tmp_path, status):
+        # the walk's start (one phase 2), best_filter's family LP (phase 1
+        # first) and the block certification's start each reach the loop
+        monkeypatch.setattr(lp_module, "run_simplex", lambda *args: (status, 0))
+        calls = [lambda: trace_curve(fig3_joint()),
+                 lambda: best_filter(fig3_joint(), 0.7),
+                 lambda: validity_threshold(VectorModel(2, p=0.6, alpha=0.2))]
+        for call in calls:
+            with pytest.raises(NumericalError, match="no row limits|pivot budget"):
+                call()
+        path = tmp_path / "fig3.json"
+        path.write_text(json.dumps({"joint": FIG3_MATRIX.tolist()}))
+        assert cli.main(["hcurve", "--joint", str(path), "--points", "5", "--breakpoints"]) == 5
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestEnumerationCompleteness:
@@ -990,7 +1009,7 @@ class TestWalkReference:
                 with monkeypatch.context() as m:
                     m.setattr(lp_module, "pivot", reference_pivot)
                     value, point, duals, iterations = reference_solve(prog)
-            except AssertionError:
+            except (AssertionError, NumericalError):
                 with pytest.raises(NumericalError):
                     lp_module.solve_lp(prog)
                 continue
