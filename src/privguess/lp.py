@@ -1,21 +1,23 @@
 """Dense linear programming by two-phase simplex: the package's private LP engine.
 
 Maximizes a linear objective over ``{x >= 0 : a_eq x = b_eq, a_ub x <= b_ub}``
-with every right-hand side nonnegative. All variables are nonnegative by
-construction (the quantities optimized here are probabilities and bounds on
-probabilities), so free variables are not supported. The objective may also
-be a family of objectives, one per row, over the same constraints: the solve
-then returns the best of their optima. Feasibility does not depend on the
-objective, so the family shares one phase 1 and each objective runs only its
-own phase 2.
+with every right-hand side nonnegative, a precondition its callers meet by
+construction (:class:`LinearProgram` is a plain record, checked nowhere).
+All variables are nonnegative by construction (the quantities optimized
+here are probabilities and bounds on them), so free variables are not
+supported. The objective may also be a family of objectives, one per row,
+over the same constraints: the solve then returns the best of their optima.
+Feasibility does not depend on the objective, so the family shares one
+phase 1 and each objective runs only its own phase 2.
 
 A solve has one outcome: a certified optimum, or :class:`NumericalError`.
 Every program the package builds is feasible (the constant filter solves it)
 and bounded (F <= 1 and t <= cap), so a phase 1 that ends above
 ``FEAS_TOL``, a column that no row limits, an equality row that phase 1
 leaves with no real column, an exhausted pivot budget and a failed
-certificate are each a numerical breakdown. None of these names is
-exported from ``privguess``.
+certificate are each a numerical breakdown, raised where it is found
+(the column and the budget by :func:`run_simplex`). No name of this
+module is exported from ``privguess``.
 
 Method: slack variables turn inequalities into equalities. The slack
 columns of the inequality rows form the initial basis, and each equality
@@ -87,20 +89,15 @@ FEAS_TOL = 1e-8
 #: which pivot loop runs, always this module's NumPy one (``perfbench`` records it)
 KERNEL_BACKEND = "python"
 
-#: outcomes of :func:`run_simplex`
-STATUS_OPTIMAL = 0
-STATUS_UNBOUNDED = 1
-STATUS_BUDGET = 2
-
 
 @dataclass(frozen=True)
 class LinearProgram:
     """max objective . x  subject to  a_eq x = b_eq, a_ub x <= b_ub, x >= 0.
 
-    ``objective`` is one row of n coefficients, or a (k, n) family of them,
-    all maximized over the same constraints. Every right-hand side is
-    nonnegative, so the slack basis and the equality rows' artificials make
-    phase 1's start.
+    A plain record of float64 arrays, held as given with no copy and no
+    check: ``objective`` is one row of n coefficients or a (k, n) family of
+    them, all maximized over the same constraints, ``a_eq`` and ``a_ub`` are
+    (rows, n) and ``b_eq`` and ``b_ub`` one entry per row.
     """
 
     objective: np.ndarray
@@ -108,28 +105,6 @@ class LinearProgram:
     b_eq: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.objective, dtype=np.float64))
-        if c.ndim > 2 or (c.ndim == 2 and c.shape[0] == 0):
-            raise DimensionMismatchError("objective must be one row or a nonempty family of rows")
-        n = c.shape[-1]
-        a_eq = np.asarray(self.a_eq, dtype=np.float64).reshape(-1, n)
-        a_ub = np.asarray(self.a_ub, dtype=np.float64).reshape(-1, n)
-        b_eq = np.atleast_1d(np.asarray(self.b_eq, dtype=np.float64)) if np.size(self.b_eq) else np.zeros(0)
-        b_ub = np.atleast_1d(np.asarray(self.b_ub, dtype=np.float64)) if np.size(self.b_ub) else np.zeros(0)
-        if b_eq.shape[0] != a_eq.shape[0] or b_ub.shape[0] != a_ub.shape[0]:
-            raise DimensionMismatchError("constraint matrix and rhs row counts differ")
-        for arr in (c, a_eq, b_eq, a_ub, b_ub):
-            if not np.all(np.isfinite(arr)):
-                raise DimensionMismatchError("non-finite coefficient in linear program")
-        if (b_eq < 0.0).any() or (b_ub < 0.0).any():
-            raise DimensionMismatchError("negative right-hand side in linear program")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "a_eq", a_eq)
-        object.__setattr__(self, "b_eq", b_eq)
-        object.__setattr__(self, "a_ub", a_ub)
-        object.__setattr__(self, "b_ub", b_ub)
 
     @property
     def n_vars(self) -> int:
@@ -175,6 +150,7 @@ def solve_lp(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray] | None = 
     itself), in row order. Each phase may take ``100 * (rows + columns) +
     1000`` pivots. Returns the certified optimum or raises
     :class:`NumericalError`: see the module docstring for the breakdowns.
+    ``prog``'s right-hand sides must be nonnegative, which is not checked.
 
     ``start``, if given, is a (tableau, basis) pair laid out as an optimum's,
     the tableau pivoted into the basis (each basic column an exact unit
@@ -207,7 +183,7 @@ def solve_lp(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray] | None = 
         row[:n] = c
         for r in row[bk].nonzero()[0].tolist():
             row -= row[bk[r]] * tk[r]
-        iters += _optimize(tk, bk, n_real, max_iter, "phase-2")
+        iters += run_simplex(tk, bk, n_real, max_iter, "phase-2")
 
         # optimality certificate: no improving reduced cost remains
         worst = float(tk[m, :n_real].max()) if n_real else 0.0
@@ -319,40 +295,36 @@ def piece_starts(prog: LinearProgram, sol: LpSolution, row: int) -> Iterator[Pie
     raise NumericalError(f"right-hand side walk of row {row} exhausted its pivot budget")
 
 
-def run_simplex(tableau: np.ndarray, basis: np.ndarray, n_enter: int, max_iter: int) -> tuple[int, int]:
-    """Pivot ``tableau`` in place by Bland's rule until optimal, unbounded, or out of budget.
+def run_simplex(tableau: np.ndarray, basis: np.ndarray, n_enter: int, max_iter: int, phase: str) -> int:
+    """Pivot ``tableau`` in place by Bland's rule to an optimum; returns its pivots.
 
     Rows 0..m-1 of ``tableau`` are constraints and row m is the reduced
     profit row of a maximization; the last column is the right-hand side.
     The entering column is the lowest index below ``n_enter`` with reduced
     profit above ``PIVOT_TOL``; the leaving row has the least ratio among
     rows with pivot entry above ``PIVOT_TOL``, exact ties to the lowest
-    basic column. Returns ``(status, iterations)``, the status one of the
-    ``STATUS_*`` codes. :func:`_optimize` calls it by this module's global
-    name, so a wrapper patched in there (the tests' spies,
-    ``perfbench``'s tracer) sees every call.
+    basic column. An entering column that no row limits, or a ``max_iter``-th
+    pivot, raises :class:`NumericalError` naming ``phase``. :func:`solve_lp`
+    and :func:`_phase1` call it by this module's global name, so a wrapper
+    patched in there (the tests' spies, ``perfbench``'s tracer) sees every call.
     """
     m = tableau.shape[0] - 1
     obj = tableau[m]
-    it = 0
-    while True:
+    for it in range(max_iter):
         cand = (obj[:n_enter] > PIVOT_TOL).nonzero()[0]
         if cand.size == 0:
-            return STATUS_OPTIMAL, it
+            return it
         j = int(cand[0])
 
         col = tableau[:m, j]
         rows = (col > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
-            return STATUS_UNBOUNDED, it
+            raise NumericalError(f"{phase} found an entering column that no row limits")
         ratios = tableau[rows, -1] / col[rows]
         tied = rows[ratios == ratios.min()]
         r = int(tied[0] if tied.size == 1 else tied[basis[tied].argmin()])
-
         pivot(tableau, basis, r, j)
-        it += 1
-        if it >= max_iter:
-            return STATUS_BUDGET, it
+    raise NumericalError(f"{phase} pivot budget ({max_iter}) exhausted")
 
 
 def pivot(tableau: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
@@ -406,7 +378,7 @@ def _phase1(prog: LinearProgram, max_iter: int) -> tuple[np.ndarray, np.ndarray,
     t[m, :n_real] = t[:me, :n_real].sum(axis=0)
     t[m, -1] = t[:me, -1].sum()
 
-    iters = _optimize(t, basis, n_real, max_iter, "phase-1")
+    iters = run_simplex(t, basis, n_real, max_iter, "phase-1")
     if not t[m, -1] <= FEAS_TOL:
         raise NumericalError(f"phase 1 ended with artificials summing to {t[m, -1]}, above {FEAS_TOL}")
     for r in (basis >= n_real).nonzero()[0].tolist():
@@ -417,16 +389,6 @@ def _phase1(prog: LinearProgram, max_iter: int) -> tuple[np.ndarray, np.ndarray,
     # rhs into the first artificial column, then slice off the artificials
     t[:, n_real] = t[:, -1]
     return t[:, :n_real + 1].copy(), basis, iters
-
-
-def _optimize(t: np.ndarray, basis: np.ndarray, n_enter: int, max_iter: int, phase: str) -> int:
-    """:func:`run_simplex` on ``t`` to an optimum; its pivots. An unbounded column or the budget raises :class:`NumericalError`."""
-    status, iters = run_simplex(t, basis, n_enter, max_iter)
-    if status == STATUS_BUDGET:
-        raise NumericalError(f"{phase} pivot budget ({max_iter}) exhausted")
-    if status == STATUS_UNBOUNDED:
-        raise NumericalError(f"{phase} found an entering column that no row limits")
-    return iters
 
 
 def _start(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

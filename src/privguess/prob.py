@@ -100,9 +100,8 @@ def _adopt(cls, *arrays: np.ndarray):
     derived from checked objects and that no caller holds: :func:`compose`'s
     product, a Kronecker power of :mod:`privguess.vector` (its 2^n x 2^n
     product is then not copied) and the 2x2 symbol joint of a checked
-    ``VectorModel``'s parameters, :mod:`privguess.solver`'s LP of a joint, or
-    a filter :mod:`privguess.solver` has certified, whose rows it projected
-    onto the simplex.
+    ``VectorModel``'s parameters, or a filter :mod:`privguess.solver` has
+    certified, whose rows it projected onto the simplex.
     """
     out = object.__new__(cls)
     for field, arr in zip(fields(cls), arrays):

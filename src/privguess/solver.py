@@ -56,13 +56,14 @@ import numpy as np
 
 from .errors import (
     CapacityError,
+    DimensionMismatchError,
     InfeasibleThresholdError,
     InvalidOrderError,
     NumericalError,
     ParameterError,
     PrivguessError,
 )
-from .lp import FEAS_TOL, LinearProgram, LpSolution, PieceStart, _tableau, piece_starts, solve_lp
+from .lp import FEAS_TOL, LinearProgram, PieceStart, _tableau, piece_starts, solve_lp
 from .prob import (
     RANGE_TOL,
     ROUNDOFF_TOL,
@@ -87,8 +88,9 @@ __all__ = [
     "trace_curve",
 ]
 
-#: largest Y alphabet accepted: best_filter enumerates C(2N, N+1) guessing
-#: maps, and trace_curve's walk is tested up to this size
+#: largest Y alphabet of a caller's joint: best_filter enumerates C(2N, N+1) maps,
+#: and the walk is capped until ROADMAP item 4 lifts it (_trace walks the package's
+#: own 8-column block joints at n = 3 with no cap)
 MAX_ALPHABET = 6
 
 
@@ -175,49 +177,35 @@ def _guess_lp(p: np.ndarray, maps: list[tuple[int, ...]], cap: float,
     a_ub[-1, nf:] = 1.0
     b_ub = np.zeros(m * c + 1)
     b_ub[-1] = cap
-    return _adopt(LinearProgram, obj, a_eq, b_eq, a_ub, b_ub)  # derived from a checked joint
+    return LinearProgram(obj, a_eq, b_eq, a_ub, b_ub)
 
 
 @dataclass(frozen=True)
 class GuessMax:
-    """Result of :func:`lp_guess_max`: optimal value, filter, guessing map and cap-row price.
-
-    ``program`` and ``solution`` are the LP solved and its solve, whose final
-    tableau :meth:`walk` continues from.
-    """
+    """Result of :func:`lp_guess_max`: optimal value, filter and guessing map."""
 
     value: float
     filter: np.ndarray
     map: tuple[int, ...]
-    price: float
-    program: LinearProgram
-    solution: LpSolution
-
-    def walk(self) -> Iterator[PieceStart]:
-        """:func:`lp.piece_starts` on the privacy-cap row: the kinks as the cap falls from ``program``'s."""
-        return piece_starts(self.program, self.solution, len(self.program.b_ub) - 1)
 
 
 def lp_guess_max(p: np.ndarray, cap: float, n_outputs: int,
                  maps: Iterable[tuple[int, ...]]) -> GuessMax:
-    """Max utility over the given guessing maps: value, filter F, map and price.
+    """Max utility over the given guessing maps: value, filter F and map.
 
     One LP solve: the maps share their constraints, so phase 1 runs once
-    and each map adds only its own phase 2. ``price`` is the dual price of
-    the winning map's privacy-cap row, the last row of ``a_ub``: a
-    supergradient of that map's optimal utility as a function of ``cap``,
-    and its slope wherever that function is linear. Ties go to the earliest
-    map in iteration order.
+    and each map adds only its own phase 2. Ties go to the earliest map in
+    iteration order.
     """
     maps = list(maps)
     prog = _guess_lp(p, maps, cap, n_outputs)
     sol = solve_lp(prog)
     best_f = sol.point[: p.shape[1] * n_outputs].reshape(p.shape[1], n_outputs)
-    return GuessMax(sol.value, best_f, maps[sol.winner], float(sol.duals[-1]), prog, sol)
+    return GuessMax(sol.value, best_f, maps[sol.winner])
 
 
-def identity_top(p: np.ndarray) -> GuessMax:
-    """The identity-map LP with N outputs at its top cap P_c(X|Y), solved from its optimal basis.
+def identity_top(p: np.ndarray) -> Iterator[PieceStart]:
+    """:func:`lp.piece_starts` down the cap row of the identity-map LP with N outputs, from its top P_c(X|Y).
 
     At that cap the identity filter Z = Y attains utility 1, and the LP is
     optimal in the basis written down here: F[y, y] basic in equality row y;
@@ -230,16 +218,16 @@ def identity_top(p: np.ndarray) -> GuessMax:
     z; each t_z row is negated, and the other bound rows of its column lose
     it; the cap row loses the negated t_z rows one at a time in row order, as
     the pivots do, which keeps its rhs roundoff theirs. ``solve_lp`` starts
-    from it with no pivot at all. The cap is the sum of ``p``'s column maxima,
-    as :func:`prob.cond_guess_prob` gives it.
+    from it with no pivot at all, when ``identity_top`` is called, and the
+    walk pivots on from that solve as it is iterated. The cap is the sum of
+    ``p``'s column maxima, as :func:`prob.cond_guess_prob` gives it.
     """
     m, n = p.shape
     nf, cols, rows = n * n, np.arange(n), p.argmax(axis=0)
     basis = nf + np.arange(n + m * n + 1)  # from row n on, each inequality row's slack
     basis[:n] = cols * (n + 1)
     basis[n + rows * n + cols] = nf + cols
-    ident = tuple(range(n))
-    prog = _guess_lp(p, [ident], float(p.max(axis=0).sum()), n)
+    prog = _guess_lp(p, [tuple(range(n))], float(p.max(axis=0).sum()), n)
     t = _tableau(prog, 0)
     bound = t[n:-2].reshape(m, n, -1)  # bound row (x, z) is bound[x, z]
     bound -= p[:, :, None] * t[None, :n]
@@ -248,8 +236,7 @@ def identity_top(p: np.ndarray) -> GuessMax:
     bound[rows, cols] = tops
     for z in np.argsort(rows * n + cols).tolist():
         t[-2] -= tops[z]
-    sol = solve_lp(prog, (t, basis))
-    return GuessMax(sol.value, sol.point[:nf].reshape(n, n), ident, float(sol.duals[-1]), prog, sol)
+    return piece_starts(prog, solve_lp(prog, (t, basis)), len(prog.b_ub) - 1)
 
 
 class _Checked(NamedTuple):
@@ -319,8 +306,8 @@ def _certified(joint: JointDistribution, f: np.ndarray, caps: np.ndarray,
     ))
 
 
-def _clamp(joint: JointDistribution, eps: np.ndarray) -> tuple[float, np.ndarray, PrivguessError | None]:
-    """(P_c(X|Y), caps, error): each ``eps`` clamped onto the frontier's domain [P_c(X), P_c(X|Y)].
+def _clamp(joint: JointDistribution, eps: np.ndarray) -> tuple[float, float, np.ndarray, PrivguessError | None]:
+    """(P_c(X), P_c(X|Y), caps, error): each ``eps`` clamped onto the frontier's domain [P_c(X), P_c(X|Y)].
 
     ``eps`` below P_c(X) beyond ``RANGE_TOL`` is infeasible, and a NaN is
     rejected; ``caps`` covers the thresholds before the first such one, and
@@ -341,7 +328,7 @@ def _clamp(joint: JointDistribution, eps: np.ndarray) -> tuple[float, np.ndarray
                 f"threshold {first!r} below the unconditional guessing probability {pcx!r}"
             )
         eps = eps[:k]
-    return pcxy, np.where(eps >= pcxy - ROUNDOFF_TOL, pcxy, np.maximum(eps, pcx)), error
+    return pcx, pcxy, np.where(eps >= pcxy - ROUNDOFF_TOL, pcxy, np.maximum(eps, pcx)), error
 
 
 def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
@@ -356,7 +343,7 @@ def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
     n = p.shape[1]
     if n > MAX_ALPHABET:
         raise CapacityError(f"Y alphabet {n} exceeds enumeration cap {MAX_ALPHABET}")
-    pcxy, caps, error = _clamp(joint, np.array([eps]))
+    _, pcxy, caps, error = _clamp(joint, np.array([eps]))
     if error is not None:
         raise error
 
@@ -382,13 +369,19 @@ GRID_ENTRIES = 1 << 15
 
 def _read(joint: JointDistribution, curve: GuessCurve, eps: np.ndarray) -> _Checked:
     """The frontier at each ``eps``, read off ``curve`` in one batch; see :func:`read_curve`."""
-    _, caps, error = _clamp(joint, eps)
+    n = joint.shape[1]
+    vertices = np.stack([f.matrix for f in curve.filters])
+    if vertices.shape[1:] != (n, n):
+        raise DimensionMismatchError(f"curve of {vertices.shape[1]}-column filters read against a {n}-column joint")
+    pcx, pcxy, caps, error = _clamp(joint, eps)
+    if (curve.breakpoints[0], curve.breakpoints[-1]) != (pcx, pcxy):
+        raise ParameterError(f"curve spans [{curve.breakpoints[0]!r}, {curve.breakpoints[-1]!r}], not "
+                             f"this joint's [P_c(X), P_c(X|Y)] = [{pcx!r}, {pcxy!r}]")
     bps = np.array(curve.breakpoints)
     i = np.minimum(np.searchsorted(bps, caps, side="right"), len(bps) - 1)
     a, b = bps[i - 1], bps[i]
     # t is 1 from the top of a piece on, so a zero-width piece is never divided by
     t = np.divide(caps - a, b - a, out=np.ones_like(caps), where=caps < b)
-    vertices = np.stack([f.matrix for f in curve.filters])
     hs = np.array([h for _, h in curve.samples])
     s = t[:, None, None]
     mix = (1.0 - s) * vertices[i - 1] + s * vertices[i]
@@ -413,7 +406,9 @@ def read_curve(joint: JointDistribution, curve: GuessCurve,
     piece's line. Each block's
     mixtures pass one batched certificate (:func:`_certified`) against
     those lines, with no LP solved. At the first point that fails a check,
-    the points before it are yielded and its error is raised.
+    the points before it are yielded and its error is raised. A curve of
+    another joint raises: :class:`DimensionMismatchError` if its filters are
+    not N x N, else :class:`ParameterError` if its ends are not ``joint``'s.
     """
     eps = np.asarray(eps, dtype=np.float64)
     step = max(1, GRID_ENTRIES // joint.matrix.size)
@@ -511,7 +506,7 @@ def finite_order_gain_bounds(joint: JointDistribution, nu: float, mu: float,
 def trace_curve(joint: JointDistribution) -> GuessCurve:
     """The frontier's breakpoints, slopes and vertices, from one LP walked down from the identity vertex.
 
-    The walk (:meth:`GuessMax.walk`) starts at the identity vertex, the
+    The walk (:func:`identity_top`) starts at the identity vertex, the
     identity-map LP with N outputs (see the module docstring) at eps =
     P_c(X|Y) in the optimal basis of :func:`identity_top`, with no simplex
     pivot. It lowers the cap from there to the end of the feasible range,
@@ -525,12 +520,13 @@ def trace_curve(joint: JointDistribution) -> GuessCurve:
     it. Where P_c(X|Y) - P_c(X) <= ``RANGE_TOL``, Y gives no guessing
     advantage and no LP is solved: both breakpoints are vertices of the
     identity filter, with h = 1 and slope 0. Y alphabets larger than
-    ``MAX_ALPHABET``, the largest the walk is tested at, are rejected.
+    ``MAX_ALPHABET`` are rejected: the cap bounds joints from outside the
+    package until ROADMAP item 4 lifts it.
     """
     n = joint.shape[1]
     if n > MAX_ALPHABET:
         raise CapacityError(
-            f"Y alphabet {n} exceeds {MAX_ALPHABET}, the largest the frontier walk is tested at")
+            f"Y alphabet {n} exceeds {MAX_ALPHABET}, the largest the frontier walk accepts from a caller")
     return _trace(joint)
 
 
@@ -548,7 +544,7 @@ def _trace(joint: JointDistribution) -> GuessCurve:
         # the domain collapses to a point, where the identity filter is optimal
         caps, points, values, slopes = [pcx, pcxy], [np.eye(n)] * 2, [1.0, 1.0], [0.0]
     else:
-        *kinks, end = identity_top(p).walk()
+        *kinks, end = identity_top(p)
         if abs(end.rhs - pcx) > FEAS_TOL:
             raise NumericalError(f"frontier walk ended at {end.rhs!r}, not at P_c(X) = {pcx!r}")
         if kinks and kinks[0].rhs > pcxy - FEAS_TOL:

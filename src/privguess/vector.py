@@ -495,7 +495,7 @@ def validity_threshold(model: VectorModel) -> ThresholdEstimate:
     that V follows from the threshold up to abar**n. The walk starts at the
     top, abar**n = P_c(X^n|Y^n), from the identity filter's optimal basis
     (:func:`solver.identity_top`), and lowers the cap by primal ratio tests
-    and dual simplex pivots (:meth:`solver.GuessMax.walk`). Its first stop
+    and dual simplex pivots (:func:`lp.piece_starts`). Its first stop
     must be the kink at abar**n, where h turns flat, with L's slope below
     it. Its next stop is the threshold: the kink where the cap price rises
     above L's slope, or the left end of the domain, where the threshold is
@@ -511,7 +511,7 @@ def validity_threshold(model: VectorModel) -> ThresholdEstimate:
 
     top = model.abar ** n
     slope = math.exp(n * math.log(model.q) - _log_denom(model))  # of the line L
-    walk = identity_top(model.block_joint().matrix).walk()
+    walk = identity_top(model.block_joint().matrix)
     kink = next(walk)
     if not (abs(kink.rhs - top) <= FEAS_TOL and abs(kink.price_below - slope) <= FEAS_TOL):
         raise NumericalError(

@@ -1,5 +1,7 @@
 """Shared random-instance generators and fixtures for the test suite."""
 
+from typing import Iterator
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from privguess import (
     InvalidChannelError,
     InvalidDistributionError,
     JointDistribution,
+    NumericalError,
 )
 from privguess import lp, solver, vector
 from privguess.lp import LinearProgram
@@ -111,26 +114,29 @@ def reference_pivot(tableau: np.ndarray, basis: np.ndarray, r: int, j: int) -> N
 
 
 def reference_run_simplex(tableau: np.ndarray, basis: np.ndarray, n_enter: int,
-                          max_iter: int) -> tuple[int, int]:
-    """The reference pivot loop: ``lp.run_simplex`` with the tie break on every ratio test and :func:`reference_pivot`."""
+                          max_iter: int, phase: str) -> int:
+    """The reference pivot loop: ``lp.run_simplex`` with the tie break on every ratio test and :func:`reference_pivot`.
+
+    Returns its pivots, and raises ``lp.run_simplex``'s :class:`NumericalError` where it does.
+    """
     m = tableau.shape[0] - 1
     obj = tableau[m]
     it = 0
     while True:
         cand = np.nonzero(obj[:n_enter] > lp.PIVOT_TOL)[0]
         if cand.size == 0:
-            return lp.STATUS_OPTIMAL, it
+            return it
         j = int(cand[0])
         col = tableau[:m, j]
         rows = np.nonzero(col > lp.PIVOT_TOL)[0]
         if rows.size == 0:
-            return lp.STATUS_UNBOUNDED, it
+            raise NumericalError(f"{phase} found an entering column that no row limits")
         ratios = tableau[rows, -1] / col[rows]
         tied = rows[ratios == ratios.min()]
         reference_pivot(tableau, basis, int(tied[np.argmin(basis[tied])]), j)
         it += 1
         if it >= max_iter:
-            return lp.STATUS_BUDGET, it
+            raise NumericalError(f"{phase} pivot budget ({max_iter}) exhausted")
 
 
 def reference_vertex(prog: LinearProgram, b_ub, c, t, basis) -> tuple[float, np.ndarray]:
@@ -194,12 +200,12 @@ def reference_walk(prog: LinearProgram, sol, row: int) -> list[tuple]:
 def reference_solve(prog: LinearProgram) -> tuple[float, np.ndarray, np.ndarray, int]:
     """(value, point, duals, iterations) of ``lp.solve_lp(prog)``'s winner, by the reference price-out.
 
-    Phase 1 and the pivot loop are ``lp``'s own, so a phase 1 that breaks
+    Phase 1 and the pivot loop are ``lp``'s own, so a phase that breaks
     down raises its :class:`NumericalError` here too. Each objective row is
     priced out over every constraint row in row order, subtracting the row
     where its basic column carries a profit at that moment, which assumes
-    nothing of the other basic columns. An unbounded row or a failed
-    certificate fails the calling test.
+    nothing of the other basic columns. A failed certificate fails the
+    calling test.
     """
     n, mi = prog.n_vars, prog.a_ub.shape[0]
     n_real = n + mi
@@ -216,14 +222,27 @@ def reference_solve(prog: LinearProgram) -> tuple[float, np.ndarray, np.ndarray,
             if cb != 0.0:
                 row = row - cb * tk[r]
         tk[m] = row
-        status, it2 = lp.run_simplex(tk, bk, n_real, max_iter)
-        iters += it2
-        assert status == lp.STATUS_OPTIMAL
+        iters += lp.run_simplex(tk, bk, n_real, max_iter, "phase-2")
         assert float(tk[m, :n_real].max()) <= lp.FEAS_TOL
         value, point = reference_vertex(prog, prog.b_ub, c, tk, bk)
         if best is None or value > best[0]:
             best = (value, point, -tk[m, n:n_real])
     return (*best, iters)
+
+
+def identity_top_solve(p: np.ndarray) -> tuple[LinearProgram, lp.LpSolution, Iterator[lp.PieceStart]]:
+    """(program, solve, walk) of ``solver.identity_top(p)``, the solve caught by a spy on ``solver.solve_lp``."""
+    real, solves = solver.solve_lp, []
+
+    def spy(prog, start=None):
+        solves.append((prog, real(prog, start)))
+        return solves[-1][1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "solve_lp", spy)
+        walk = solver.identity_top(p)
+    (prog, sol), = solves
+    return prog, sol, walk
 
 
 def random_bibo(rng: np.random.Generator) -> BiboParams:

@@ -17,24 +17,26 @@ from privguess import (
     closed_form_utility,
 )
 from privguess import lp as lp_module
-from privguess import prob
+from privguess import solver, vector
 from privguess.lp import LinearProgram, solve_lp
-from privguess.solver import _guess_lp, identity_top
+from privguess.solver import _guess_lp
 
-from conftest import FIG3_MATRIX, pivoted_start
+from conftest import FIG3_MATRIX, identity_top_solve, pivoted_start
 
-NO_EQ = (np.zeros((0, 0)), [])
+
+def program(objective, a_eq, b_eq, a_ub, b_ub) -> LinearProgram:
+    """A ``LinearProgram`` of float64 arrays, matrices (rows, n): the record holds what it is given, unchecked."""
+    objective = np.array(objective, dtype=np.float64)
+    n = objective.shape[-1]
+    return LinearProgram(objective,
+                         np.array(a_eq, dtype=np.float64).reshape(-1, n), np.array(b_eq, dtype=np.float64),
+                         np.array(a_ub, dtype=np.float64).reshape(-1, n), np.array(b_ub, dtype=np.float64))
 
 
 def lp(obj, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
-    n = len(obj)
-    return LinearProgram(
-        obj,
-        a_eq if a_eq is not None else np.zeros((0, n)),
-        b_eq if b_eq is not None else [],
-        a_ub if a_ub is not None else np.zeros((0, n)),
-        b_ub if b_ub is not None else [],
-    )
+    none = np.zeros((0, len(obj)))
+    return program(obj, none if a_eq is None else a_eq, [] if b_eq is None else b_eq,
+                   none if a_ub is None else a_ub, [] if b_ub is None else b_ub)
 
 
 class TestExamples:
@@ -80,12 +82,12 @@ class TestExamples:
     def test_budget_exhaustion_is_an_error(self, monkeypatch):
         kernel = lp_module.run_simplex
 
-        def one_pivot(tableau, basis, n_enter, max_iter):
-            return kernel(tableau, basis, n_enter, 1)
+        def one_pivot(tableau, basis, n_enter, max_iter, phase):
+            return kernel(tableau, basis, n_enter, 1, phase)
 
         monkeypatch.setattr(lp_module, "run_simplex", one_pivot)
         prog = lp([1.0, 1.0], a_ub=[[1.0, 2.0], [2.0, 1.0]], b_ub=[4.0, 4.0])
-        with pytest.raises(NumericalError, match="phase-2 pivot budget"):
+        with pytest.raises(NumericalError, match=r"phase-2 pivot budget \(1\) exhausted"):
             solve_lp(prog)
 
 
@@ -131,7 +133,7 @@ def random_program(rng: np.random.Generator) -> LinearProgram:
         b_eq = [float(rng.choice([0.5, 1.0, 2.0]))]
     else:
         a_eq, b_eq = np.zeros((0, n)), []
-    return LinearProgram(obj, a_eq, b_eq, np.array(rows_ub), b_ub)
+    return program(obj, a_eq, b_eq, rows_ub, b_ub)
 
 
 class TestAgainstVertexEnumeration:
@@ -186,48 +188,29 @@ class TestCertificates:
 
 
 class TestConstructorChecks:
-    # the public constructor checks what a caller passes; an LP the package
-    # derives from a checked joint is adopted with no second check
+    # LinearProgram is a plain record that checks nothing: the package builds
+    # every program itself, from a checked joint, and meets solve_lp's
+    # preconditions by construction
     ARRAYS = {"objective": [1.0, 2.0], "a_eq": [[1.0, 1.0]], "b_eq": [1.0], "a_ub": [[1.0, 0.0]], "b_ub": [0.5]}
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("field", list(ARRAYS))
-    def test_non_finite_coefficient_raises(self, field, bad):
-        arrays = {k: np.array(v) for k, v in self.ARRAYS.items()}
-        arrays[field].flat[-1] = bad
-        with pytest.raises(DimensionMismatchError, match="non-finite coefficient in linear program"):
-            LinearProgram(**arrays)
-
-    @pytest.mark.parametrize("b_eq, b_ub", [([1.0, 1.0], [0.5]), ([], [0.5]), ([1.0], [0.5, 1.0]), ([1.0], [])])
-    def test_rhs_and_row_counts_must_agree(self, b_eq, b_ub):
-        with pytest.raises(DimensionMismatchError, match="row counts differ"):
-            LinearProgram([1.0, 2.0], [[1.0, 1.0]], b_eq, [[1.0, 0.0]], b_ub)
-
-    @pytest.mark.parametrize("field", ["b_eq", "b_ub"])
-    def test_negative_right_hand_side_raises(self, field):
-        # phase 1 starts from the slacks and the equality rows' artificials,
-        # which needs every right-hand side nonnegative; a zero, even -0.0, is one
-        arrays = {k: np.array(v) for k, v in self.ARRAYS.items()}
-        arrays[field][-1] = -1e-300
-        with pytest.raises(DimensionMismatchError, match="negative right-hand side in linear program"):
-            LinearProgram(**arrays)
-        arrays[field][-1] = -0.0
-        LinearProgram(**arrays)
 
     def test_adopted_fields_are_kept(self):
         arrays = [np.array(v, dtype=np.float64) for v in self.ARRAYS.values()]
-        prog = prob._adopt(LinearProgram, *arrays)
+        prog = LinearProgram(*arrays)
         assert all(getattr(prog, f.name) is a for f, a in zip(dataclasses.fields(LinearProgram), arrays))
 
     def test_derived_program_is_what_the_constructor_makes(self):
-        # the frontier LP, held unchecked, has the fields the checks would give it
+        # the frontier LP meets solve_lp's preconditions by construction:
+        # float64 arrays of consistent shapes, every coefficient finite and
+        # every right-hand side nonnegative
         p = VectorModel(2, p=0.6, alpha=0.2).block_joint().matrix
         prog = _guess_lp(p, [(0, 1, 2, 3), (0, 0, 1, 3)], 0.6, 4)
-        checked = LinearProgram(*(getattr(prog, f.name) for f in dataclasses.fields(LinearProgram)))
+        n = prog.n_vars
+        assert prog.objective.shape == (2, n)
+        assert prog.a_eq.shape == (len(prog.b_eq), n) and prog.a_ub.shape == (len(prog.b_ub), n)
         for f in dataclasses.fields(LinearProgram):
-            got, want = getattr(prog, f.name), getattr(checked, f.name)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            np.testing.assert_array_equal(got, want)
+            arr = getattr(prog, f.name)
+            assert arr.dtype == np.float64 and np.isfinite(arr).all(), f.name
+        assert (prog.b_eq >= 0.0).all() and (prog.b_ub >= 0.0).all()
 
 
 def family(prog: LinearProgram, objectives) -> LinearProgram:
@@ -272,11 +255,6 @@ class TestObjectiveFamily:
         assert (a.value, a.iterations, a.winner) == (b.value, b.iterations, b.winner)
         np.testing.assert_array_equal(a.point, b.point)
 
-    @pytest.mark.parametrize("objective", [np.zeros((0, 2)), np.zeros((1, 1, 2))])
-    def test_rejects_empty_or_deeper_families(self, objective):
-        with pytest.raises(DimensionMismatchError):
-            LinearProgram(objective, np.zeros((0, 2)), [], np.zeros((0, 2)), [])
-
 
 def nondegenerate_program(rng: np.random.Generator) -> LinearProgram:
     """Feasible, bounded program with continuous coefficients, so its duals are unique.
@@ -297,7 +275,7 @@ def nondegenerate_program(rng: np.random.Generator) -> LinearProgram:
         a_eq, b_eq = np.zeros((0, n)), []
     a_ub = np.vstack([a, np.eye(n)])
     b_ub = np.concatenate([b, np.full(n, 2.0)])
-    return LinearProgram(rng.uniform(-1.0, 1.0, n), a_eq, b_eq, a_ub, b_ub)
+    return program(rng.uniform(-1.0, 1.0, n), a_eq, b_eq, a_ub, b_ub)
 
 
 def highs_duals(prog: LinearProgram) -> np.ndarray:
@@ -445,9 +423,8 @@ class TestPieceStart:
             row = prog.a_ub.shape[0] - 1
         sol = solve_lp(prog)
         built = []
-        post_init = LinearProgram.__post_init__
-        monkeypatch.setattr(LinearProgram, "__post_init__",
-                            lambda self: built.append(1) or post_init(self))
+        init = LinearProgram.__init__
+        monkeypatch.setattr(LinearProgram, "__init__", lambda self, *args: built.append(1) or init(self, *args))
         starts = list(lp_module.piece_starts(prog, sol, row))
         assert len(starts) >= 3 and built == []
 
@@ -519,10 +496,10 @@ class TestNanFailsEveryCertificate:
 
     def start(self, entry):
         """FIG3's identity vertex: (program, start with NaN at ``entry``, walked solution with it there)."""
-        top = identity_top(FIG3_MATRIX)
-        t = top.solution.tableau.copy()
+        prog, top, _ = identity_top_solve(FIG3_MATRIX)
+        t = top.tableau.copy()
         t[entry] = np.nan
-        return top.program, (t, top.solution.basis.copy()), dataclasses.replace(top.solution, tableau=t)
+        return prog, (t, top.basis.copy()), dataclasses.replace(top, tableau=t)
 
     def test_start_with_a_nan_basic_variable(self):
         prog, start, _ = self.start((0, -1))
@@ -545,7 +522,7 @@ class TestNanFailsEveryCertificate:
         # the cap row's price is the profit row's entry in the cap slack's
         # column; a NaN there used to fail every kink test and come out of
         # the walk as the slope of its one stop
-        prog = identity_top(FIG3_MATRIX).program
+        prog, _, _ = identity_top_solve(FIG3_MATRIX)
         cap = prog.a_ub.shape[0] - 1
         _, _, sol = self.start((-1, prog.n_vars + cap))
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="price of row 4 is nan"):
@@ -566,8 +543,7 @@ class TestNanFailsEveryCertificate:
             prog = lp([1.0, 0.5], a_eq=[[1.0, 1.0]], b_eq=[1.5], a_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[1.0, 1.0])
             sol = solve_lp(prog)
             t, b_ub = sol.tableau, prog.b_ub
-            # the constructor rejects a NaN, so the program is adopted unchecked
-            prog = prob._adopt(LinearProgram, prog.objective, prog.a_eq, np.array([np.nan]), prog.a_ub, prog.b_ub)
+            prog = dataclasses.replace(prog, b_eq=np.array([np.nan]))
         else:
             b_ub[-1] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=message):
@@ -594,6 +570,17 @@ class TestPrivateEngine:
             "value", "point", "iterations", "duals", "winner", "tableau", "basis"}
 
     def test_kernel_backend_still_resolves(self):
-        # the benchmark records which pivot loop ran
+        # perfbench/worker.py and perfbench/screen.py record which pivot loop ran
         assert privguess.KERNEL_BACKEND == "python"
         assert "KERNEL_BACKEND" not in privguess.__all__
+
+    def test_names_the_benchmark_reads_or_patches(self):
+        # besides KERNEL_BACKEND (above): perfbench/workloads.py's block probe
+        # looks up vector.lp_guess_max, and perfbench/tracing.py wraps it and
+        # solver.lp_guess_max
+        assert callable(vector.lp_guess_max) and callable(solver.lp_guess_max)
+        # perfbench/tracing.py counts LP solves and pivots by wrapping
+        # solver.solve_lp, the engine's own solve_lp ...
+        assert solver.solve_lp is lp_module.solve_lp
+        # ... and kernel time by patching lp.run_simplex, which lp calls by its global name
+        assert callable(lp_module.run_simplex)

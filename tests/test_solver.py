@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     FIG3_MATRIX,
     fig3_joint,
+    identity_top_solve,
     pivoted_start,
     random_bibo,
     random_joint,
@@ -27,6 +28,7 @@ from privguess import (
     Axis,
     CapacityError,
     Channel,
+    DimensionMismatchError,
     InfeasibleThresholdError,
     InvalidChannelError,
     JointDistribution,
@@ -205,14 +207,13 @@ def per_map_lp(p: np.ndarray, gmap: tuple[int, ...], cap: float, n_outputs: int)
 
 def per_map_guess_max(p: np.ndarray, cap: float, n_outputs: int, maps):
     """Oracle for lp_guess_max: one LP, with its own phase 1, per guessing map."""
-    best_val, best, best_map, best_prog = -1.0, None, None, None
+    best_val, best, best_map = -1.0, None, None
     for gmap in maps:
-        prog = per_map_lp(p, gmap, cap, n_outputs)
-        sol = lp_module.solve_lp(prog)
+        sol = lp_module.solve_lp(per_map_lp(p, gmap, cap, n_outputs))
         if sol.value > best_val:
-            best_val, best, best_map, best_prog = sol.value, sol, gmap, prog
+            best_val, best, best_map = sol.value, sol, gmap
     best_f = best.point[: p.shape[1] * n_outputs].reshape(p.shape[1], n_outputs)
-    return solver.GuessMax(best_val, best_f, best_map, float(best.duals[-1]), best_prog, best)
+    return solver.GuessMax(best_val, best_f, best_map)
 
 
 def _outcome(fn, *args):
@@ -221,7 +222,7 @@ def _outcome(fn, *args):
         res = fn(*args)
     except NumericalError as exc:
         return type(exc), str(exc)
-    return res.value.hex(), res.filter.tobytes(), res.map, res.price.hex()
+    return res.value.hex(), res.filter.tobytes(), res.map
 
 
 class TestFamilySolve:
@@ -296,12 +297,18 @@ class TestFamilySolve:
 class TestNonOptimalLpEnd:
     """A pivot loop that ends other than optimal is a :class:`NumericalError` in every caller, and ``hcurve`` exits 5."""
 
-    @pytest.mark.parametrize("status", [lp_module.STATUS_UNBOUNDED, lp_module.STATUS_BUDGET],
-                             ids=["unbounded", "budget"])
-    def test_is_a_numerical_error(self, monkeypatch, capsys, tmp_path, status):
+    ENDS = {"unbounded": "{phase} found an entering column that no row limits",
+            "budget": "{phase} pivot budget ({max_iter}) exhausted"}
+
+    @pytest.mark.parametrize("end", list(ENDS))
+    def test_is_a_numerical_error(self, monkeypatch, capsys, tmp_path, end):
         # the walk's start (one phase 2), best_filter's family LP (phase 1
-        # first) and the block certification's start each reach the loop
-        monkeypatch.setattr(lp_module, "run_simplex", lambda *args: (status, 0))
+        # first) and the block certification's start each reach the loop,
+        # which raises each end with lp.run_simplex's own message
+        def ends(tableau, basis, n_enter, max_iter, phase):
+            raise NumericalError(self.ENDS[end].format(phase=phase, max_iter=max_iter))
+
+        monkeypatch.setattr(lp_module, "run_simplex", ends)
         calls = [lambda: trace_curve(fig3_joint()),
                  lambda: best_filter(fig3_joint(), 0.7),
                  lambda: validity_threshold(VectorModel(2, p=0.6, alpha=0.2))]
@@ -373,7 +380,7 @@ class TestGuessingGain:
 
     def test_alphabet_cap_is_the_walks(self):
         joint = JointDistribution(np.full((2, solver.MAX_ALPHABET + 1), 0.5 / (solver.MAX_ALPHABET + 1)))
-        with pytest.raises(CapacityError, match="largest the frontier walk is tested at"):
+        with pytest.raises(CapacityError, match="largest the frontier walk accepts from a caller"):
             guessing_gain(joint, 0.1)
 
 
@@ -585,16 +592,12 @@ class TestTraceCurve:
         # which the curve drops
         real = solver.identity_top
 
-        class NanSlope:
-            def __init__(self, p):
-                self.top = real(p)
+        def nan_slope(p):
+            stops = list(real(p))
+            stops[stop] = stops[stop]._replace(slope=math.nan)
+            return stops
 
-            def walk(self):
-                stops = list(self.top.walk())
-                stops[stop] = stops[stop]._replace(slope=math.nan)
-                return stops
-
-        monkeypatch.setattr(solver, "identity_top", NanSlope)
+        monkeypatch.setattr(solver, "identity_top", nan_slope)
         with pytest.raises(NumericalError, match="not concave"):
             trace_curve(JointDistribution(MULTI_PIECE / MULTI_PIECE.sum()))
 
@@ -833,13 +836,13 @@ class TestIdentityTop:
         # F[y, y] has a profit, so the reduced profits are exact
         p = seeded_trial(int(case[5:])) if case.startswith("trial") else hard_joint(case)
         n = p.shape[1]
-        res = solver.identity_top(p)
-        assert res.solution.iterations == 0
-        assert res.program.b_ub[-1] == cond_guess_prob(JointDistribution(p), Axis.ROWS)
-        np.testing.assert_array_equal(res.filter, np.eye(n))
-        assert res.value == pytest.approx(1.0, abs=1e-15)
-        assert res.price == 0.0
-        profits = res.solution.tableau[-1, :-1]
+        prog, sol, _ = identity_top_solve(p)
+        assert sol.iterations == 0
+        assert prog.b_ub[-1] == cond_guess_prob(JointDistribution(p), Axis.ROWS)
+        np.testing.assert_array_equal(sol.point[:n * n].reshape(n, n), np.eye(n))
+        assert sol.value == pytest.approx(1.0, abs=1e-15)
+        assert sol.duals[-1] == 0.0
+        profits = sol.tableau[-1, :-1]
         p_y = p.sum(axis=0)
         np.testing.assert_array_equal(profits[:n * n].reshape(n, n), -p_y[:, None] * (1.0 - np.eye(n)))
         np.testing.assert_array_equal(profits[n * n:], 0.0)
@@ -885,6 +888,14 @@ def hexed(*values) -> list[str]:
     return [float(v).hex() for v in np.concatenate([np.ravel(v) for v in values])]
 
 
+def ended(loop, *args) -> int | str:
+    """The pivots of a pivot loop run on ``args``, or the message of the :class:`NumericalError` it raised."""
+    try:
+        return loop(*args)
+    except NumericalError as error:
+        return str(error)
+
+
 def walked(stops) -> list[list[str]] | str:
     """Every stop of a walk as (rhs, value, slope, price below, point) under ``float.hex``, or the walk's error."""
     try:
@@ -899,25 +910,25 @@ class TestIdentityTopTableau:
         # the tableau written down equals the Gauss-Jordan pivots into its
         # basis (the sign of a zero may differ), and the solve and the walk
         # from it equal those from the pivoted start bit for bit
-        real, starts = solver.solve_lp, []
+        real, solves = solver.solve_lp, []
 
         def spy(prog, start=None):
-            starts.append((start[0].copy(), start[1].copy()))
-            return real(prog, start)
+            tableau, basis = start[0].copy(), start[1].copy()
+            solves.append((prog, tableau, basis, real(prog, start)))
+            return solves[-1][-1]
 
         monkeypatch.setattr(solver, "solve_lp", spy)
         for p in oracle_joints(group):
-            res = solver.identity_top(p)
-            tableau, basis = starts.pop()
-            want_tableau, want_basis = pivoted_start(res.program, basis)
+            walk = solver.identity_top(p)
+            prog, tableau, basis, sol = solves.pop()
+            want_tableau, want_basis = pivoted_start(prog, basis)
             np.testing.assert_array_equal(basis, want_basis)
             assert (tableau == want_tableau).all()
-            want = real(res.program, (want_tableau, want_basis))
-            assert res.solution.iterations == want.iterations == 0
-            sol = res.solution
+            want = real(prog, (want_tableau, want_basis))
+            assert sol.iterations == want.iterations == 0
             assert hexed(sol.value, sol.point, sol.duals) == hexed(want.value, want.point, want.duals)
-            row = len(res.program.b_ub) - 1
-            assert walked(res.walk()) == walked(lp_module.piece_starts(res.program, want, row))
+            row = len(prog.b_ub) - 1
+            assert walked(walk) == walked(lp_module.piece_starts(prog, want, row))
 
 
 class TestUncheckedStart:
@@ -996,11 +1007,10 @@ class TestWalkReference:
     @pytest.mark.parametrize("group", ["trials", "hard", "block", "sparse"])
     def test_walk_is_the_reference_step(self, group):
         for p in oracle_joints(group):
-            res = solver.identity_top(p)
-            row = len(res.program.b_ub) - 1
+            prog, sol, walk = identity_top_solve(p)
             want = [hexed(rhs, value, slope, below, point)
-                    for rhs, value, point, slope, below in reference_walk(res.program, res.solution, row)]
-            assert walked(res.walk()) == want
+                    for rhs, value, point, slope, below in reference_walk(prog, sol, len(prog.b_ub) - 1)]
+            assert walked(walk) == want
 
     def test_family_solve_is_the_reference_price_out(self, monkeypatch):
         for p, eps in frontier_pool(4):
@@ -1036,7 +1046,7 @@ class TestWalkReference:
         assert len(calls) > 100
         for tableau, basis, args in calls:
             t, b = tableau.copy(), basis.copy()
-            assert real(t, b, *args) == reference_run_simplex(tableau, basis, *args)
+            assert ended(real, t, b, *args) == ended(reference_run_simplex, tableau, basis, *args)
             assert t.tobytes() == tableau.tobytes()
             np.testing.assert_array_equal(b, basis)
 
@@ -1054,9 +1064,9 @@ class TestUnitColumns:
 
         monkeypatch.setattr(lp_module, "pivot", checked)
         for p in oracle_joints(group):
-            res = solver.identity_top(p)
-            assert unit_columns(res.solution.tableau, res.solution.basis)
-            list(res.walk())
+            _, sol, walk = identity_top_solve(p)
+            assert unit_columns(sol.tableau, sol.basis)
+            list(walk)
         assert pivots and all(pivots)
 
     def test_after_a_two_phase_solve(self):
@@ -1141,11 +1151,30 @@ class TestCurvePoint:
         assert high.saturated and high.eps == 0.95
         assert high.utility == pytest.approx(1.0, abs=1e-12)
 
-    def test_foreign_curve_fails_its_certificate(self):
+    def test_foreign_curve_is_a_parameter_error(self):
+        # a curve read against a joint it was not traced from is a caller's
+        # error, found at the curve's ends before any filter is certified
         curve = trace_curve(JointDistribution(MULTI_PIECE / MULTI_PIECE.sum()))
         other = JointDistribution(seeded_trial(71)[:3, :3] / seeded_trial(71)[:3, :3].sum())
-        with pytest.raises(NumericalError, match="certificate"):
+        with pytest.raises(ParameterError, match="curve spans"):
             solver.curve_point(other, curve, cond_guess_prob(other, Axis.ROWS) - 0.01)
+
+    @pytest.mark.parametrize("reader", ["curve_point", "read_curve"])
+    @pytest.mark.parametrize("traced, kind, message", [
+        ([[0.4, 0.1], [0.1, 0.4]], ParameterError, r"curve spans \[0.5, 0.8\], not this joint's .* = \[0.5, 0.7\]"),
+        ([[0.2, 0.05, 0.05], [0.05, 0.2, 0.05], [0.05, 0.05, 0.3]], DimensionMismatchError,
+         "curve of 3-column filters read against a 2-column joint"),
+    ], ids=["other-ends", "other-alphabet"])
+    def test_curve_of_another_joint_raises(self, reader, traced, kind, message):
+        # a caller's error, neither a numerical breakdown nor NumPy's own
+        # ValueError from the mixture's product
+        joint = JointDistribution(np.array([[0.3, 0.2], [0.1, 0.4]]))
+        curve = trace_curve(JointDistribution(np.array(traced)))
+        with pytest.raises(kind, match=message):
+            if reader == "curve_point":
+                solver.curve_point(joint, curve, 0.6)
+            else:
+                list(solver.read_curve(joint, curve, np.array([0.6, 0.65])))
 
 
 def read_all(joint, curve, grid):
