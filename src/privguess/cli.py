@@ -18,7 +18,9 @@ import sys
 
 import numpy as np
 
-from . import bibo, mc, solver, vector
+# bibo, mc, solver and vector are imported by the commands that run them, so
+# that a call loads only the layers it uses; prob stays here, where the
+# benchmark's tracer wraps cli.guess_prob and cli.cond_guess_prob
 from .errors import NumericalError, PrivguessError
 from .prob import Axis, Channel, JointDistribution, cond_guess_prob, guess_prob
 
@@ -49,6 +51,19 @@ def _round12(x: float) -> float:
     return float(_fmt(x))
 
 
+def _check_numbers(value) -> None:
+    """Raise :class:`UsageError` unless ``value`` is a JSON number or nested arrays of them.
+
+    A JSON boolean is not a number, though Python's ``bool`` is an ``int``,
+    and neither is a numeric string, though NumPy would parse one.
+    """
+    if isinstance(value, list):
+        for entry in value:
+            _check_numbers(entry)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f'"joint" must be a rectangular numeric array: {json.dumps(value)} is not a number')
+
+
 def _load_joint(path: str) -> JointDistribution:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -59,6 +74,7 @@ def _load_joint(path: str) -> JointDistribution:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "joint" not in doc:
         raise UsageError(f'{path} must be a JSON object with a "joint" key')
+    _check_numbers(doc["joint"])
     try:
         matrix = np.array(doc["joint"], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -98,6 +114,8 @@ def _eps_range(args, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _cmd_hcurve(args) -> int:
+    from . import bibo, solver
+
     joint = _load_joint(args.joint)
     if args.points < 2:
         raise UsageError(f"--points must be at least 2, got {args.points}")
@@ -121,6 +139,8 @@ def _cmd_hcurve(args) -> int:
 
 
 def _cmd_bibo(args) -> int:
+    from . import bibo
+
     if args.eps is not None and not math.isfinite(args.eps):
         raise UsageError(f"--eps must be finite, got {args.eps}")
     params = bibo.BiboParams(p=args.p, alpha=args.alpha, beta=args.beta)
@@ -143,6 +163,8 @@ def _cmd_bibo(args) -> int:
 
 
 def _cmd_vector(args) -> int:
+    from . import vector
+
     model = vector.VectorModel(n=args.n, p=args.p, alpha=args.alpha)
     if args.points < 2:
         raise UsageError(f"--points must be at least 2, got {args.points}")
@@ -182,6 +204,8 @@ def _scenario(name: str) -> tuple[JointDistribution, Channel]:
 
 
 def _cmd_validate(args) -> int:
+    from . import mc
+
     if args.samples < 1:
         raise UsageError(f"--samples must be positive, got {args.samples}")
     if args.seed < 0:

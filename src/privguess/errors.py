@@ -7,6 +7,19 @@ breakdowns (which indicate a solver bug or an ill-posed instance, never a bad
 argument) derive from ``RuntimeError`` instead.
 """
 
+__all__ = [
+    "PrivguessError",
+    "InvalidDistributionError",
+    "InvalidChannelError",
+    "InvalidOrderError",
+    "DimensionMismatchError",
+    "ParameterError",
+    "DegenerateChannelError",
+    "InfeasibleThresholdError",
+    "CapacityError",
+    "NumericalError",
+]
+
 
 class PrivguessError(Exception):
     """Base class for all package errors."""

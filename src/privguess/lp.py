@@ -77,14 +77,9 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
+from .prob import FEAS_TOL, PIVOT_TOL
 
 __all__ = ["LinearProgram", "LpSolution", "PieceStart", "piece_starts", "solve_lp"]
-
-#: tableau pivot tolerance
-PIVOT_TOL = 1e-10
-
-#: feasibility / optimality certificate tolerance
-FEAS_TOL = 1e-8
 
 #: which pivot loop runs, always this module's NumPy one (``perfbench`` records it)
 KERNEL_BACKEND = "python"

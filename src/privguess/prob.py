@@ -64,6 +64,12 @@ RANGE_TOL = 1e-9
 #: the bracket at which a bisection on eps stops
 ROUNDOFF_TOL = 1e-12
 
+#: LP feasibility / optimality certificate tolerance (the solver's certified values)
+FEAS_TOL = 1e-8
+
+#: LP tableau pivot tolerance: entries at most this are not pivoted on
+PIVOT_TOL = 1e-10
+
 #: orders within this distance above 1 use the Shannon branch
 _ORDER_ONE_BAND = 1e-6
 

@@ -63,8 +63,9 @@ from .errors import (
     ParameterError,
     PrivguessError,
 )
-from .lp import FEAS_TOL, LinearProgram, PieceStart, _tableau, piece_starts, solve_lp
+from .lp import LinearProgram, PieceStart, _tableau, piece_starts, solve_lp
 from .prob import (
+    FEAS_TOL,
     RANGE_TOL,
     ROUNDOFF_TOL,
     Axis,
@@ -101,7 +102,7 @@ class FilterSolution:
     ``utility``/``privacy`` are recomputed from the returned filter, bit for
     bit as the probability primitives give them, not read off the LP, and
     certify it (:func:`_certified`): privacy at most the clamped threshold
-    and utility the optimum, each within ``lp.FEAS_TOL``. ``saturated``
+    and utility the optimum, each within ``FEAS_TOL``. ``saturated``
     marks thresholds clamped down to the point where utility 1 is reachable.
     """
 

@@ -77,12 +77,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, NumericalError, ParameterError
-from .lp import FEAS_TOL
-from .prob import RANGE_TOL, ROUNDOFF_TOL, Channel, JointDistribution, _adopt, _frozen, _positive_int
-from .solver import _trace, curve_point, identity_top
-# nothing here calls lp_guess_max; it stays importable as vector.lp_guess_max
-# because the benchmark's block workload looks that name up for its probe
-from .solver import lp_guess_max  # noqa: F401
+from .prob import (
+    FEAS_TOL,
+    RANGE_TOL,
+    ROUNDOFF_TOL,
+    Channel,
+    JointDistribution,
+    _adopt,
+    _frozen,
+    _positive_int,
+)
 
 __all__ = [
     "VectorModel",
@@ -99,6 +103,18 @@ __all__ = [
     "heuristic_threshold",
     "validity_threshold",
 ]
+
+
+def __getattr__(name: str):
+    # the LP layer is imported only by the two functions here that walk it;
+    # lp_guess_max, which nothing here calls, still resolves to solver's object,
+    # since the benchmark's block probe and tracer look it up on this module
+    if name == "lp_guess_max":
+        from .solver import lp_guess_max
+
+        return lp_guess_max
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: largest n for which the 2^n x 2^n joint is materialized
 MAX_MATERIALIZED_N = 10
@@ -477,6 +493,8 @@ def brute_force_block_utility(model: VectorModel, eps: float) -> float:
     walked down from the identity vertex with no simplex phase. Limited to
     n <= MAX_CERTIFIED_N.
     """
+    from .solver import _trace, curve_point
+
     if model.n > MAX_CERTIFIED_N:
         raise CapacityError(f"LP certification limited to n <= {MAX_CERTIFIED_N}")
     eps = _check_eps(model, eps)
@@ -505,6 +523,8 @@ def validity_threshold(model: VectorModel) -> ThresholdEstimate:
     check raises :class:`NumericalError`. n >= 4: the cheap heuristic
     threshold, flagged uncertified.
     """
+    from .solver import identity_top
+
     n = model.n
     if n > MAX_CERTIFIED_N:
         return ThresholdEstimate(heuristic_threshold(model), False)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import privguess
-from privguess import cli, solver
+from privguess import cli, mc, solver
 from privguess.cli import main
 
 FIG3 = {"joint": [[0.32, 0.08], [0.12, 0.48]]}
@@ -72,6 +72,18 @@ class TestPc:
         code, out, err = run_cli(capsys, [command, "--joint", str(path)])
         assert (code, out) == (2, "")
         assert "must be a JSON array" in err
+
+    @pytest.mark.parametrize("command", ["pc", "hcurve"])
+    @pytest.mark.parametrize("joint", [[[True, False]], [["0.5", "0.5"]], [[None, 1.0]],
+                                       [[0.5], [0.25, 0.25]]])
+    def test_joint_not_a_numeric_array_is_usage_error(self, capsys, tmp_path, command, joint):
+        # a JSON boolean or numeric string is not a probability, though NumPy
+        # would turn either into one; a ragged array is not a matrix
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps({"joint": joint}))
+        code, out, err = run_cli(capsys, [command, "--joint", str(path)])
+        assert (code, out) == (2, "")
+        assert '"joint" must be a rectangular numeric array' in err
 
     def test_label_count_mismatch_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "labels.json"
@@ -585,13 +597,13 @@ class TestValidate:
     def test_deterministic_chain_demands_exact_agreement(self, capsys, monkeypatch):
         # the identity scenario's analytic values are both 1, with no
         # standard error, so an empirical value off one by any amount fails
-        real = cli.mc.simulate
+        real = mc.simulate
 
         def off(config):
             report = real(config)
             return dataclasses.replace(report, empirical_pc_y=report.empirical_pc_y - 1e-12)
 
-        monkeypatch.setattr(cli.mc, "simulate", off)
+        monkeypatch.setattr(mc, "simulate", off)
         code, out, _ = run_cli(capsys, ["validate", "--scenario", "identity",
                                         "--seed", "2", "--samples", "10000"])
         assert code == 4

@@ -470,8 +470,8 @@ class TestThresholds:
     @staticmethod
     def off_walk(monkeypatch, edit):
         """Make every walk yield ``edit(stops)`` in place of its stops."""
-        real = vector.identity_top
-        monkeypatch.setattr(vector, "identity_top", lambda p: edit(real(p)))
+        real = solver.identity_top
+        monkeypatch.setattr(solver, "identity_top", lambda p: edit(real(p)))
 
     @pytest.mark.parametrize("price", [0.0, math.nan])
     def test_start_off_the_formula_raises(self, price, monkeypatch):
