@@ -17,6 +17,9 @@ from .errors import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+#: which pivot loop runs, always ``lp``'s NumPy one; recorded by the benchmark, not public
+KERNEL_BACKEND = "python"
+
 #: the submodule that defines each public name, imported when one of its names is first read
 _EXPORTS = {
     "prob": ("Axis", "JointDistribution", "Channel", "guess_prob", "cond_guess_prob", "compose",
@@ -35,8 +38,7 @@ _EXPORTS = {
 
 __all__ = ["__version__", *errors.__all__, *(name for names in _EXPORTS.values() for name in names)]
 
-# KERNEL_BACKEND, which pivot loop runs, is recorded by the benchmark but is not public
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names} | {"KERNEL_BACKEND": "lp"}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 _SUBMODULES = frozenset({"bibo", "cli", "lp", "mc", "prob", "solver", "vector"})
 

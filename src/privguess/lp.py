@@ -48,15 +48,6 @@ feasibility, the reduced costs, each vertex's three checks and the walk's
 ratio test, so a NaN that reaches a tableau is reported as a numerical
 breakdown, never as an optimum or as invalid input.
 
-An optimal solution also carries the dual prices of the inequality rows:
-the rate at which the optimal value grows with each row's right-hand side
-(Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, section 5.2).
-They are read off the final reduced-profit row: a slack column's reduced
-profit is minus its row's price, so every price is ``-t[m, slack]``. The
-prices are nonnegative (within the certificate tolerance); on a degenerate
-optimum they are one optimal dual among several, and each is then a
-supergradient of the value in its right-hand side.
-
 The optimum is concave and piecewise linear in one right-hand side, and
 :func:`piece_starts` walks that rhs down from a solve's final tableau
 through every kink of it (parametric programming, Bertsimas & Tsitsiklis
@@ -80,10 +71,6 @@ from .errors import DimensionMismatchError, NumericalError
 from .prob import FEAS_TOL, PIVOT_TOL
 
 __all__ = ["LinearProgram", "LpSolution", "PieceStart", "piece_starts", "solve_lp"]
-
-#: which pivot loop runs, always this module's NumPy one (``perfbench`` records it)
-KERNEL_BACKEND = "python"
-
 
 @dataclass(frozen=True)
 class LinearProgram:
@@ -111,10 +98,7 @@ class LpSolution:
     """Certified optimum of a solve.
 
     ``point`` satisfies every constraint within ``FEAS_TOL`` (verified
-    before returning), and ``value`` is the objective there. ``duals`` holds
-    one price per inequality row (in ``a_ub`` order): the optimal value's
-    rate of change in that row's right-hand side, which is nonnegative for a
-    maximization.
+    before returning), and ``value`` is the objective there.
 
     ``winner`` is the objective row the solution belongs to: the first row
     with the largest optimum. ``iterations`` counts phase 1 once and the
@@ -129,7 +113,6 @@ class LpSolution:
     value: float
     point: np.ndarray
     iterations: int
-    duals: np.ndarray
     winner: int
     tableau: np.ndarray
     basis: np.ndarray
@@ -166,7 +149,7 @@ def solve_lp(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray] | None = 
         t, basis, iters = _phase1(prog, max_iter)
     m = basis.shape[0]
 
-    best = None  # (value, point, duals, row, tableau, basis) of the first best row so far
+    best = None  # (value, point, row, tableau, basis) of the first best row so far
     last = objectives.shape[0] - 1
     for k, c in enumerate(objectives):
         tk, bk = (t, basis) if k == last else (t.copy(), basis.copy())
@@ -187,8 +170,7 @@ def solve_lp(prog: LinearProgram, start: tuple[np.ndarray, np.ndarray] | None = 
 
         value, point = _vertex(prog, prog.b_ub, c, tk, bk)
         if best is None or value > best[0]:
-            # a slack's reduced profit is minus its row's price
-            best = (value, point, -tk[m, n:n_real], k, tk, bk)
+            best = (value, point, k, tk, bk)
     return LpSolution(best[0], best[1], iters, *best[2:])
 
 
@@ -224,6 +206,12 @@ def piece_starts(prog: LinearProgram, sol: LpSolution, row: int) -> Iterator[Pie
     entry in the row and the least ratio of reduced profit to that entry
     (exact ties to the lowest column). A step has length 0 where a basic
     variable already is 0, as at a degenerate kink.
+
+    The row's price, the optimum's rate of growth in its rhs (Bertsimas &
+    Tsitsiklis, *Introduction to Linear Optimization*, section 5.2), is
+    minus its slack column's reduced profit, ``-t[m, slack]``: nonnegative
+    within the certificate tolerance, and at a degenerate optimum one
+    optimal dual among several, a supergradient of the optimum in the rhs.
 
     A kink is where the price rises more than ``FEAS_TOL`` above the
     piece's. Price rises less than ``FEAS_TOL`` of rhs apart are one kink,
@@ -367,8 +355,6 @@ def _phase1(prog: LinearProgram, max_iter: int) -> tuple[np.ndarray, np.ndarray,
     basis = np.concatenate([np.arange(n_real, n_real + me), np.arange(n, n_real)])
     # one tableau for both phases: standard form, then artificials, then the rhs
     t = _tableau(prog, me)
-    if not me:
-        return t, basis, 0
     t[:me, n_real:-1] = np.eye(me)
     t[m, :n_real] = t[:me, :n_real].sum(axis=0)
     t[m, -1] = t[:me, -1].sum()

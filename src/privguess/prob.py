@@ -203,9 +203,9 @@ class Channel:
         return self.matrix.shape
 
     @classmethod
-    def identity(cls, n: int, n_outputs: int | None = None) -> "Channel":
-        """Identity channel, optionally padded with zero-probability outputs."""
-        return cls(np.eye(n, n_outputs if n_outputs is not None else n))
+    def identity(cls, n: int) -> "Channel":
+        """Identity channel on ``n`` symbols."""
+        return cls(np.eye(n))
 
 
 def guess_prob(dist: JointDistribution, axis: Axis) -> float:

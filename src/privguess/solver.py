@@ -307,6 +307,15 @@ def _certified(joint: JointDistribution, f: np.ndarray, caps: np.ndarray,
     ))
 
 
+def _thresholds(eps, ndim: int) -> np.ndarray:
+    """``eps`` as 1-D float64; :class:`ParameterError` unless it has ``ndim`` dimensions and an int or float dtype."""
+    arr = np.asarray(eps)
+    if arr.ndim != ndim or arr.dtype.kind not in "iuf":
+        what = "a 1-D array of real numbers" if ndim else "a real number"
+        raise ParameterError(f"threshold eps must be {what}, got {eps!r}")
+    return arr.astype(np.float64, copy=False).reshape(-1)
+
+
 def _clamp(joint: JointDistribution, eps: np.ndarray) -> tuple[float, float, np.ndarray, PrivguessError | None]:
     """(P_c(X), P_c(X|Y), caps, error): each ``eps`` clamped onto the frontier's domain [P_c(X), P_c(X|Y)].
 
@@ -338,13 +347,14 @@ def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
     ``eps`` below the unconditional guessing probability of X (beyond
     ``RANGE_TOL``) is infeasible; above the conditional guessing probability
     the identity filter is returned directly with utility 1 and the solution
-    is flagged saturated. Y alphabets larger than ``MAX_ALPHABET`` are rejected.
+    is flagged saturated. Y alphabets larger than ``MAX_ALPHABET`` are rejected,
+    and an ``eps`` that is a bool or not a real scalar raises :class:`ParameterError`.
     """
     p = joint.matrix
     n = p.shape[1]
     if n > MAX_ALPHABET:
         raise CapacityError(f"Y alphabet {n} exceeds enumeration cap {MAX_ALPHABET}")
-    _, pcxy, caps, error = _clamp(joint, np.array([eps]))
+    _, pcxy, caps, error = _clamp(joint, _thresholds(eps, 0))
     if error is not None:
         raise error
 
@@ -396,8 +406,9 @@ def read_curve(joint: JointDistribution, curve: GuessCurve,
     """The frontier on a grid of thresholds, read off ``curve``, the :func:`trace_curve` of ``joint``.
 
     Yields (eps, utility, privacy) arrays for consecutive blocks of ``eps``,
-    each of ``GRID_ENTRIES // (M N)`` points but the last. Each ``eps`` is
-    checked and clamped as by :func:`best_filter`, so thresholds within
+    each of ``GRID_ENTRIES // (M N)`` points but the last; a grid that is not
+    a 1-D array of integers or floats raises :class:`ParameterError`. Each
+    ``eps`` is checked and clamped as by :func:`best_filter`, so thresholds within
     ``ROUNDOFF_TOL`` of P_c(X|Y) or above read the last vertex. On the
     piece [a, b] holding the clamped ``eps`` (found by one
     ``np.searchsorted`` on the breakpoints), the filter is the mixture
@@ -411,7 +422,7 @@ def read_curve(joint: JointDistribution, curve: GuessCurve,
     another joint raises: :class:`DimensionMismatchError` if its filters are
     not N x N, else :class:`ParameterError` if its ends are not ``joint``'s.
     """
-    eps = np.asarray(eps, dtype=np.float64)
+    eps = _thresholds(eps, 1)
     step = max(1, GRID_ENTRIES // joint.matrix.size)
     for start in range(0, len(eps), step):
         block = eps[start:start + step]
@@ -426,7 +437,7 @@ def curve_point(joint: JointDistribution, curve: GuessCurve, eps: float) -> Filt
     Checks, clamping, the mixture of vertex filters and its certificate are
     those of :func:`read_curve`; the result also carries the mixture.
     """
-    out = _read(joint, curve, np.array([eps])).passed()
+    out = _read(joint, curve, _thresholds(eps, 0)).passed()
     return FilterSolution(utility=float(out.utility[0]), privacy=float(out.privacy[0]),
                           filter=out.channels()[0],
                           y_guess_map=tuple(range(joint.shape[1])), eps=eps,

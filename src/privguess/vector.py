@@ -43,8 +43,8 @@ it down three ways, in increasing strength:
    attained by a 2^n-output filter whose outputs are guessed by the
    identity map.
 
-Values requested below the certificate threshold are still returned (the
-formula is well defined wherever 1 - zeta_n q^n > 0) but flagged UNKNOWN.
+Values below the certificate threshold, and for n > 3 all values, are still
+returned (defined wherever 1 - zeta_n q^n > 0) but flagged UNKNOWN.
 
 Powers like p**n underflow for very large n, so all formula paths go through
 logarithms; materializing the 2^n x 2^n product joint is capped at n = 10.
@@ -354,16 +354,16 @@ def block_utility(model: VectorModel, eps: float) -> float:
 def block_utility_detail(model: VectorModel, eps: float) -> BlockUtility:
     """Block formula value plus a validity flag.
 
-    VALID means eps is at or above the certificate threshold, where the flip
-    channel attains the formula. For n <= 3 the LP optimum equals the
-    formula from there up (checked in the tests), so VALID means optimal;
-    for n >= 4 it only means that the flip channel attains the formula.
-    Below the threshold the value is still the formula's, flagged UNKNOWN.
+    VALID means that the formula is the optimum over all filters: n is at
+    most ``MAX_CERTIFIED_N`` and eps is at or above the certificate
+    threshold, from where the LP optimum equals the formula (checked in the
+    tests). Otherwise the value is still the formula's, flagged UNKNOWN:
+    below the threshold, and for n >= 4 at any eps, where the flip channel
+    attains the formula but no optimum is certified against it.
     """
     value = block_utility(model, eps)
-    thr = certificate_threshold(model)
-    validity = Validity.VALID if eps >= thr - RANGE_TOL else Validity.UNKNOWN
-    return BlockUtility(value, validity)
+    valid = model.n <= MAX_CERTIFIED_N and eps >= certificate_threshold(model) - RANGE_TOL
+    return BlockUtility(value, Validity.VALID if valid else Validity.UNKNOWN)
 
 
 def zn_filter(model: VectorModel, eps: float) -> ZnChannel:

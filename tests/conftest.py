@@ -197,8 +197,8 @@ def reference_walk(prog: LinearProgram, sol, row: int) -> list[tuple]:
     raise AssertionError("the reference walk exhausted its pivot budget")
 
 
-def reference_solve(prog: LinearProgram) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """(value, point, duals, iterations) of ``lp.solve_lp(prog)``'s winner, by the reference price-out.
+def reference_solve(prog: LinearProgram) -> tuple[float, np.ndarray, int]:
+    """(value, point, iterations) of ``lp.solve_lp(prog)``'s winner, by the reference price-out.
 
     Phase 1 and the pivot loop are ``lp``'s own, so a phase that breaks
     down raises its :class:`NumericalError` here too. Each objective row is
@@ -226,7 +226,7 @@ def reference_solve(prog: LinearProgram) -> tuple[float, np.ndarray, np.ndarray,
         assert float(tk[m, :n_real].max()) <= lp.FEAS_TOL
         value, point = reference_vertex(prog, prog.b_ub, c, tk, bk)
         if best is None or value > best[0]:
-            best = (value, point, -tk[m, n:n_real])
+            best = (value, point)
     return (*best, iters)
 
 

@@ -239,7 +239,7 @@ class TestObjectiveFamily:
             assert sol.winner == k
             assert sol.value == solos[k].value
             np.testing.assert_array_equal(sol.point, solos[k].point)
-            np.testing.assert_array_equal(sol.duals, solos[k].duals)
+            np.testing.assert_array_equal(sol.tableau, solos[k].tableau)
             phase1 = solve_lp(family(prog, np.zeros(n))).iterations  # phase 2 has nothing to do
             assert sol.iterations == phase1 + sum(s.iterations - phase1 for s in solos)
 
@@ -289,34 +289,39 @@ def highs_duals(prog: LinearProgram) -> np.ndarray:
     return -res.ineqlin.marginals
 
 
+def price(prog: LinearProgram, row: int) -> float:
+    """The price of ``b_ub[row]`` at ``prog``'s optimum, as the package reads it: the slope of the walk's first piece."""
+    return next(lp_module.piece_starts(prog, solve_lp(prog), row)).slope
+
+
 class TestDuals:
+    """Row prices read off the walk's tableau, against closed forms and HiGHS."""
+
     def test_single_bound(self):
-        np.testing.assert_allclose(solve_lp(lp([1.0], a_ub=[[1.0]], b_ub=[1.0])).duals, [1.0],
-                                   atol=1e-12)
+        assert price(lp([1.0], a_ub=[[1.0]], b_ub=[1.0]), 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_negated_row_closed_form(self):
         # the binary filter reduction in h = 1 - g, the privacy row
         # -0.4 g <= eps - 0.8 negated: value 0.56 (eps - 0.4) / 0.4, so the
         # price of the privacy row is 1.4; the box h <= 1 is slack and free
         for eps in (0.62, 0.7, 0.78):
-            sol = solve_lp(lp([0.56], a_ub=[[0.4], [1.0]], b_ub=[eps - 0.4, 1.0]))
-            np.testing.assert_allclose(sol.duals, [1.4, 0.0], atol=1e-12)
+            prog = lp([0.56], a_ub=[[0.4], [1.0]], b_ub=[eps - 0.4, 1.0])
+            np.testing.assert_allclose([price(prog, 0), price(prog, 1)], [1.4, 0.0], atol=1e-12)
 
     def test_random_programs_match_highs(self):
         rng = np.random.default_rng(4242)
         for _ in range(60):
             prog = nondegenerate_program(rng)
-            sol = solve_lp(prog)
-            assert sol.duals.shape == prog.b_ub.shape
-            np.testing.assert_allclose(sol.duals, highs_duals(prog), rtol=0.0, atol=1e-9)
+            prices = [price(prog, row) for row in range(prog.a_ub.shape[0])]
+            np.testing.assert_allclose(prices, highs_duals(prog), rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("eps", [0.65, 0.7, 0.76, 0.79])
     def test_block_cap_row_matches_highs(self, eps):
         # the privacy-cap row of the n = 2 block LP, away from its kinks
         p = VectorModel(2, p=0.6, alpha=0.2).block_joint().matrix
         prog = _guess_lp(p, [(0, 1, 2, 3)], eps ** 2, 4)
-        sol = solve_lp(prog)
-        assert sol.duals[-1] == pytest.approx(highs_duals(prog)[-1], abs=1e-9)
+        cap = prog.a_ub.shape[0] - 1
+        assert price(prog, cap) == pytest.approx(highs_duals(prog)[cap], abs=1e-9)
 
 
 def walk(prog: LinearProgram, row: int) -> list[tuple]:
@@ -352,7 +357,6 @@ class TestPieceStart:
         # pivot after it already reads the left piece's price. The kink is
         # found once.
         prog = capped(1.0)
-        assert solve_lp(prog).duals[2] == 0.5
         assert walk(prog, 2) == [(1.0, 1.0, 0.5, 1.0), (0.0, 0.0, 1.0, math.inf)]
 
     def test_end_of_the_feasible_range(self):
@@ -387,7 +391,7 @@ class TestPieceStart:
                 continue
             row = int(rng.integers(prog.a_ub.shape[0]))
             starts = list(lp_module.piece_starts(prog, sol, row))
-            assert starts[0].slope == sol.duals[row]
+            assert starts[0].slope == -sol.tableau[-1, prog.n_vars + row]
             tops = [prog.b_ub[row]] + [s.rhs for s in starts]
             h = 1e-4
             for start, top in zip(starts, tops):
@@ -455,7 +459,6 @@ class TestStartBasis:
         assert sol.iterations == 0
         np.testing.assert_array_equal(sol.point, [1.0, 0.5])
         assert sol.value == 1.25
-        np.testing.assert_array_equal(sol.duals, solve_lp(prog).duals)
 
     def test_feasible_start_runs_phase_2(self):
         # the slack basis is where phase 2 starts when there is no phase 1
@@ -567,7 +570,7 @@ class TestPrivateEngine:
         assert not set(lp_module.__all__) & (set(privguess.__all__) | set(dir(privguess)))
         # one outcome: a solution is an optimum, with no status to check
         assert {f.name for f in dataclasses.fields(lp_module.LpSolution)} == {
-            "value", "point", "iterations", "duals", "winner", "tableau", "basis"}
+            "value", "point", "iterations", "winner", "tableau", "basis"}
 
     def test_kernel_backend_still_resolves(self):
         # perfbench/worker.py and perfbench/screen.py record which pivot loop ran

@@ -37,6 +37,11 @@ class TestWhatAnImportLoads:
         assert {"privguess.mc", "privguess.vector"} <= loaded
         assert not {"privguess.solver", "privguess.lp"} & loaded
 
+    def test_kernel_backend_loads_no_layer(self):
+        # perfbench's worker records it in every workload, the simulation's included
+        assert loaded_after("import privguess; assert privguess.KERNEL_BACKEND == 'python'") == {
+            "privguess", "privguess.errors"}
+
     def test_a_public_name_loads_its_module(self):
         loaded = loaded_after("import privguess; privguess.best_filter")
         assert {"privguess.solver", "privguess.lp"} <= loaded

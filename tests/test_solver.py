@@ -53,6 +53,10 @@ from privguess import cli, solver
 from privguess import lp as lp_module
 from privguess.lp import LinearProgram
 
+#: thresholds that are not a real scalar, with their test ids
+NOT_REAL_SCALARS = [True, "0.7", None, np.array([0.7])]
+NOT_REAL_IDS = ["bool", "string", "none", "array"]
+
 
 class TestBestFilter:
     def test_fig3_midpoint(self):
@@ -86,6 +90,12 @@ class TestBestFilter:
     def test_nan_threshold_is_a_parameter_error(self):
         with pytest.raises(ParameterError, match="eps"):
             best_filter(fig3_joint(), float("nan"))
+
+    @pytest.mark.parametrize("eps", NOT_REAL_SCALARS, ids=NOT_REAL_IDS)
+    def test_threshold_not_a_real_scalar_is_a_parameter_error(self, eps):
+        # read as a number, True would be eps = 1.0, a saturated utility 1
+        with pytest.raises(ParameterError, match="threshold eps must be a real number, got "):
+            best_filter(fig3_joint(), eps)
 
     def test_alphabet_cap(self):
         j = JointDistribution(np.full((2, 7), 1.0 / 14))
@@ -836,12 +846,12 @@ class TestIdentityTop:
         # F[y, y] has a profit, so the reduced profits are exact
         p = seeded_trial(int(case[5:])) if case.startswith("trial") else hard_joint(case)
         n = p.shape[1]
-        prog, sol, _ = identity_top_solve(p)
+        prog, sol, walk = identity_top_solve(p)
         assert sol.iterations == 0
         assert prog.b_ub[-1] == cond_guess_prob(JointDistribution(p), Axis.ROWS)
         np.testing.assert_array_equal(sol.point[:n * n].reshape(n, n), np.eye(n))
         assert sol.value == pytest.approx(1.0, abs=1e-15)
-        assert sol.duals[-1] == 0.0
+        assert next(walk).slope == 0.0  # the cap's price: h is flat above P_c(X|Y)
         profits = sol.tableau[-1, :-1]
         p_y = p.sum(axis=0)
         np.testing.assert_array_equal(profits[:n * n].reshape(n, n), -p_y[:, None] * (1.0 - np.eye(n)))
@@ -926,7 +936,7 @@ class TestIdentityTopTableau:
             assert (tableau == want_tableau).all()
             want = real(prog, (want_tableau, want_basis))
             assert sol.iterations == want.iterations == 0
-            assert hexed(sol.value, sol.point, sol.duals) == hexed(want.value, want.point, want.duals)
+            assert hexed(sol.value, sol.point) == hexed(want.value, want.point)
             row = len(prog.b_ub) - 1
             assert walked(walk) == walked(lp_module.piece_starts(prog, want, row))
 
@@ -1018,14 +1028,14 @@ class TestWalkReference:
             try:
                 with monkeypatch.context() as m:
                     m.setattr(lp_module, "pivot", reference_pivot)
-                    value, point, duals, iterations = reference_solve(prog)
+                    value, point, iterations = reference_solve(prog)
             except (AssertionError, NumericalError):
                 with pytest.raises(NumericalError):
                     lp_module.solve_lp(prog)
                 continue
             sol = lp_module.solve_lp(prog)
             assert sol.iterations == iterations
-            assert hexed(sol.value, sol.point, sol.duals) == hexed(value, point, duals)
+            assert hexed(sol.value, sol.point) == hexed(value, point)
 
 
     def test_kernel_is_the_reference_loop(self, monkeypatch):
@@ -1150,6 +1160,20 @@ class TestCurvePoint:
         high = solver.curve_point(joint, curve, 0.95)
         assert high.saturated and high.eps == 0.95
         assert high.utility == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("eps", NOT_REAL_SCALARS, ids=NOT_REAL_IDS)
+    def test_threshold_not_a_real_scalar_is_a_parameter_error(self, eps):
+        joint = fig3_joint()
+        with pytest.raises(ParameterError, match="threshold eps must be a real number, got "):
+            solver.curve_point(joint, trace_curve(joint), eps)
+
+    @pytest.mark.parametrize("grid", [np.array(["0.7"]), [True, False], [0.7, None], np.array([[0.7]])],
+                             ids=["strings", "bools", "none", "2-d"])
+    def test_grid_not_of_reals_is_a_parameter_error(self, grid):
+        # a float conversion would parse strings and read bools as 1.0 and 0.0
+        joint = fig3_joint()
+        with pytest.raises(ParameterError, match="threshold eps must be a 1-D array of real numbers"):
+            list(solver.read_curve(joint, trace_curve(joint), grid))
 
     def test_foreign_curve_is_a_parameter_error(self):
         # a curve read against a joint it was not traced from is a caller's

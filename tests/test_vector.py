@@ -282,6 +282,14 @@ class TestBlock:
         assert detail.value == pytest.approx(0.862419, abs=1e-6)
         assert detail.validity is Validity.UNKNOWN
 
+    def test_uncertified_n_is_unknown(self):
+        # above n = MAX_CERTIFIED_N the flip channel attains the formula, but
+        # no optimum is certified against it, so VALID would overclaim
+        model = VectorModel(4, **FIG3)
+        assert 0.7975 >= certificate_threshold(model)
+        assert block_utility_detail(model, 0.7975).validity is Validity.UNKNOWN
+        assert block_utility_detail(VectorModel(3, **FIG3), 0.7975).validity is Validity.VALID
+
     def test_dominates_memoryless(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
