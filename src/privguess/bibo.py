@@ -22,14 +22,13 @@ and silently returning trivia would hide modeling mistakes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DegenerateChannelError, ParameterError, PrivguessError
-from .prob import RANGE_TOL, ROUNDOFF_TOL, Channel, JointDistribution
+from .prob import ROUNDOFF_TOL, Channel, JointDistribution, _onto_domain, _real, _reals
 
 __all__ = [
     "BiboParams",
@@ -62,9 +61,8 @@ class BiboParams:
     beta: float
 
     def __post_init__(self):
-        for name, v in (("p", self.p), ("alpha", self.alpha), ("beta", self.beta)):
-            if not math.isfinite(float(v)):
-                raise ParameterError(f"{name} must be finite, got {v!r}")
+        for name in ("p", "alpha", "beta"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not 0.5 <= self.p < 1.0:
             raise ParameterError(f"p must be in [1/2, 1), got {self.p!r}")
         if not 0.0 <= self.alpha < 0.5:
@@ -156,14 +154,10 @@ def nontrivial_utility(params: BiboParams) -> bool:
     return _branch_denominator(params)[0] is BranchTag.Z_BRANCH and params.p > 0.5
 
 
-def _zeta_at(params: BiboParams, eps, denom: float) -> np.ndarray:
-    """zeta(eps) with its branch's ``denom`` at each eps, checked and clamped onto [p, P_c(X|Y)]."""
-    eps = np.asarray(eps, dtype=np.float64)
-    p, hi, a, b = params.p, params.pc_x_given_y, params.alpha, params.beta
-    bad = ~((p - RANGE_TOL <= eps) & (eps <= hi + RANGE_TOL))
-    if bad.any():
-        raise ParameterError(f"eps {eps[bad][0].item()!r} outside the frontier domain [{p}, {hi}]")
-    return ((1.0 - a) * (1.0 - p) + (1.0 - b) * p - np.clip(eps, p, hi)) / denom
+def _zeta_at(params: BiboParams, eps: np.ndarray, denom: float) -> np.ndarray:
+    """zeta(eps) with its branch's ``denom`` at each of the real ``eps``, checked and clamped onto [p, P_c(X|Y)]."""
+    p, a, b = params.p, params.alpha, params.beta
+    return ((1.0 - a) * (1.0 - p) + (1.0 - b) * p - _onto_domain(eps, p, params.pc_x_given_y)) / denom
 
 
 def closed_form_utility(params: BiboParams, eps: float) -> tuple[float, BranchTag]:
@@ -174,7 +168,7 @@ def closed_form_utility(params: BiboParams, eps: float) -> tuple[float, BranchTa
     right endpoint.
     """
     tag, denom = _branch_denominator(params)
-    zeta = float(_zeta_at(params, eps, denom))
+    zeta = float(_zeta_at(params, _reals("eps", eps, 0), denom))
     if tag is BranchTag.Z_BRANCH:
         return 1.0 - zeta * params.q, tag
     return 1.0 - zeta * (1.0 - params.q), tag
@@ -183,7 +177,7 @@ def closed_form_utility(params: BiboParams, eps: float) -> tuple[float, BranchTa
 def crossover(params: BiboParams, eps) -> np.ndarray:
     """The flip probability of :func:`optimal_filter` (zeta or zetatilde, clipped to [0, 1])
     at each threshold of the array ``eps``, each checked as by :func:`closed_form_utility`."""
-    return np.clip(_zeta_at(params, eps, _branch_denominator(params)[1]), 0.0, 1.0)
+    return np.clip(_zeta_at(params, _reals("eps", eps, None), _branch_denominator(params)[1]), 0.0, 1.0)
 
 
 def optimal_filter(params: BiboParams, eps: float) -> Channel:
@@ -198,7 +192,7 @@ def optimal_filter(params: BiboParams, eps: float) -> Channel:
     channel with crossover zeta(eps)/2 is equally optimal; only the reverse-Z
     filter is returned here.
     """
-    zeta = float(crossover(params, eps))
+    zeta = float(crossover(params, _real("eps", eps)))
     if branch(params) is BranchTag.Z_BRANCH:
         return Channel(np.array([[1.0, 0.0], [zeta, 1.0 - zeta]]))
     return Channel(np.array([[1.0 - zeta, zeta], [0.0, 1.0]]))

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError
-from .prob import Axis, Channel, JointDistribution, _adopt, _positive_int, compose
+from .prob import Axis, Channel, JointDistribution, _adopt, _positive_int, _real, compose
 from .vector import VectorModel, ZnChannel, _kron_power
 
 __all__ = ["SimConfig", "SimReport", "simulate", "vector_sim_config"]
@@ -110,6 +110,7 @@ def vector_sim_config(seed: int, samples: int, model: VectorModel,
     joint is built.
     """
     seed, samples = _positive_int("seed", seed, low=0), _positive_int("samples", samples)
+    gamma = _real("gamma", gamma)
     if not 0.0 <= gamma <= 1.0:
         raise ParameterError(f"gamma must be a probability, got {gamma!r}")
     if filter_kind not in ("memoryless", "block"):

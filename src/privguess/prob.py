@@ -15,9 +15,10 @@ Conventions
   are tie-invariant, so this only affects reported guessing maps.
 * Input validation tolerance is ``MASS_TOL`` = 1e-9. Invalid input is an
   error; nothing is ever renormalized silently.
-* Input is checked once, where it enters: the :class:`JointDistribution`
-  and :class:`Channel` constructors check (and copy) what a caller passes.
-  What the package derives from checked objects, such as :func:`compose`'s
+* Input is checked once, where it enters. Every number, threshold and
+  array from outside is real by one rule, :func:`_reals` (a count by
+  :func:`_positive_int`); the :class:`JointDistribution` and :class:`Channel`
+  constructors check (and copy) what a caller passes. What the package derives from checked objects, such as :func:`compose`'s
   product, a Kronecker power in :mod:`privguess.vector` or a filter the
   solver has certified, is held through :func:`_adopt` and not checked
   again. Its entries are finite and nonnegative by construction, and its
@@ -40,6 +41,7 @@ from .errors import (
     InvalidDistributionError,
     InvalidOrderError,
     ParameterError,
+    PrivguessError,
 )
 
 __all__ = [
@@ -84,20 +86,6 @@ class Axis(Enum):
     COLS = "cols"
 
 
-def _frozen(arr) -> np.ndarray:
-    """A read-only float64 copy of ``arr``, which no caller can write through.
-
-    Every array is copied, a read-only one that owns its memory included: its
-    owner can make it writable again. (``copy=True`` copies on NumPy 1.x and
-    2.x alike; ``copy=False`` does not mean the same on both.) The public
-    constructors check the copy; arrays the package derives skip both the
-    copy and the check through :func:`_adopt`.
-    """
-    out = np.array(arr, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 def _adopt(cls, *arrays: np.ndarray):
     """A ``cls``, a frozen dataclass such as :class:`JointDistribution`, that
     holds ``arrays`` themselves as its fields, in order, with no copy and no check.
@@ -132,6 +120,39 @@ def _positive_int(name: str, value, low: int = 1) -> int:
     return n
 
 
+def _reals(name: str, value, ndim: int | None, error: type[PrivguessError] = ParameterError) -> np.ndarray:
+    """``value`` as a new float64 array, which no caller holds, if it is real.
+
+    Real means that ``np.asarray(value)`` has ``ndim`` dimensions (any number
+    if None) and an integer or float dtype. So a bool, a string, None, a
+    complex number, a ``Fraction``, an object array or a ragged list is not
+    real: it raises ``error``, naming the parameter ``name`` and the value.
+    NaN and inf are real; ranges are the caller's to check.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged list
+        arr = np.array(None)
+    if (ndim is not None and arr.ndim != ndim) or arr.dtype.kind not in "iuf":
+        what = ("a real number" if ndim == 0 else
+                "an array of real numbers" if ndim is None else f"a {ndim}-D array of real numbers")
+        raise error(f"{name} must be {what}, got {value!r}")
+    return arr.astype(np.float64)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a ``float`` if it is a real scalar, as :func:`_reals` judges it."""
+    return float(_reals(name, value, 0))
+
+
+def _onto_domain(eps: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``eps`` clipped onto the frontier domain [lo, hi]; :class:`ParameterError` beyond ``RANGE_TOL`` (or NaN)."""
+    bad = ~((lo - RANGE_TOL <= eps) & (eps <= hi + RANGE_TOL))
+    if bad.any():
+        raise ParameterError(f"eps {eps[bad][0].item()!r} outside the frontier domain [{lo}, {hi}]")
+    return np.clip(eps, lo, hi)
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Immutable M x N joint probability matrix.
@@ -144,13 +165,14 @@ class JointDistribution:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
+        object.__setattr__(self, "matrix", _reals("joint", self.matrix, 2, InvalidDistributionError))
+        self.matrix.setflags(write=False)  # a copy: the caller's array may be made writable again
         self._check()
 
     def _check(self):
         m = self.matrix
-        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-            raise InvalidDistributionError(f"expected a 2-D matrix, got shape {m.shape}")
+        if m.size == 0:
+            raise InvalidDistributionError(f"expected a nonempty matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise InvalidDistributionError("non-finite entry in joint distribution")
         if np.any(m < 0.0):
@@ -182,13 +204,14 @@ class Channel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
+        object.__setattr__(self, "matrix", _reals("channel", self.matrix, 2, InvalidChannelError))
+        self.matrix.setflags(write=False)  # a copy: the caller's array may be made writable again
         self._check()
 
     def _check(self):
         m = self.matrix
-        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-            raise InvalidChannelError(f"expected a 2-D matrix, got shape {m.shape}")
+        if m.size == 0:
+            raise InvalidChannelError(f"expected a nonempty matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise InvalidChannelError("non-finite entry in channel")
         if np.any(m < 0.0):
@@ -247,7 +270,7 @@ def compose(dist: JointDistribution, filt: Channel, side: Axis) -> JointDistribu
 
 
 def _as_pmf(pmf) -> np.ndarray:
-    v = np.asarray(pmf, dtype=np.float64).ravel()
+    v = _reals("pmf", pmf, None, InvalidDistributionError).ravel()
     if v.size < 1 or not np.all(np.isfinite(v)) or np.any(v < 0.0):
         raise InvalidDistributionError("not a probability vector")
     if abs(float(v.sum()) - 1.0) > MASS_TOL:
@@ -262,7 +285,7 @@ def _resolve_order(order: float) -> float:
     1e6 to the min-entropy branch; both avoid catastrophic cancellation in the
     general formula. Orders below 1 are rejected.
     """
-    o = float(order)
+    o = _real("order", order)
     if math.isnan(o) or o < 1.0:
         raise InvalidOrderError(f"entropy order must be in [1, inf], got {order!r}")
     if o < 1.0 + _ORDER_ONE_BAND:

@@ -72,6 +72,8 @@ from .prob import (
     Channel,
     JointDistribution,
     _adopt,
+    _real,
+    _reals,
     cond_guess_prob,
     guess_prob,
     renyi_entropy,
@@ -307,15 +309,6 @@ def _certified(joint: JointDistribution, f: np.ndarray, caps: np.ndarray,
     ))
 
 
-def _thresholds(eps, ndim: int) -> np.ndarray:
-    """``eps`` as 1-D float64; :class:`ParameterError` unless it has ``ndim`` dimensions and an int or float dtype."""
-    arr = np.asarray(eps)
-    if arr.ndim != ndim or arr.dtype.kind not in "iuf":
-        what = "a 1-D array of real numbers" if ndim else "a real number"
-        raise ParameterError(f"threshold eps must be {what}, got {eps!r}")
-    return arr.astype(np.float64, copy=False).reshape(-1)
-
-
 def _clamp(joint: JointDistribution, eps: np.ndarray) -> tuple[float, float, np.ndarray, PrivguessError | None]:
     """(P_c(X), P_c(X|Y), caps, error): each ``eps`` clamped onto the frontier's domain [P_c(X), P_c(X|Y)].
 
@@ -354,7 +347,8 @@ def best_filter(joint: JointDistribution, eps: float) -> FilterSolution:
     n = p.shape[1]
     if n > MAX_ALPHABET:
         raise CapacityError(f"Y alphabet {n} exceeds enumeration cap {MAX_ALPHABET}")
-    _, pcxy, caps, error = _clamp(joint, _thresholds(eps, 0))
+    eps = _real("threshold eps", eps)
+    _, pcxy, caps, error = _clamp(joint, np.array([eps]))
     if error is not None:
         raise error
 
@@ -422,7 +416,7 @@ def read_curve(joint: JointDistribution, curve: GuessCurve,
     another joint raises: :class:`DimensionMismatchError` if its filters are
     not N x N, else :class:`ParameterError` if its ends are not ``joint``'s.
     """
-    eps = _thresholds(eps, 1)
+    eps = _reals("threshold eps", eps, 1)
     step = max(1, GRID_ENTRIES // joint.matrix.size)
     for start in range(0, len(eps), step):
         block = eps[start:start + step]
@@ -437,7 +431,8 @@ def curve_point(joint: JointDistribution, curve: GuessCurve, eps: float) -> Filt
     Checks, clamping, the mixture of vertex filters and its certificate are
     those of :func:`read_curve`; the result also carries the mixture.
     """
-    out = _read(joint, curve, _thresholds(eps, 0)).passed()
+    eps = _real("threshold eps", eps)
+    out = _read(joint, curve, np.array([eps])).passed()
     return FilterSolution(utility=float(out.utility[0]), privacy=float(out.privacy[0]),
                           filter=out.channels()[0],
                           y_guess_map=tuple(range(joint.shape[1])), eps=eps,
@@ -458,10 +453,12 @@ def guessing_gain(joint: JointDistribution, leak_bits: float) -> float:
     return _gains(joint, leak_bits)[0]
 
 
-def _check_budget(leak_bits: float) -> None:
-    """Raise :class:`ParameterError` unless ``leak_bits`` is a nonnegative budget (``inf`` included, NaN not)."""
+def _budget(leak_bits: float) -> float:
+    """``leak_bits`` as a ``float``; :class:`ParameterError` unless it is a nonnegative budget (``inf`` included, NaN not)."""
+    leak_bits = _real("leak budget", leak_bits)
     if not leak_bits >= 0.0:
         raise ParameterError(f"leak budget must be nonnegative, got {leak_bits!r}")
+    return leak_bits
 
 
 def _gains(joint: JointDistribution, *budgets: float) -> list[float]:
@@ -469,8 +466,7 @@ def _gains(joint: JointDistribution, *budgets: float) -> list[float]:
 
     Every budget is checked before the curve is traced.
     """
-    for leak_bits in budgets:
-        _check_budget(leak_bits)
+    budgets = [_budget(leak_bits) for leak_bits in budgets]
     pcx = guess_prob(joint, Axis.ROWS)
     pcxy = cond_guess_prob(joint, Axis.ROWS)
     pcy = guess_prob(joint, Axis.COLS)
@@ -493,10 +489,11 @@ def finite_order_gain_bounds(joint: JointDistribution, nu: float, mu: float,
     one traced curve. A negative or NaN ``leak_bits`` raises
     :class:`ParameterError`, as in :func:`guessing_gain`.
     """
+    nu, mu = _real("nu", nu), _real("mu", mu)
     for name, o in (("nu", nu), ("mu", mu)):
         if not (math.isfinite(o) and o > 1.0):
             raise InvalidOrderError(f"{name} must be finite and > 1, got {o!r}")
-    _check_budget(leak_bits)
+    leak_bits = _budget(leak_bits)
     px = joint.row_marginal
     py = joint.col_marginal
     hx_inf = renyi_entropy(px, math.inf)

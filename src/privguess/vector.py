@@ -84,8 +84,10 @@ from .prob import (
     Channel,
     JointDistribution,
     _adopt,
-    _frozen,
+    _onto_domain,
     _positive_int,
+    _real,
+    _reals,
 )
 
 __all__ = [
@@ -140,7 +142,8 @@ class VectorModel:
     alpha: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _positive_int("n", self.n))
+        for name, check in (("n", _positive_int), ("p", _real), ("alpha", _real)):
+            object.__setattr__(self, name, check(name, getattr(self, name)))
         if not 0.5 <= self.p < 1.0:
             raise ParameterError(f"p must be in [1/2, 1), got {self.p!r}")
         if not 0.0 <= self.alpha < 0.5:
@@ -201,7 +204,7 @@ def _kron_power(m1: np.ndarray, n: int) -> np.ndarray:
     :class:`Channel` without a copy.
     """
     r1, c1 = m1.shape
-    out = _frozen(m1)
+    out = m1.copy()
     for _ in range(n - 1):
         r, c = out.shape
         nxt = np.empty((r * r1, c * c1))
@@ -222,7 +225,8 @@ class ZnChannel:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _positive_int("n", self.n))
+        for name, check in (("n", _positive_int), ("gamma", _real)):
+            object.__setattr__(self, name, check(name, getattr(self, name)))
         if not 0.0 <= self.gamma <= 1.0:
             raise ParameterError(f"gamma must be a probability, got {self.gamma!r}")
 
@@ -302,9 +306,7 @@ class ThresholdEstimate(NamedTuple):
 
 
 def _check_eps(model: VectorModel, eps: float) -> float:
-    if not model.p - RANGE_TOL <= eps <= model.abar + RANGE_TOL:
-        raise ParameterError(f"eps {eps!r} outside [{model.p}, {model.abar}]")
-    return min(max(eps, model.p), model.abar)
+    return float(_onto_domain(_reals("eps", eps, 0), model.p, model.abar))
 
 
 def memoryless_utility(model: VectorModel, eps: float) -> float:
@@ -428,21 +430,22 @@ def _log_denom(model: VectorModel) -> float:
 
 
 def heuristic_threshold(model: VectorModel) -> float:
-    """Smallest eps with flip probability <= 1 and block >= memoryless.
+    """Smallest eps with flip probability <= 1 and block >= memoryless - ``ROUNDOFF_TOL``.
 
     Necessary conditions only; no optimality claim. At n = 1 the two
-    formulas are the same line and the answer is p; comparing them there
-    would fail by roundoff and let the bisection drift above p.
+    formulas are the same line and the answer is p. At alpha = 0 both are
+    eps itself, so an exact comparison would let roundoff steer the bisection
+    above the root of zeta_n(eps) = 1.
     """
     if model.n == 1:
         return model.p
     lo = _nth_root_threshold(model, _log_denom(model))  # zeta_n(eps) <= 1 from here
     hi = model.abar
-    if block_utility(model, lo) >= memoryless_utility(model, lo):
+    if block_utility(model, lo) >= memoryless_utility(model, lo) - ROUNDOFF_TOL:
         return lo
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if block_utility(model, mid) >= memoryless_utility(model, mid):
+        if block_utility(model, mid) >= memoryless_utility(model, mid) - ROUNDOFF_TOL:
             hi = mid
         else:
             lo = mid

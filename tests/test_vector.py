@@ -441,6 +441,27 @@ class TestThresholds:
         # the LP-certified boundary coincides with the composition certificate
         assert est.eps_l == pytest.approx(certificate_threshold(VectorModel(2, **FIG3)), abs=1e-9)
 
+    def test_heuristic_is_the_root_of_zeta_n_equal_one(self):
+        # on every model tried, block >= memoryless holds from the root of
+        # zeta_n(eps) = 1 on, so heuristic_threshold returns that root. At
+        # alpha = 0 both formulas are eps itself; compared with no slack,
+        # roundoff steered the bisection 0.037 above the root on the first
+        # model here and 0.13 above it on the second
+        rng = np.random.default_rng(34)
+        models = [VectorModel(2, 0.70629, 0.0), VectorModel(2, 0.6737866666666666, 1e-18)]
+        while len(models) < 2000:
+            p = (0.5, 0.5 + 10.0 ** -rng.uniform(3, 12), rng.uniform(0.5, 0.95))[rng.integers(3)]
+            cap = 1.0 - p  # alpha < 1 - p <= 1/2
+            alpha = (0.0, cap * 10.0 ** -rng.uniform(1, 12), cap * (1.0 - 10.0 ** -rng.uniform(1, 12)),
+                     rng.uniform(0.0, cap))[rng.integers(4)]
+            n = int(rng.integers(2, 5) if rng.integers(2) else rng.integers(2, 200))
+            if alpha < cap:
+                models.append(VectorModel(n, p, alpha))
+        assert sum(m.alpha == 0.0 for m in models) > 400 and sum(m.n == 2 for m in models) > 300
+        for model in models:
+            root = vector._nth_root_threshold(model, vector._log_denom(model))
+            assert heuristic_threshold(model) == root, model
+
     def test_large_n_is_heuristic(self):
         est = validity_threshold(VectorModel(10, **FIG3))
         assert not est.certified
