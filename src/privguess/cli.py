@@ -21,8 +21,8 @@ import numpy as np
 # bibo, mc, solver and vector are imported by the commands that run them, so
 # that a call loads only the layers it uses; prob stays here, where the
 # benchmark's tracer wraps cli.guess_prob and cli.cond_guess_prob
-from .errors import NumericalError, PrivguessError
-from .prob import Axis, Channel, JointDistribution, cond_guess_prob, guess_prob
+from .errors import NumericalError, ParameterError, PrivguessError
+from .prob import Axis, Channel, JointDistribution, _reals, cond_guess_prob, guess_prob
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,19 +51,6 @@ def _round12(x: float) -> float:
     return float(_fmt(x))
 
 
-def _check_numbers(value) -> None:
-    """Raise :class:`UsageError` unless ``value`` is a JSON number or nested arrays of them.
-
-    A JSON boolean is not a number, though Python's ``bool`` is an ``int``,
-    and neither is a numeric string, though NumPy would parse one.
-    """
-    if isinstance(value, list):
-        for entry in value:
-            _check_numbers(entry)
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError(f'"joint" must be a rectangular numeric array: {json.dumps(value)} is not a number')
-
-
 def _load_joint(path: str) -> JointDistribution:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -74,10 +61,10 @@ def _load_joint(path: str) -> JointDistribution:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "joint" not in doc:
         raise UsageError(f'{path} must be a JSON object with a "joint" key')
-    _check_numbers(doc["joint"])
     try:
-        matrix = np.array(doc["joint"], dtype=float)
-    except (TypeError, ValueError) as exc:
+        # a JSON boolean or numeric string is not a number, though NumPy would read one
+        matrix = _reals("joint", doc["joint"], None)
+    except ParameterError as exc:
         raise UsageError(f'"joint" must be a rectangular numeric array: {exc}') from exc
     joint = JointDistribution(matrix)
     for key, size in (("labels_x", joint.shape[0]), ("labels_y", joint.shape[1])):

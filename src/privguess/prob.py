@@ -17,13 +17,17 @@ Conventions
   error; nothing is ever renormalized silently.
 * Input is checked once, where it enters. Every number, threshold and
   array from outside is real by one rule, :func:`_reals` (a count by
-  :func:`_positive_int`); the :class:`JointDistribution` and :class:`Channel`
-  constructors check (and copy) what a caller passes. What the package derives from checked objects, such as :func:`compose`'s
-  product, a Kronecker power in :mod:`privguess.vector` or a filter the
-  solver has certified, is held through :func:`_adopt` and not checked
-  again. Its entries are finite and nonnegative by construction, and its
-  mass is its inputs' mass up to roundoff, so a derived joint may be up to
-  2 ``MASS_TOL`` from 1.
+  :func:`_positive_int`), in which a list or tuple holding a bool is not
+  real, and every joint, channel and pmf is a probability array by one rule,
+  :func:`_probabilities`: nonempty, finite, nonnegative, and each sum (the
+  mass, or each row's for a channel) within ``MASS_TOL`` of 1. The
+  :class:`JointDistribution` and :class:`Channel` constructors check (and
+  copy) what a caller passes. What the package derives from checked objects,
+  such as :func:`compose`'s product, a Kronecker power in
+  :mod:`privguess.vector` or a filter the solver has certified, is held
+  through :func:`_adopt` and not checked again. Its entries are finite and
+  nonnegative by construction, and its mass is its inputs' mass up to
+  roundoff, so a derived joint may be up to 2 ``MASS_TOL`` from 1.
 """
 
 from __future__ import annotations
@@ -124,20 +128,50 @@ def _reals(name: str, value, ndim: int | None, error: type[PrivguessError] = Par
     """``value`` as a new float64 array, which no caller holds, if it is real.
 
     Real means that ``np.asarray(value)`` has ``ndim`` dimensions (any number
-    if None) and an integer or float dtype. So a bool, a string, None, a
-    complex number, a ``Fraction``, an object array or a ragged list is not
-    real: it raises ``error``, naming the parameter ``name`` and the value.
-    NaN and inf are real; ranges are the caller's to check.
+    if None) and an integer or float dtype, and that a list or tuple holds no
+    bool, which NumPy reads beside a number as 0 or 1. So a bool, a string,
+    None, a complex number, a ``Fraction``, an object array or a ragged list
+    is not real: it raises ``error``, naming the parameter ``name`` and the
+    value. NaN and inf are real; ranges are the caller's to check.
     """
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged list
         arr = np.array(None)
-    if (ndim is not None and arr.ndim != ndim) or arr.dtype.kind not in "iuf":
+    if (ndim is not None and arr.ndim != ndim) or arr.dtype.kind not in "iuf" or _holds_bool(value):
         what = ("a real number" if ndim == 0 else
                 "an array of real numbers" if ndim is None else f"a {ndim}-D array of real numbers")
         raise error(f"{name} must be {what}, got {value!r}")
     return arr.astype(np.float64)
+
+
+def _holds_bool(value) -> bool:
+    """Whether ``value`` is a bool (Python's, NumPy's or a bool array), or a list or tuple that holds one."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool) or getattr(value, "dtype", None) == np.bool_
+
+
+def _probabilities(name: str, value, ndim: int | None, error: type[PrivguessError], axis: int | None = None) -> np.ndarray:
+    """``value`` as :func:`_reals` reads it, made read-only, if it is a probability array.
+
+    That is: it is nonempty, its entries are finite and nonnegative, and its
+    sums along ``axis`` (all entries if None, each row of a channel if 1) are
+    each within ``MASS_TOL`` of 1. Otherwise raises ``error``, naming the
+    parameter ``name``.
+    """
+    arr = _reals(name, value, ndim, error)
+    if arr.size == 0:
+        raise error(f"{name} must be nonempty, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise error(f"{name} has a non-finite entry")
+    if (arr < 0.0).any():
+        raise error(f"{name} has a negative entry {float(arr.min())!r}")
+    off = float(np.abs(arr.sum(axis=axis) - 1.0).max())
+    if off > MASS_TOL:
+        raise error(f"{name} {'total' if axis is None else 'row'} mass differs from 1 by {off!r}, more than {MASS_TOL}")
+    arr.setflags(write=False)
+    return arr
 
 
 def _real(name: str, value) -> float:
@@ -165,21 +199,7 @@ class JointDistribution:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _reals("joint", self.matrix, 2, InvalidDistributionError))
-        self.matrix.setflags(write=False)  # a copy: the caller's array may be made writable again
-        self._check()
-
-    def _check(self):
-        m = self.matrix
-        if m.size == 0:
-            raise InvalidDistributionError(f"expected a nonempty matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidDistributionError("non-finite entry in joint distribution")
-        if np.any(m < 0.0):
-            raise InvalidDistributionError(f"negative entry {m.min()!r} in joint distribution")
-        total = float(m.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise InvalidDistributionError(f"total mass {total!r} differs from 1 by more than {MASS_TOL}")
+        object.__setattr__(self, "matrix", _probabilities("joint", self.matrix, 2, InvalidDistributionError))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -204,22 +224,7 @@ class Channel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _reals("channel", self.matrix, 2, InvalidChannelError))
-        self.matrix.setflags(write=False)  # a copy: the caller's array may be made writable again
-        self._check()
-
-    def _check(self):
-        m = self.matrix
-        if m.size == 0:
-            raise InvalidChannelError(f"expected a nonempty matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidChannelError("non-finite entry in channel")
-        if np.any(m < 0.0):
-            raise InvalidChannelError(f"negative entry {m.min()!r} in channel")
-        rows = m.sum(axis=1)
-        worst = float(np.abs(rows - 1.0).max())
-        if worst > MASS_TOL:
-            raise InvalidChannelError(f"row sum deviates from 1 by {worst!r} (tolerance {MASS_TOL})")
+        object.__setattr__(self, "matrix", _probabilities("channel", self.matrix, 2, InvalidChannelError, 1))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -269,15 +274,6 @@ def compose(dist: JointDistribution, filt: Channel, side: Axis) -> JointDistribu
     return _adopt(JointDistribution, out)
 
 
-def _as_pmf(pmf) -> np.ndarray:
-    v = _reals("pmf", pmf, None, InvalidDistributionError).ravel()
-    if v.size < 1 or not np.all(np.isfinite(v)) or np.any(v < 0.0):
-        raise InvalidDistributionError("not a probability vector")
-    if abs(float(v.sum()) - 1.0) > MASS_TOL:
-        raise InvalidDistributionError(f"probability vector mass {v.sum()!r} differs from 1")
-    return v
-
-
 def _resolve_order(order: float) -> float:
     """Map an order to its evaluation branch: 1.0, math.inf, or a finite value > 1.
 
@@ -314,7 +310,7 @@ def renyi_entropy(pmf, order: float) -> float:
     ``order=1`` gives Shannon entropy, ``order=inf`` min-entropy
     (-log2 of the largest mass), finite orders the usual power-sum form.
     """
-    v = _as_pmf(pmf)
+    v = _probabilities("pmf", pmf, None, InvalidDistributionError).ravel()
     o = _resolve_order(order)
     if o == 1.0:
         return _shannon(v)

@@ -104,6 +104,7 @@ __all__ = [
     "certificate_threshold",
     "heuristic_threshold",
     "validity_threshold",
+    "brute_force_block_utility",
 ]
 
 
@@ -400,13 +401,21 @@ def _phi(model: VectorModel, n: int) -> float:
 def gap_bounds(model: VectorModel, eps: float) -> GapBounds:
     """Analytic bounds on the advantage of block filtering over memoryless.
 
-    Lower bound (abar - eps) * (phi(1) - phi(n)) applies for p > 1/2 and
-    alpha > 0 and is 0 otherwise; the upper bound alpha / (2 abar) applies
-    only to unbiased sources (p = 1/2).
+    The upper bound alpha / (2 abar) applies only to unbiased sources (p = 1/2).
+    The lower bound is 0 unless p > 1/2 and alpha > 0. There memoryless is
+    1 - (abar - eps) phi(1), and with D_n = (abar p)**n - (alpha pbar)**n,
+    block = (1 - x)**(1/n) = (K + (q**n / D_n) eps**n)**(1/n), where
+    x = q**n (abar**n - eps**n) / D_n and K = 1 - abar phi(n). For K >= 0 block
+    is an l_n norm of an affine map of eps, so convex, and lies above its
+    tangent at abar, 1 - (abar - eps) phi(n). For K < 0 it is concave, but
+    (1 - x)**(1/n) >= 1 - x and abar**n - eps**n <= n abar**(n-1) (abar - eps)
+    put it above 1 - (abar - eps) n phi(n).
     """
     eps = _check_eps(model, eps)
     if model.p > 0.5 and model.alpha > 0.0:
-        lower = (model.abar - eps) * (_phi(model, 1) - _phi(model, model.n))
+        phi_n = _phi(model, model.n)
+        slope = phi_n if model.abar * phi_n <= 1.0 else model.n * phi_n
+        lower = (model.abar - eps) * (_phi(model, 1) - slope)
     else:
         lower = 0.0
     upper = model.alpha / (2.0 * model.abar) if model.p == 0.5 else None

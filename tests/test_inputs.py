@@ -6,6 +6,9 @@ A value that is not real raises the entry point's input error, never a raw
 ``TypeError`` and never a result. NumPy and Python integers and floats are
 read as the ``float`` they equal: the output is the one of the ``float``
 call bit for bit, and a record stores the ``float``.
+
+And one rule for what a probability array is: a joint, a channel and a pmf
+pass ``prob._probabilities``, which names the parameter in what it raises.
 """
 
 import dataclasses
@@ -47,6 +50,7 @@ from privguess import (
     vector_sim_config,
     zn_filter,
 )
+from privguess import prob
 
 JOINT = fig3_joint()  # P_c(X) = 0.6, P_c(X|Y) = 0.8
 CURVE = trace_curve(JOINT)
@@ -115,6 +119,20 @@ NOT_REAL = {"bool": True, "string": "0.7", "none": None, "complex": 1 + 0j, "fra
 
 ARRAY_ENTRIES = [name for name, entry in ENTRIES.items() if entry.ndim != 0]
 
+#: lists and a tuple that NumPy reads as arrays of numbers, each bool as 0 or 1
+HOLDS_BOOL = {"nested": [[0.5, True]], "row": [0.6, True], "false": [1, False], "numpy-tuple": (0.5, np.True_)}
+
+#: (array entry, list holding a bool) pairs; a 1-D list is wrapped into a 2-D one for a matrix
+BOOL_CASES = [(name, kind) for name in ARRAY_ENTRIES for kind, value in HOLDS_BOOL.items()
+              if not (ENTRIES[name].ndim == 1 and np.ndim(value) == 2)]
+
+#: the entry points that take a probability array, and the parameter name each reports
+PROBABILITY_ENTRIES = {"JointDistribution": "joint", "Channel": "channel", "renyi_entropy-pmf": "pmf"}
+
+#: ways to spoil a probability array, and the words of the error each raises
+SPOILED = {"empty": "must be nonempty", "nan": "non-finite", "inf": "non-finite", "-inf": "non-finite",
+           "negative": "negative entry", "mass": "mass differs from 1"}
+
 #: (entry, kind of number) pairs with a valid value of that kind
 NUMBER_CASES = [(name, kind) for name, entry in ENTRIES.items()
                 for kind in ("float32", "int64", "int") if kind == "float32" or entry.whole is not None]
@@ -125,6 +143,21 @@ def _shaped(x, ndim: int | None):
     for _ in range(1 if ndim is None else ndim):
         x = [x, x]
     return x
+
+
+def _spoiled(value, case: str) -> np.ndarray:
+    """``value``, a probability array, with its first row spoiled by ``case`` and every other sum kept."""
+    a = np.array(value, dtype=float)
+    if case == "empty":
+        return a[:0]
+    row = a.reshape(-1, a.shape[-1])[0]
+    if case == "negative":
+        row[:2] += (-2.0 * row[0], 2.0 * row[0])
+    elif case == "mass":
+        row[0] += 2e-9  # the mass, or the row sum of a channel, 2e-9 off 1
+    else:
+        row[0] = float(case)
+    return a
 
 
 def _bits(x):
@@ -160,6 +193,40 @@ def test_ragged_array_raises_the_input_error(name):
     ragged = [[0.5], [0.2, 0.3]] if entry.ndim == 2 else [0.5, [0.5]]
     with pytest.raises(entry.error, match="must be .*real numbers, got "):
         entry.call(ragged)
+
+
+@pytest.mark.parametrize(("name", "kind"), BOOL_CASES, ids=[f"{n}-{k}" for n, k in BOOL_CASES])
+def test_bool_in_a_list_raises_the_input_error(name, kind):
+    # NumPy reads [0.6, True] as [0.6, 1.0], so the dtype alone once let it
+    # through: read_curve returned utility 1.0 at "eps" True, and
+    # renyi_entropy([0.5, False, 0.5], 2) returned 1.0
+    entry = ENTRIES[name]
+    value = HOLDS_BOOL[kind]
+    if entry.ndim == 2 and np.ndim(value) == 1:
+        value = [value]
+    with pytest.raises(entry.error, match="must be .*real numbers, got "):
+        entry.call(value)
+
+
+@pytest.mark.parametrize("case", SPOILED)
+@pytest.mark.parametrize("name", PROBABILITY_ENTRIES)
+def test_not_a_probability_array_raises_naming_it(name, case):
+    entry = ENTRIES[name]
+    with pytest.raises(entry.error, match=rf"^{PROBABILITY_ENTRIES[name]} .*{SPOILED[case]}"):
+        entry.call(_spoiled(entry.value, case))
+
+
+@pytest.mark.parametrize("name", PROBABILITY_ENTRIES)
+def test_mass_within_tolerance_is_taken_as_given(name):
+    # 5e-10 off 1 is within MASS_TOL, and nothing is renormalized
+    entry = ENTRIES[name]
+    a = np.array(entry.value, dtype=float)
+    a.reshape(-1, a.shape[-1])[0, 0] += 5e-10
+    out = entry.call(a)
+    if name == "renyi_entropy-pmf":
+        assert _bits(out) == _bits(prob._log2sumexp2(2.5 * np.log2(a)) / (1.0 - 2.5))
+    else:
+        assert _bits(out.matrix) == _bits(a)
 
 
 @pytest.mark.parametrize(("name", "kind"), NUMBER_CASES, ids=[f"{n}-{k}" for n, k in NUMBER_CASES])

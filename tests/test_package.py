@@ -65,6 +65,11 @@ class TestNamespace:
         for name in privguess.__all__:
             assert namespace[name] is getattr(privguess, name), name
 
+    @pytest.mark.parametrize("module", sorted(privguess._EXPORTS))
+    def test_exports_are_the_modules_all(self, module):
+        # so that a star import of the module binds every name the package takes from it
+        assert set(privguess._EXPORTS[module]) == set(importlib.import_module(f"privguess.{module}").__all__)
+
     def test_submodules_resolve(self):
         for name in ("bibo", "cli", "errors", "lp", "mc", "prob", "solver", "vector"):
             assert getattr(privguess, name) is importlib.import_module(f"privguess.{name}")

@@ -402,6 +402,21 @@ class TestGapBounds:
                         gap = block_utility(model, float(eps)) - memoryless_utility(model, float(eps))
                         assert gap >= gap_bounds(model, float(eps)).lower - 1e-10
 
+    def test_lower_bound_holds_where_block_is_concave(self):
+        # block**n = K + (q**n / D_n) eps**n is concave in eps for K = 1 - abar phi(n) < 0,
+        # where the tangent at abar lies above it. At p = 0.55, alpha = 0.3 (K = -0.019)
+        # the tangent's bound once read 0.0936 against a gap of 0.0930 at eps = p
+        models = [VectorModel(2, 0.55, 0.3)] + [
+            VectorModel(n, p, alpha) for n in (2, 3, 4, 8, 16) for p in (0.51, 0.55, 0.6)
+            for alpha in (0.05, 0.15, 0.25, 0.35, 0.45, 0.48) if alpha < 1.0 - p]
+        concave = 0
+        for model in models:
+            concave += 1.0 - model.abar * vector._phi(model, model.n) < 0.0
+            for eps in np.linspace(heuristic_threshold(model), model.abar, 9):
+                gap = block_utility(model, float(eps)) - memoryless_utility(model, float(eps))
+                assert gap >= gap_bounds(model, float(eps)).lower - 1e-12, (model, eps)
+        assert concave >= 10
+
     def test_unbiased_gap_within_upper(self):
         for n in (2, 4, 8):
             for alpha in (0.05, 0.1, 0.2):
